@@ -1,26 +1,19 @@
 //! Runtime queries over the symbolic activity derivation — the closed
-//! forms [`crate::schedule`] and [`crate::symbolic`] prove, packaged for
-//! consumption *during* a run.
-//!
-//! The SWAR driver ([`gca_hirschberg::ExecPath::FusedSwar`]) consults a
-//! [`SwarSchedule`] to skip provably zero-activity sub-generations and to
-//! clamp the pointer-jump iteration bound. This module derives that
-//! schedule from the per-`(n, generation, sub-generation)` activity closed
-//! forms instead of the structural `⌈log₂ n⌉` bound, and the test suite
+//! forms [`crate::schedule`] and [`crate::symbolic`] prove, as total
+//! functions of `(n, generation, sub-generation)`. The test suite
 //! cross-checks every form against [`crate::schedule::derive_row`]'s
 //! exhaustive enumeration and the [`crate::symbolic`] polynomials.
 //!
-//! The headline theorem (verified by the tests, relied on by the driver):
-//! **for the shipped rule there are no in-schedule zero-activity
-//! sub-generations**. The tree reductions keep at least one fold per row
-//! alive for every `s < ⌈log₂ n⌉`, and pointer jumping is index-active on
-//! all `n` column-0 cells regardless of data. The symbolically derived
-//! schedule therefore *equals* the structural one — the scheduler's value
-//! is that this is now a checked fact rather than an assumption, and that
-//! [`swar_schedule`] would automatically tighten if a future rule variant
-//! introduced genuinely dead sub-generations.
+//! The headline theorem (verified by the tests): **for the shipped rule
+//! there are no in-schedule zero-activity sub-generations**. The tree
+//! reductions keep at least one fold per row alive for every
+//! `s < ⌈log₂ n⌉`, and pointer jumping is index-active on all `n`
+//! column-0 cells regardless of data. So [`live_subgenerations`] equals
+//! the structural `⌈log₂ n⌉` bound for every iterated phase, and the
+//! machine's iteration driver has nothing to gain from skipping: it walks
+//! the structural schedule as the paper's hardware does.
 
-use gca_hirschberg::{Gen, SwarSchedule};
+use gca_hirschberg::Gen;
 
 /// Exact number of active cells of one `(generation, sub-generation)` at
 /// problem size `n` — the closed form of
@@ -61,33 +54,15 @@ pub fn min_reduce_folds_per_row(n: usize, sub: u32) -> u64 {
 }
 
 /// The number of leading sub-generations of an iterated phase that have
-/// non-zero symbolic activity — the tight iteration bound the scheduler
-/// may clamp to. Scans past the last non-zero index so an (impossible for
-/// the shipped rule, but representable) interior zero would not unsoundly
-/// truncate the schedule.
+/// non-zero symbolic activity. Scans past the last non-zero index so an
+/// (impossible for the shipped rule, but representable) interior zero
+/// would not shorten the count.
 pub fn live_subgenerations(n: usize, gen: Gen) -> u32 {
     let structural = gen.subgenerations(n);
     (0..structural)
         .rev()
         .find(|&s| activity(n, gen, s) > 0)
         .map_or(0, |s| s + 1)
-}
-
-/// Derives the symbolic-activity schedule for problem size `n`: per-phase
-/// sub-generation bounds with every provably zero-activity tail dropped.
-///
-/// For the shipped rule this equals [`SwarSchedule::structural`] at every
-/// `n` (see the module theorem), which is exactly what makes installing it
-/// sound: the driver skips nothing the dynamic run would have needed, and
-/// `Instrumentation::Validate` cross-checks the claim per skipped
-/// sub-generation.
-pub fn swar_schedule(n: usize) -> SwarSchedule {
-    SwarSchedule::from_bounds(
-        n,
-        live_subgenerations(n, Gen::MinReduce),
-        live_subgenerations(n, Gen::MinReduceMembers),
-        live_subgenerations(n, Gen::PointerJump),
-    )
 }
 
 #[cfg(test)]
@@ -141,13 +116,13 @@ mod tests {
     }
 
     #[test]
-    fn schedule_is_structural_for_the_shipped_rule() {
-        // The module theorem: no in-schedule sub-generation is symbolically
-        // dead, so the derived schedule never truncates anything.
-        for n in 1..=70 {
-            let sched = swar_schedule(n);
-            assert!(sched.is_structural(), "derived schedule truncates at n={n}");
-            for gen in [Gen::MinReduce, Gen::MinReduceMembers] {
+    fn every_in_schedule_subgeneration_is_live() {
+        // The module theorem: no in-schedule sub-generation of an iterated
+        // phase is symbolically dead, at every small n and every power of
+        // two up to 2^16.
+        for n in (1..=70).chain((0..=16).map(|k| 1usize << k)) {
+            for gen in [Gen::MinReduce, Gen::MinReduceMembers, Gen::PointerJump] {
+                assert_eq!(live_subgenerations(n, gen), ceil_log2(n), "n={n} {gen:?}");
                 for s in 0..ceil_log2(n) {
                     assert!(
                         activity(n, gen, s) > 0,
@@ -160,10 +135,10 @@ mod tests {
 
     #[test]
     fn symbolic_skips_equal_dynamic_zero_activity() {
-        // The scheduler's soundness condition, checked dynamically: every
-        // sub-generation the symbolic forms mark dead reports zero active
-        // and zero changed cells when actually executed, and every live one
-        // reports the predicted non-zero activity.
+        // The closed forms checked dynamically: every sub-generation they
+        // mark dead reports zero active and zero changed cells when
+        // actually executed, and every live one reports the predicted
+        // non-zero activity.
         for n in [2usize, 3, 5, 8, 13] {
             let g = generators::gnp(n, 0.4, n as u64);
             let mut m = Machine::with_engine(

@@ -27,9 +27,8 @@
 //! * [`mod@activity`] — the runtime face of the derivation: exact
 //!   per-`(n, generation, sub-generation)` activity closed forms
 //!   (cross-checked against [`schedule::derive_row`] and the [`symbolic`]
-//!   polynomials) and the [`activity::swar_schedule`] oracle the
-//!   [`gca_hirschberg::ExecPath::FusedSwar`] driver installs to skip
-//!   provably dead sub-generations;
+//!   polynomials), and the theorem that no in-schedule sub-generation of
+//!   an iterated phase is dead;
 //! * [`modelcheck`] — bounded-exhaustive model checking over **all**
 //!   graphs on small vertex counts: predicted termination generation,
 //!   label canonicity against union-find, and fixed-point soundness of
@@ -74,7 +73,7 @@ pub mod partition;
 pub mod schedule;
 pub mod symbolic;
 
-pub use activity::{activity, live_subgenerations, min_reduce_folds_per_row, swar_schedule};
+pub use activity::{activity, live_subgenerations, min_reduce_folds_per_row};
 
 pub use invariants::{contracts, prove, prove_seeded, Contract, Fact, ProofFault, ProofReport};
 pub use lanes::{CoverageReport, LaneFormula, LaneMismatch, LaneReport, LaneState};

@@ -11,7 +11,7 @@
 //! module proves that statically:
 //!
 //! * an abstract interpreter walks the full fused phase schedule
-//!   ([`gca_hirschberg::iteration_schedule`], plus the batched driver's
+//!   ([`gca_hirschberg::iteration_schedule`], plus the iteration driver's
 //!   fused broadcast+filter variant) over the three-point domain
 //!   `Invalid < Superset < Exact`, applying per-kernel transfer
 //!   functions justified by the lane proofs in [`crate::lanes`]

@@ -61,18 +61,11 @@ pub fn execute(
             if opts.validate {
                 engine = engine.with_instrumentation(Instrumentation::Validate);
             }
-            let mut gca = HirschbergGca::new()
+            let run = HirschbergGca::new()
                 .with_engine(engine)
                 .convergence(opts.convergence)
-                .exec(opts.exec);
-            if matches!(opts.exec, gca_hirschberg::ExecPath::FusedSwar(_)) {
-                // Install the symbolically derived schedule (the oracle the
-                // SWAR driver consults for sub-generation skipping; equal to
-                // the structural bound for the shipped rule, and
-                // cross-checked dynamically under --validate).
-                gca = gca.with_swar_schedule(gca_analysis::swar_schedule(graph.n()));
-            }
-            let run = gca.run(graph)?;
+                .exec(opts.exec)
+                .run(graph)?;
             Outcome {
                 machine,
                 labels: run.labels,
@@ -216,9 +209,6 @@ fn supervised_gca(
     let mut machine = Machine::with_engine(graph, engine)?
         .with_convergence(opts.convergence)
         .with_exec(opts.exec);
-    if matches!(opts.exec, gca_hirschberg::ExecPath::FusedSwar(_)) {
-        machine = machine.with_swar_schedule(gca_analysis::swar_schedule(graph.n()));
-    }
     if let Some(spec) = recovery.inject {
         let plan = spec.resolve(
             machine.field().len(),

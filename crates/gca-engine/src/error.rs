@@ -129,6 +129,14 @@ pub enum GcaError {
         /// Number of nodes the labeling covers.
         n: usize,
     },
+    /// A stepper's lifecycle call came out of order: `init` on a machine
+    /// that is already initialized, or an iteration before `init`.
+    OutOfOrder {
+        /// The rejected call.
+        call: &'static str,
+        /// Whether the machine was already initialized.
+        initialized: bool,
+    },
 }
 
 impl fmt::Display for GcaError {
@@ -204,6 +212,14 @@ impl fmt::Display for GcaError {
                 f,
                 "run produced label {label} outside the node range 0..{n}"
             ),
+            GcaError::OutOfOrder {
+                call,
+                initialized: true,
+            } => write!(f, "`{call}` called on an already initialized machine"),
+            GcaError::OutOfOrder {
+                call,
+                initialized: false,
+            } => write!(f, "`{call}` called before `init`"),
         }
     }
 }
@@ -224,7 +240,8 @@ impl GcaError {
     ///   kernel generation through the reference engine.
     /// * `invariant-checker` — the algorithm-level Hoare-contract mirror
     ///   running on every execution path.
-    /// * `structural` — label/shape validation outside the run loop.
+    /// * `structural` — label/shape validation outside the run loop, and
+    ///   lifecycle calls made out of order.
     pub fn detector(&self) -> &'static str {
         match self {
             GcaError::PointerOutOfRange { .. }
@@ -235,7 +252,8 @@ impl GcaError {
             GcaError::FieldTooLarge { .. }
             | GcaError::ShapeMismatch { .. }
             | GcaError::GraphSizeMismatch { .. }
-            | GcaError::BadLabel { .. } => "structural",
+            | GcaError::BadLabel { .. }
+            | GcaError::OutOfOrder { .. } => "structural",
         }
     }
 }
@@ -342,5 +360,20 @@ mod tests {
         assert!(s.contains("cell 8"));
         assert!(s.contains("generation 12"));
         assert!(s.contains("phase 10"));
+    }
+
+    #[test]
+    fn display_out_of_order() {
+        let twice = GcaError::OutOfOrder {
+            call: "init",
+            initialized: true,
+        };
+        assert!(twice.to_string().contains("`init` called on an already initialized"));
+        let early = GcaError::OutOfOrder {
+            call: "run_iterations",
+            initialized: false,
+        };
+        assert!(early.to_string().contains("before `init`"));
+        assert_eq!(early.detector(), "structural");
     }
 }

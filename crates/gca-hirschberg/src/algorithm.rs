@@ -1,7 +1,7 @@
 use crate::complexity::{ceil_log2, total_generations};
 use crate::invariants::{InvariantChecker, InvariantClass};
-use crate::kernels::{FusedExecutor, KernelReport, ParPolicy};
-use crate::{iteration_schedule, ExecPath, Gen, HCell, HirschbergRule, Layout, SwarSchedule};
+use crate::kernels::{FusedExecutor, ParPolicy};
+use crate::{iteration_schedule, ExecPath, Gen, HCell, HirschbergRule, Layout};
 use gca_engine::faults::{FaultKind, FaultPlan};
 use gca_engine::metrics::{CongestionHistogram, GenerationMetrics, MetricsLog};
 use gca_engine::{
@@ -58,22 +58,17 @@ pub struct Machine {
     convergence: Convergence,
     exec: ExecPath,
     fused: FusedExecutor,
-    /// Whether the fused executor's SoA mirror currently reflects `field`.
+    /// Whether the fused executor's SoA mirror currently reflects `field`
+    /// (or runs ahead of it, between a fused tick and the write-back).
     /// Anything that mutates the field behind the kernels' back (generic
-    /// steps, snapshot restore, graph reset, seeded faults) clears it; the
-    /// next fused step reloads the mirror.
+    /// steps, snapshot restore, graph reset) clears it; the next fused step
+    /// reloads the mirror.
     soa_valid: bool,
     initialized: bool,
-    /// The symbolic-activity schedule the [`ExecPath::FusedSwar`] driver
-    /// consults (`None` → the structural schedule, which never skips).
-    swar_schedule: Option<SwarSchedule>,
     /// The differential harness armed by [`Instrumentation::Validate`] on
     /// the fused path: a shadow field replayed through the reference engine
     /// (itself running the CROW sanitizer) after every fused generation.
     validator: Option<FusedValidator>,
-    /// Test-only seeded fault: corrupts this cell after the next fused
-    /// generation so the replay harness can prove it catches divergence.
-    fault: Option<usize>,
     /// The algorithm-level invariant checker, also armed by
     /// [`Instrumentation::Validate`] — on *every* execution path. Replays
     /// the schedule's Hoare-contract transfers (see
@@ -132,9 +127,7 @@ impl Machine {
             fused: FusedExecutor::new(graph.n()),
             soa_valid: false,
             initialized: false,
-            swar_schedule: None,
             validator: None,
-            fault: None,
             inv: None,
             inv_fault: None,
             inject: None,
@@ -156,16 +149,6 @@ impl Machine {
     pub fn with_exec(mut self, exec: ExecPath) -> Self {
         self.exec = exec;
         self.fused.set_swar(matches!(exec, ExecPath::FusedSwar(_)));
-        self
-    }
-
-    /// Installs a symbolic-activity schedule for the
-    /// [`ExecPath::FusedSwar`] driver (see [`SwarSchedule`]). A schedule
-    /// derived for a different problem size is ignored in favor of the
-    /// structural one. No effect on the other execution paths.
-    #[must_use]
-    pub fn with_swar_schedule(mut self, schedule: SwarSchedule) -> Self {
-        self.swar_schedule = Some(schedule);
         self
     }
 
@@ -210,34 +193,90 @@ impl Machine {
     }
 
     /// Executes generation 0 (initialization). Must run exactly once,
-    /// before any iteration.
+    /// before any iteration; a second call is [`GcaError::OutOfOrder`].
     pub fn init(&mut self) -> Result<StepReport, GcaError> {
-        assert!(!self.initialized, "machine already initialized");
+        if self.initialized {
+            return Err(GcaError::OutOfOrder {
+                call: "init",
+                initialized: true,
+            });
+        }
         let rep = self.step(Gen::Init, 0)?;
         self.initialized = true;
         Ok(rep)
     }
 
     /// Executes a single `(generation, sub-generation)` of the state
-    /// machine and records its metrics.
+    /// machine and records its metrics: one tick of the iteration driver,
+    /// then the field write-back (callers inspect the field between steps)
+    /// and, on the fused paths under counting, the report's congestion
+    /// histogram.
     pub fn step(&mut self, gen: Gen, subgeneration: u32) -> Result<StepReport, GcaError> {
-        if self.fused_active() {
-            return self.step_fused(gen, subgeneration);
+        let mut rep = self.tick(gen, subgeneration)?;
+        self.write_back();
+        if self.fused_active() && self.counting() {
+            rep.congestion = Some(CongestionHistogram::from_reads(self.fused.reads().to_vec()));
         }
-        self.ensure_invariant_checker();
-        let fault_gen = self.engine.generation();
-        self.arm_generic_fault(fault_gen);
-        let rep = self
-            .engine
-            .step(&mut self.field, &self.rule, gen.number(), subgeneration)?;
-        self.apply_generic_fault(fault_gen);
-        self.soa_valid = false;
-        if let Some(hist) = rep.congestion.as_ref() {
-            self.metrics
-                .push(GenerationMetrics::new(rep.ctx, rep.active_cells, hist));
-        }
-        self.check_invariants(&rep.ctx)?;
         Ok(rep)
+    }
+
+    /// One `(generation, sub-generation)` on the configured path: the
+    /// engine's per-cell evaluator, or the fused kernels over the SoA
+    /// mirror. Records the metrics entry and, under
+    /// [`Instrumentation::Validate`], checks the generation. A fused tick
+    /// reports no congestion histogram and, unless validating, leaves the
+    /// field write-back to its caller.
+    fn tick(&mut self, gen: Gen, subgeneration: u32) -> Result<StepReport, GcaError> {
+        if !self.fused_active() {
+            self.ensure_invariant_checker();
+            let fault_gen = self.engine.generation();
+            self.arm_generic_fault(fault_gen);
+            let rep = self
+                .engine
+                .step(&mut self.field, &self.rule, gen.number(), subgeneration)?;
+            self.apply_generic_fault(fault_gen);
+            self.soa_valid = false;
+            if let Some(hist) = rep.congestion.as_ref() {
+                self.metrics
+                    .push(GenerationMetrics::new(rep.ctx, rep.active_cells, hist));
+            }
+            self.check_invariants(&rep.ctx)?;
+            return Ok(rep);
+        }
+        let ctx = self.fused_ctx(gen, subgeneration);
+        let counting = self.counting();
+        let par = self.par_policy();
+        self.begin_fused_validation();
+        self.ensure_soa();
+        self.arm_fused_fault(ctx.generation);
+        let rep = self.fused.step(&ctx, counting, par)?;
+        self.apply_fused_fault(ctx.generation);
+        if self.validating() {
+            // The replay harness compares against the field, so each
+            // validated generation writes back immediately.
+            self.fused.store_d(&mut self.field);
+            self.check_fused_generation(&ctx)?;
+            self.check_invariants(&ctx)?;
+        }
+        self.fused_commit(ctx, rep.active);
+        Ok(StepReport {
+            ctx,
+            active_cells: rep.active,
+            total_reads: rep.reads,
+            changed_cells: rep.changed,
+            evaluated_cells: rep.evaluated,
+            workers: rep.workers,
+            congestion: None,
+            accesses: None,
+        })
+    }
+
+    /// Writes the fused kernels' SoA data plane back into the public field
+    /// when it runs ahead of it. No-op on the generic path.
+    fn write_back(&mut self) {
+        if self.soa_valid {
+            self.fused.store_d(&mut self.field);
+        }
     }
 
     /// Fused kernels reproduce `Counts` metrics exactly, but per-cell
@@ -294,29 +333,6 @@ impl Machine {
         matches!(self.engine.instrumentation(), Instrumentation::Validate)
     }
 
-    /// Test-only hook for the failure-injection suite: corrupts `cell`'s
-    /// data word right after the next fused generation executes, before the
-    /// replay harness compares states — a seeded kernel mutation the
-    /// harness must report as [`GcaError::KernelDivergence`]. No effect
-    /// unless the machine is fused and validating.
-    #[doc(hidden)]
-    pub fn seed_fused_fault(&mut self, cell: usize) {
-        self.fault = Some(cell);
-    }
-
-    /// Test-only hook for the failure-injection suite: makes the next
-    /// parallel counting broadcast account one boundary cell twice — the
-    /// observable effect of two row partitions overlapping on it. Safe Rust
-    /// makes a real aliasing overlap unrepresentable (`par_chunks_mut`
-    /// hands out disjoint `&mut` slices), so the injectable fault is the
-    /// accounting consequence the replay harness must catch as
-    /// [`GcaError::KernelDivergence`]. No effect unless the machine runs
-    /// [`ExecPath::FusedParallel`] under [`Instrumentation::Validate`].
-    #[doc(hidden)]
-    pub fn seed_partition_fault(&mut self) {
-        self.fused.seed_partition_fault();
-    }
-
     /// Test-only hook for the failure-injection suite: arms a one-shot
     /// planted contract break of the given [`InvariantClass`] inside the
     /// invariant checker, which must then report it as
@@ -334,7 +350,7 @@ impl Machine {
     /// its fault into the addressed committed generation on whichever
     /// execution path runs it (see [`gca_engine::faults`] for the per-kind
     /// semantics and which paths each kind applies to). Arming also
-    /// disables the SWAR driver's broadcast+filter and multi-jump fusions
+    /// disables the driver's SWAR broadcast+filter and pointer-jump fusions
     /// so that every scheduled generation materializes as an injection
     /// site; a `None` plan restores full fusion and costs nothing per
     /// step. The plan survives [`Machine::reset_with`] and
@@ -589,13 +605,6 @@ impl Machine {
         if !self.validating() {
             return Ok(());
         }
-        if let Some(cell) = self.fault.take() {
-            if let Some(c) = self.field.states_mut().get_mut(cell) {
-                c.d = c.d.wrapping_add(1);
-                // The AoS field was corrupted behind the SoA mirror.
-                self.soa_valid = false;
-            }
-        }
         let Some(v) = self.validator.as_mut() else {
             // Unreachable in practice: `begin_fused_validation` arms the
             // validator whenever `validating()` holds.
@@ -648,170 +657,83 @@ impl Machine {
         }
     }
 
-    /// One fused `(generation, sub-generation)` with a full [`StepReport`]
-    /// (including an owned congestion histogram) — the single-step API.
-    /// [`Machine::run_iteration`] uses the report-free internal path.
-    fn step_fused(&mut self, gen: Gen, subgeneration: u32) -> Result<StepReport, GcaError> {
-        let counting = self.counting();
-        let ctx = self.fused_ctx(gen, subgeneration);
-        let par = self.par_policy();
-        self.begin_fused_validation();
-        self.ensure_soa();
-        self.arm_fused_fault(ctx.generation);
-        let rep = self.fused.step(&ctx, counting, par)?;
-        self.apply_fused_fault(ctx.generation);
-        // The single-step API keeps the public field authoritative after
-        // every generation (callers inspect it between steps).
-        self.fused.store_d(&mut self.field);
-        self.check_fused_generation(&ctx)?;
-        self.check_invariants(&ctx)?;
-        self.fused_commit(ctx, rep.active);
-        Ok(StepReport {
-            ctx,
-            active_cells: rep.active,
-            total_reads: rep.reads,
-            changed_cells: rep.changed,
-            evaluated_cells: rep.evaluated,
-            workers: rep.workers,
-            congestion: counting
-                .then(|| CongestionHistogram::from_reads(self.fused.reads().to_vec())),
-            accesses: None,
-        })
+    /// Executes one full outer iteration — [`Machine::run_iterations`]
+    /// with a count of one.
+    pub fn run_iteration(&mut self) -> Result<u64, GcaError> {
+        self.run_iterations(1)
     }
 
-    /// Executes one full outer iteration (generations 1–11 with their
-    /// sub-generations). Returns the number of generations executed —
-    /// `iteration_schedule(n).len()` under [`Convergence::Fixed`], possibly
-    /// fewer under [`Convergence::Detect`] (skipped pointer-jump
+    /// Executes `count` full outer iterations (generations 1–11 with their
+    /// sub-generations) and returns the number of generations executed —
+    /// `count · iteration_schedule(n).len()` under [`Convergence::Fixed`],
+    /// possibly fewer under [`Convergence::Detect`] (skipped pointer-jump
     /// sub-generations are not executed at all and record no metrics).
-    pub fn run_iteration(&mut self) -> Result<u64, GcaError> {
-        assert!(self.initialized, "call init() before iterating");
-        if self.fused_active() {
-            return self.run_iteration_fused();
+    /// Iterating before [`Machine::init`] is [`GcaError::OutOfOrder`].
+    ///
+    /// On the fused paths the SoA mirror is the working state and the
+    /// public field is written back once, when this returns — also on
+    /// error, so committed generations stay visible exactly as the generic
+    /// engine leaves them (a failed generation never commits).
+    pub fn run_iterations(&mut self, count: u64) -> Result<u64, GcaError> {
+        if !self.initialized {
+            return Err(GcaError::OutOfOrder {
+                call: "run_iterations",
+                initialized: false,
+            });
         }
+        let result = self.drive(count);
+        self.write_back();
+        result
+    }
+
+    /// The iteration driver: walks `iteration_schedule(n)` `count` times
+    /// with one [`Machine::tick`] per entry. Two fused special cases run
+    /// several entries in one call: the SWAR broadcast+filter pair (gated
+    /// by [`Machine::fuse_broadcast_filter`]) and the pointer-jump
+    /// ping-pong ([`Machine::fused_pointer_jump`]).
+    fn drive(&mut self, count: u64) -> Result<u64, GcaError> {
         let schedule = iteration_schedule(self.n());
-        let mut executed = 0u64;
-        let mut jump_converged = false;
-        for (gen, sub) in schedule {
-            if jump_converged && gen == Gen::PointerJump {
-                continue;
+        let fuse_pair = self.fuse_broadcast_filter();
+        // The ping-pong keeps labels in private buffers between
+        // sub-generations. The replay harness needs every generation's
+        // writes in the field, and an armed fault plan needs every
+        // generation as an injection site, so both tick each jump instead.
+        let ping_pong = self.fused_active() && !self.validating() && self.inject.is_none();
+        let detect = self.convergence == Convergence::Detect;
+        let mut executed = 0;
+        for _ in 0..count {
+            // A generation whose remaining entries this iteration already
+            // ran (a fused filter) or skips (converged pointer jumps).
+            let mut done = None;
+            for &(gen, sub) in &schedule {
+                if done == Some(gen) {
+                    continue;
+                }
+                match gen {
+                    Gen::BroadcastC | Gen::BroadcastT if fuse_pair => {
+                        done = Some(self.broadcast_filter_ticks(gen));
+                        executed += 2;
+                    }
+                    Gen::PointerJump if ping_pong => {
+                        executed += self.fused_pointer_jump()?;
+                        done = Some(gen);
+                    }
+                    _ => {
+                        let rep = self.tick(gen, sub)?;
+                        executed += 1;
+                        if detect && gen == Gen::PointerJump && rep.changed_cells == 0 {
+                            done = Some(gen);
+                        }
+                        self.engine.recycle(rep);
+                    }
+                }
             }
-            let rep = self.step(gen, sub)?;
-            executed += 1;
-            if self.convergence == Convergence::Detect
-                && gen == Gen::PointerJump
-                && rep.changed_cells == 0
-            {
-                jump_converged = true;
-            }
-            self.engine.recycle(rep);
         }
         Ok(executed)
     }
 
-    /// Executes `count` full outer iterations back to back, returning the
-    /// total number of generations executed. Observably identical to
-    /// calling [`Machine::run_iteration`] `count` times, except that the
-    /// fused paths write the public field back once at the end instead of
-    /// once per iteration (the field is only guaranteed authoritative when
-    /// this returns — also on error, exactly as the per-iteration API
-    /// leaves committed generations visible).
-    pub fn run_iterations(&mut self, count: u64) -> Result<u64, GcaError> {
-        assert!(self.initialized, "call init() before iterating");
-        if !self.fused_active() || self.validating() {
-            let mut executed = 0;
-            for _ in 0..count {
-                executed += self.run_iteration()?;
-            }
-            return Ok(executed);
-        }
-        let mut executed = 0;
-        let mut failure = None;
-        for _ in 0..count {
-            match self.run_iteration_fused_inner() {
-                Ok(e) => executed += e,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        self.fused.store_d(&mut self.field);
-        match failure {
-            None => Ok(executed),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// One fused generation without report assembly (no histogram copy) —
-    /// the hot-loop variant of [`Machine::step_fused`]. Returns the changed
-    /// count for convergence detection.
-    fn fused_tick(&mut self, gen: Gen, subgeneration: u32) -> Result<KernelReport, GcaError> {
-        let ctx = self.fused_ctx(gen, subgeneration);
-        let counting = self.counting();
-        let par = self.par_policy();
-        self.begin_fused_validation();
-        self.ensure_soa();
-        self.arm_fused_fault(ctx.generation);
-        let rep = self.fused.step(&ctx, counting, par)?;
-        self.apply_fused_fault(ctx.generation);
-        if self.validating() {
-            // The replay harness compares against the field, so each
-            // validated generation writes back immediately; the plain hot
-            // loop defers the writeback to the iteration boundary.
-            self.fused.store_d(&mut self.field);
-            self.check_fused_generation(&ctx)?;
-            self.check_invariants(&ctx)?;
-        }
-        self.fused_commit(ctx, rep.active);
-        Ok(rep)
-    }
-
-    /// The schedule the [`ExecPath::FusedSwar`] driver consults; `None` for
-    /// the other fused paths (never skip). An installed schedule derived
-    /// for a different `n` falls back to the structural one.
-    fn swar_bounds(&self) -> Option<SwarSchedule> {
-        matches!(self.exec, ExecPath::FusedSwar(_)).then(|| {
-            self.swar_schedule
-                .filter(|sc| sc.n() == self.n())
-                .unwrap_or_else(|| SwarSchedule::structural(self.n()))
-        })
-    }
-
-    /// Runs one iterated-phase sub-generation under the SWAR schedule.
-    /// Scheduled subs execute normally; an out-of-schedule sub (symbolic
-    /// activity zero) is skipped outright — except under
-    /// [`Instrumentation::Validate`], where it executes anyway and a debug
-    /// assertion cross-checks the symbolic claim against the dynamic
-    /// counters (zero activity for the tree reductions, zero changed cells
-    /// for a clamped pointer jump). Returns `None` when skipped.
-    fn swar_gated_tick(
-        &mut self,
-        sched: Option<SwarSchedule>,
-        gen: Gen,
-        s: u32,
-        executed: &mut u64,
-    ) -> Result<Option<KernelReport>, GcaError> {
-        let live = sched.is_none_or(|sc| sc.live(gen, s));
-        if !live && !self.validating() {
-            return Ok(None);
-        }
-        let rep = self.fused_tick(gen, s)?;
-        *executed += 1;
-        if !live {
-            debug_assert!(
-                rep.changed == 0 && (gen == Gen::PointerJump || rep.active == 0),
-                "symbolic-activity schedule skipped an active sub-generation: \
-                 {gen:?}/{s} active={} changed={}",
-                rep.active,
-                rep.changed,
-            );
-        }
-        Ok(Some(rep))
-    }
-
-    /// Whether the batched driver may fuse each broadcast with the filter
-    /// that immediately follows it (generations 1+2 and 5+6). Requires the
+    /// Whether the driver may fuse each broadcast with the filter that
+    /// immediately follows it (generations 1+2 and 5+6). Requires the
     /// SWAR path *and* an unobservable intermediate state: under counting
     /// the two generations report separate read footprints, and under
     /// validation the replay harness compares the field after every
@@ -827,114 +749,40 @@ impl Machine {
     }
 
     /// Runs one fused broadcast+filter pair (generations 1+2 for
-    /// `members = false`, 5+6 for `members = true`) and commits both
-    /// generations, exactly as two separate ticks would have.
-    fn broadcast_filter_ticks(&mut self, members: bool) {
+    /// [`Gen::BroadcastC`], 5+6 for [`Gen::BroadcastT`]) and commits both
+    /// generations, exactly as two separate ticks would have. Returns the
+    /// filter generation it ran.
+    fn broadcast_filter_ticks(&mut self, broadcast: Gen) -> Gen {
+        let members = broadcast == Gen::BroadcastT;
+        let filter = if members {
+            Gen::FilterMembers
+        } else {
+            Gen::FilterNeighbors
+        };
         let par = self.par_policy();
         self.ensure_soa();
-        let (bcast, filter) = self.fused.broadcast_filter(members, par);
-        let (g_b, g_f) = if members {
-            (Gen::BroadcastT, Gen::FilterMembers)
-        } else {
-            (Gen::BroadcastC, Gen::FilterNeighbors)
-        };
-        let ctx_b = self.fused_ctx(g_b, 0);
+        let (bcast, filtered) = self.fused.broadcast_filter(members, par);
+        let ctx_b = self.fused_ctx(broadcast, 0);
         self.fused_commit(ctx_b, bcast.active);
         // The second ctx is built after the first commit so its generation
         // number advances exactly as under separate ticks.
-        let ctx_f = self.fused_ctx(g_f, 0);
-        self.fused_commit(ctx_f, filter.active);
-    }
-
-    /// The fused iteration: identical `(generation, sub-generation)`
-    /// schedule and convergence behaviour as the generic loop, with the
-    /// pointer-jump sub-generations fused over ping-pong label buffers.
-    /// The SoA mirror is the working state between generations; the public
-    /// field is written back once per iteration (also on error, so
-    /// committed generations stay visible exactly as the generic engine
-    /// leaves them — a failed generation never commits).
-    fn run_iteration_fused(&mut self) -> Result<u64, GcaError> {
-        let result = self.run_iteration_fused_inner();
-        if !self.validating() {
-            self.fused.store_d(&mut self.field);
-        }
-        result
-    }
-
-    fn run_iteration_fused_inner(&mut self) -> Result<u64, GcaError> {
-        let subgens = ceil_log2(self.n());
-        let sched = self.swar_bounds();
-        let fuse_bf = self.fuse_broadcast_filter();
-        let mut executed = 0u64;
-        if fuse_bf {
-            self.broadcast_filter_ticks(false);
-            executed += 2;
-        } else {
-            for gen in [Gen::BroadcastC, Gen::FilterNeighbors] {
-                self.fused_tick(gen, 0)?;
-                executed += 1;
-            }
-        }
-        for s in 0..subgens {
-            self.swar_gated_tick(sched, Gen::MinReduce, s, &mut executed)?;
-        }
-        self.fused_tick(Gen::ResolveIsolated, 0)?;
-        executed += 1;
-        if fuse_bf {
-            self.broadcast_filter_ticks(true);
-            executed += 2;
-        } else {
-            for gen in [Gen::BroadcastT, Gen::FilterMembers] {
-                self.fused_tick(gen, 0)?;
-                executed += 1;
-            }
-        }
-        for s in 0..subgens {
-            self.swar_gated_tick(sched, Gen::MinReduceMembers, s, &mut executed)?;
-        }
-        for gen in [Gen::ResolveMembers, Gen::CopyAndSaveT] {
-            self.fused_tick(gen, 0)?;
-            executed += 1;
-        }
-        if self.validating() || self.inject.is_some() {
-            // The multi-jump fusion keeps labels in private ping-pong
-            // buffers between sub-generations; the replay harness needs
-            // every generation's writes in the field (and an armed fault
-            // plan needs every generation to exist as an injection site),
-            // so both take the gather/jump/scatter-per-sub-generation path.
-            for s in 0..subgens {
-                let rep = self.swar_gated_tick(sched, Gen::PointerJump, s, &mut executed)?;
-                if let Some(rep) = rep {
-                    if self.convergence == Convergence::Detect && rep.changed == 0 {
-                        break;
-                    }
-                }
-            }
-        } else {
-            // The schedule clamps the pointer-jump iteration bound; for the
-            // structural (and the symbolically derived) schedule the clamp
-            // equals ⌈log₂ n⌉ and the behavior is unchanged.
-            let jump_bound =
-                sched.map_or(subgens, |sc| sc.subgenerations(Gen::PointerJump).min(subgens));
-            executed += self.fused_pointer_jump(jump_bound)?;
-        }
-        self.fused_tick(Gen::FinalMin, 0)?;
-        executed += 1;
-        Ok(executed)
+        let ctx_f = self.fused_ctx(filter, 0);
+        self.fused_commit(ctx_f, filtered.active);
+        filter
     }
 
     /// All pointer-jump sub-generations in one fused call: gather column 0
     /// once, ping-pong the two label buffers per sub-generation, scatter
     /// once at the end (also on error, so committed sub-generations stay
     /// visible exactly as the generic engine leaves them).
-    fn fused_pointer_jump(&mut self, subgens: u32) -> Result<u64, GcaError> {
+    fn fused_pointer_jump(&mut self) -> Result<u64, GcaError> {
         let counting = self.counting();
         let par = self.par_policy();
         self.ensure_soa();
         self.fused.gather_labels();
         let mut executed = 0u64;
         let mut failure = None;
-        for s in 0..subgens {
+        for s in 0..ceil_log2(self.n()) {
             if counting {
                 self.fused.reset_reads(self.field.len());
             }
@@ -1017,7 +865,6 @@ impl Machine {
         if let Some(v) = self.validator.as_mut() {
             v.engine.reset();
         }
-        self.fault = None;
         self.inv = None;
         self.inv_fault = None;
         Ok(())
@@ -1071,7 +918,6 @@ pub struct HirschbergGca {
     early_exit: bool,
     convergence: Convergence,
     exec: ExecPath,
-    swar_schedule: Option<SwarSchedule>,
 }
 
 impl HirschbergGca {
@@ -1084,7 +930,6 @@ impl HirschbergGca {
             early_exit: false,
             convergence: Convergence::Fixed,
             exec: ExecPath::Generic,
-            swar_schedule: None,
         }
     }
 
@@ -1108,15 +953,6 @@ impl HirschbergGca {
     #[must_use]
     pub fn exec(mut self, exec: ExecPath) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Installs a symbolic-activity schedule for the
-    /// [`ExecPath::FusedSwar`] driver (see [`Machine::with_swar_schedule`]);
-    /// no effect on the other execution paths.
-    #[must_use]
-    pub fn with_swar_schedule(mut self, schedule: SwarSchedule) -> Self {
-        self.swar_schedule = Some(schedule);
         self
     }
 
@@ -1145,9 +981,6 @@ impl HirschbergGca {
         let mut machine = Machine::with_engine(graph, self.engine.clone())?
             .with_convergence(self.convergence)
             .with_exec(self.exec);
-        if let Some(sched) = self.swar_schedule {
-            machine = machine.with_swar_schedule(sched);
-        }
         machine.init()?;
         let max_iterations = ceil_log2(n);
         let mut iterations = 0;
@@ -1163,20 +996,14 @@ impl HirschbergGca {
                 previous = current;
             }
         } else {
-            // No between-iteration label reads: the batched driver defers
-            // the fused paths' field writeback to the end of the run.
+            // No between-iteration label reads: the fused paths write the
+            // field back once, at the end of the run.
             machine.run_iterations(u64::from(max_iterations))?;
             iterations = max_iterations;
         }
 
         let generations = machine.generations();
-        if !self.early_exit
-            && self.convergence == Convergence::Fixed
-            && self.swar_schedule.is_none_or(|sc| sc.is_structural())
-        {
-            // A truncated SWAR schedule legitimately executes fewer
-            // generations than the closed form; every other configuration
-            // must match it exactly.
+        if !self.early_exit && self.convergence == Convergence::Fixed {
             debug_assert_eq!(
                 generations,
                 total_generations(n),
@@ -1433,20 +1260,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already initialized")]
-    fn double_init_panics() {
+    fn double_init_is_out_of_order() {
         let g = generators::empty(2);
         let mut m = Machine::new(&g).unwrap();
         m.init().unwrap();
-        m.init().unwrap();
+        let err = m.init().unwrap_err();
+        assert_eq!(
+            err,
+            GcaError::OutOfOrder {
+                call: "init",
+                initialized: true
+            }
+        );
+        assert_eq!(m.generations(), 1, "the rejected init ran nothing");
     }
 
     #[test]
-    #[should_panic(expected = "call init()")]
-    fn iterate_before_init_panics() {
+    fn iterate_before_init_is_out_of_order() {
         let g = generators::empty(2);
         let mut m = Machine::new(&g).unwrap();
-        let _ = m.run_iteration();
+        let expected = GcaError::OutOfOrder {
+            call: "run_iterations",
+            initialized: false,
+        };
+        assert_eq!(m.run_iteration().unwrap_err(), expected);
+        assert_eq!(m.run_iterations(3).unwrap_err(), expected);
+        assert_eq!(m.generations(), 0);
     }
 
     #[test]
@@ -1558,27 +1397,47 @@ mod tests {
     }
 
     #[test]
-    fn fused_stepwise_reports_match_generic() {
-        // The single-step API (with full reports) must agree counter by
-        // counter, not just via the metrics log.
-        let g = generators::gnp(11, 0.3, 4);
-        let mut a = Machine::new(&g).unwrap();
-        let mut b = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
-        let ra = a.init().unwrap();
-        let rb = b.init().unwrap();
-        assert_eq!(ra.ctx, rb.ctx);
-        for _ in 0..ceil_log2(11) {
-            for (gen, sub) in iteration_schedule(11) {
-                let ra = a.step(gen, sub).unwrap();
-                let rb = b.step(gen, sub).unwrap();
-                assert_eq!(ra.ctx, rb.ctx);
-                assert_eq!(ra.active_cells, rb.active_cells, "{gen:?}/{sub}");
-                assert_eq!(ra.total_reads, rb.total_reads, "{gen:?}/{sub}");
-                assert_eq!(ra.changed_cells, rb.changed_cells, "{gen:?}/{sub}");
-                assert_eq!(ra.congestion, rb.congestion, "{gen:?}/{sub}");
+    fn step_driver_matches_run_iterations_on_every_exec_path() {
+        // The single-step API over the schedule and the iteration driver are
+        // two walks of the same state machine: on every exec path they must
+        // agree on labels, generation count and the full `Counts` log (and
+        // both with the generic reference). n = 70 spans two adjacency words.
+        use crate::kernels::FusedParallel;
+        let n = 70;
+        let g = generators::gnp(n, 0.08, 21);
+        let paths = [
+            (ExecPath::Generic, 1),
+            (ExecPath::Fused, 1),
+            (
+                ExecPath::FusedParallel(FusedParallel {
+                    workers: 3,
+                    threshold: Some(0),
+                }),
+                3,
+            ),
+            (ExecPath::fused_swar(), 1),
+        ];
+        let reference = HirschbergGca::new().run(&g).unwrap();
+        for (exec, init_workers) in paths {
+            let mut stepped = Machine::new(&g).unwrap().with_exec(exec);
+            let rep = stepped.init().unwrap();
+            assert_eq!(rep.workers, init_workers, "{exec:?} init chunking");
+            for _ in 0..ceil_log2(n) {
+                for (gen, sub) in iteration_schedule(n) {
+                    let rep = stepped.step(gen, sub).unwrap();
+                    assert!(rep.congestion.is_some(), "{exec:?} {gen:?}/{sub} histogram");
+                }
             }
+            let mut driven = Machine::new(&g).unwrap().with_exec(exec);
+            driven.init().unwrap();
+            driven.run_iterations(u64::from(ceil_log2(n))).unwrap();
+            for m in [&stepped, &driven] {
+                assert_eq!(m.labels().unwrap(), reference.labels, "{exec:?}");
+                assert_eq!(m.generations(), reference.generations, "{exec:?}");
+                assert_eq!(m.metrics().entries(), reference.metrics.entries(), "{exec:?}");
+            }
+            assert_eq!(stepped.field().states(), driven.field().states(), "{exec:?}");
         }
-        assert_eq!(a.labels().unwrap(), b.labels().unwrap());
     }
 
     #[test]
@@ -1677,7 +1536,7 @@ mod tests {
         .with_exec(ExecPath::Fused);
         m.init().unwrap();
         let target = 3; // a square-field cell every iteration writes
-        m.seed_fused_fault(target);
+        m.set_fault_plan(Some(FaultPlan::new(FaultKind::BitFlip { bit: 0 }, 1, target)));
         let err = m.run_iteration().unwrap_err();
         match err {
             GcaError::KernelDivergence {
@@ -1736,33 +1595,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_fused_stepwise_reports_match_fused() {
-        use crate::kernels::FusedParallel;
-        let g = generators::gnp(11, 0.3, 4);
-        let exec = ExecPath::FusedParallel(FusedParallel {
-            workers: 3,
-            threshold: Some(0),
-        });
-        let mut a = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
-        let mut b = Machine::new(&g).unwrap().with_exec(exec);
-        a.init().unwrap();
-        let rb = b.init().unwrap();
-        assert_eq!(rb.workers, 3, "init must split 12 rows across 3 chunks");
-        for _ in 0..ceil_log2(11) {
-            for (gen, sub) in iteration_schedule(11) {
-                let ra = a.step(gen, sub).unwrap();
-                let rb = b.step(gen, sub).unwrap();
-                assert_eq!(ra.active_cells, rb.active_cells, "{gen:?}/{sub}");
-                assert_eq!(ra.total_reads, rb.total_reads, "{gen:?}/{sub}");
-                assert_eq!(ra.changed_cells, rb.changed_cells, "{gen:?}/{sub}");
-                assert_eq!(ra.congestion, rb.congestion, "{gen:?}/{sub}");
-                assert_eq!(ra.workers, 1, "sequential fused reports one worker");
-            }
-        }
-        assert_eq!(a.labels().unwrap(), b.labels().unwrap());
     }
 
     #[test]
@@ -1872,29 +1704,6 @@ mod tests {
     }
 
     #[test]
-    fn swar_stepwise_reports_match_fused() {
-        // Word-at-a-time kernel bodies must be invisible in every counter,
-        // sub-generation by sub-generation — including multi-word rows
-        // (n = 70 spans two adjacency words).
-        let g = generators::gnp(70, 0.08, 21);
-        let mut a = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
-        let mut b = Machine::new(&g).unwrap().with_exec(ExecPath::fused_swar());
-        a.init().unwrap();
-        b.init().unwrap();
-        for _ in 0..ceil_log2(70) {
-            for (gen, sub) in iteration_schedule(70) {
-                let ra = a.step(gen, sub).unwrap();
-                let rb = b.step(gen, sub).unwrap();
-                assert_eq!(ra.active_cells, rb.active_cells, "{gen:?}/{sub}");
-                assert_eq!(ra.total_reads, rb.total_reads, "{gen:?}/{sub}");
-                assert_eq!(ra.changed_cells, rb.changed_cells, "{gen:?}/{sub}");
-                assert_eq!(ra.congestion, rb.congestion, "{gen:?}/{sub}");
-            }
-        }
-        assert_eq!(a.labels().unwrap(), b.labels().unwrap());
-    }
-
-    #[test]
     fn swar_with_instrumentation_off_still_labels_correctly() {
         for g in &fused_test_corpus() {
             let expected = union_find_components_dense(g);
@@ -1970,63 +1779,6 @@ mod tests {
     }
 
     #[test]
-    fn swar_structural_schedule_changes_nothing() {
-        // Installing the structural schedule explicitly is a no-op: it keeps
-        // every sub-generation live, so generations and metrics stay
-        // bit-identical to the un-scheduled run.
-        let g = generators::gnp(19, 0.2, 8);
-        let plain = HirschbergGca::new().exec(ExecPath::fused_swar()).run(&g).unwrap();
-        let scheduled = HirschbergGca::new()
-            .exec(ExecPath::fused_swar())
-            .with_swar_schedule(SwarSchedule::structural(19))
-            .run(&g)
-            .unwrap();
-        assert_eq!(scheduled.labels, plain.labels);
-        assert_eq!(scheduled.generations, plain.generations);
-        assert_eq!(scheduled.metrics.entries(), plain.metrics.entries());
-    }
-
-    #[test]
-    fn swar_schedule_for_wrong_size_falls_back_to_structural() {
-        let g = generators::gnp(13, 0.3, 3);
-        let plain = HirschbergGca::new().exec(ExecPath::fused_swar()).run(&g).unwrap();
-        // Derived for n = 64, installed on an n = 13 machine: ignored.
-        let mismatched = HirschbergGca::new()
-            .exec(ExecPath::fused_swar())
-            .with_swar_schedule(SwarSchedule::from_bounds(64, 1, 1, 1))
-            .run(&g)
-            .unwrap();
-        assert_eq!(mismatched.labels, plain.labels);
-        assert_eq!(mismatched.generations, plain.generations);
-        assert_eq!(mismatched.metrics.entries(), plain.metrics.entries());
-    }
-
-    #[test]
-    fn swar_short_schedule_skips_subgenerations() {
-        // A deliberately truncated schedule must actually skip generations
-        // (the machine's generation counter stays behind the structural
-        // count) while the dropped tree-reduction tail is harmless on a
-        // graph whose rows converge after one halving step.
-        let n = 8;
-        let g = generators::empty(n);
-        let structural = HirschbergGca::new()
-            .exec(ExecPath::fused_swar())
-            .run(&g)
-            .unwrap();
-        let clamped = HirschbergGca::new()
-            .exec(ExecPath::fused_swar())
-            .with_swar_schedule(SwarSchedule::from_bounds(n, 1, 1, ceil_log2(n)))
-            .run(&g)
-            .unwrap();
-        // ceil_log2(8) = 3 outer iterations, each dropping 2 MinReduce and
-        // 2 MinReduceMembers sub-generations.
-        assert_eq!(clamped.generations + 12, structural.generations);
-        assert_eq!(clamped.labels, structural.labels);
-        let expected = union_find_components_dense(&g);
-        assert_eq!(clamped.labels.as_slice(), expected.as_slice());
-    }
-
-    #[test]
     fn swar_snapshot_restore_roundtrip_agrees_with_cellfield() {
         // The serde snapshot path captures the authoritative CellField, not
         // the SoA mirror: a snapshot taken mid-SWAR-run must restore into
@@ -2099,21 +1851,6 @@ mod tests {
         }
         assert_eq!(m.labels().unwrap(), reference.labels().unwrap());
         assert_eq!(m.field().states(), reference.field().states());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "symbolic-activity schedule skipped an active sub-generation")]
-    fn swar_validate_cross_checks_short_schedule() {
-        // Under Validate a schedule that skips an in-schedule (and thus
-        // provably active — active = n · per_row > 0 is data-independent)
-        // sub-generation must trip the dynamic cross-check.
-        let g = generators::gnp(13, 0.3, 2);
-        let _ = HirschbergGca::new()
-            .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
-            .exec(ExecPath::fused_swar())
-            .with_swar_schedule(SwarSchedule::from_bounds(13, 1, 1, ceil_log2(13)))
-            .run(&g);
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl BatchRunner {
             .for_each(|((graphs, outs), failure)| {
                 let mut machine: Option<Machine> = None;
                 for (graph, out) in graphs.iter().zip(outs.iter_mut()) {
-                    if let Err(e) = self.run_one(&mut machine, graph, out, exec) {
+                    if let Err(e) = self.run_one_armed(&mut machine, graph, out, exec, None) {
                         *failure = Some(e);
                         return;
                     }
@@ -300,9 +300,10 @@ impl BatchRunner {
         }
     }
 
-    /// [`BatchRunner::run_one`] with an optional fault plan to arm on the
-    /// machine before the run (covers the fresh-build path, where the plan
-    /// cannot be armed from outside).
+    /// Runs one graph on the worker's machine, rebuilding it only when the
+    /// problem size changes, with an optional fault plan to arm before the
+    /// run (covers the fresh-build path, where the plan cannot be armed
+    /// from outside). The fused paths write the field back once per graph.
     fn run_one_armed(
         &self,
         machine: &mut Option<Machine>,
@@ -322,33 +323,7 @@ impl BatchRunner {
             m.set_fault_plan(Some(plan));
         }
         m.init()?;
-        for _ in 0..ceil_log2(graph.n()) {
-            m.run_iteration()?;
-        }
-        m.labels_into(out);
-        Ok(())
-    }
-
-    /// Runs one graph on the worker's machine, rebuilding it only when the
-    /// problem size changes.
-    fn run_one(
-        &self,
-        machine: &mut Option<Machine>,
-        graph: &AdjacencyMatrix,
-        out: &mut Vec<Word>,
-        exec: ExecPath,
-    ) -> Result<(), GcaError> {
-        let m = match machine {
-            Some(m) if m.n() == graph.n() => {
-                m.reset_with(graph)?;
-                m
-            }
-            _ => machine.insert(self.build_machine(graph, exec)?),
-        };
-        m.init()?;
-        for _ in 0..ceil_log2(graph.n()) {
-            m.run_iteration()?;
-        }
+        m.run_iterations(u64::from(ceil_log2(graph.n())))?;
         m.labels_into(out);
         Ok(())
     }

@@ -90,10 +90,9 @@ pub enum ExecPath {
     /// filter generations. Optionally composes with row partitioning
     /// ([`FusedSwar::parallel`]): SWAR inside each chunk. Labels and
     /// `Counts` metrics stay bit-identical to [`ExecPath::Fused`]; `Trace`
-    /// falls back to generic like `Fused`. The machine driver additionally
-    /// consults a [`crate::SwarSchedule`] (structural by default, derivable
-    /// from `gca-analysis`'s symbolic activity forms) to skip provably
-    /// zero-activity sub-generations.
+    /// falls back to generic like `Fused`. Under
+    /// [`gca_engine::Instrumentation::Off`] the machine driver additionally
+    /// runs each broadcast and the filter after it in one sweep.
     FusedSwar(FusedSwar),
 }
 
@@ -353,8 +352,12 @@ impl FusedExecutor {
         self.reads.resize(len, 0);
     }
 
-    /// Arms the seeded partition-overlap fault (see
-    /// [`crate::Machine::seed_partition_fault`]).
+    /// Arms the seeded partition-overlap fault — the surface of
+    /// [`gca_engine::faults::FaultKind::DuplicatedChunkRow`]. Safe Rust
+    /// makes a real aliasing overlap unrepresentable (`par_chunks_mut`
+    /// hands out disjoint `&mut` slices), so the fault is its accounting
+    /// consequence: the next parallel counting broadcast counts one
+    /// boundary cell twice.
     pub fn seed_partition_fault(&mut self) {
         self.overlap_fault = true;
     }
@@ -573,7 +576,7 @@ impl FusedExecutor {
     /// 5+6 (`members = true`) in one sweep over the square plane — one
     /// load+store per cell instead of the broadcast's store pass plus the
     /// filter's load+store pass. SWAR-only, and only reached from the
-    /// batched driver when the post-broadcast intermediate state is
+    /// iteration driver when the post-broadcast intermediate state is
     /// unobservable (instrumentation off, no validation, no
     /// single-stepping): per-generation read accounting is not produced
     /// here. The returned pair carries the two generations' reports with

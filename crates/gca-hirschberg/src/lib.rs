@@ -65,7 +65,6 @@ pub use invariants::{contract_step, InvariantChecker, InvariantClass};
 pub use kernels::{ExecPath, FusedParallel, FusedSwar};
 pub use layout::Layout;
 pub use supervise::SupervisedMachine;
-pub use swar::SwarSchedule;
 pub use phase::{iteration_schedule, Gen};
 pub use rule::HirschbergRule;
 

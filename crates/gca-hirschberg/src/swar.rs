@@ -1,6 +1,5 @@
 //! SWAR (SIMD-within-a-register) kernel bodies for
-//! [`crate::kernels::ExecPath::FusedSwar`], plus the symbolic-activity
-//! generation schedule the SWAR driver consults.
+//! [`crate::kernels::ExecPath::FusedSwar`].
 //!
 //! Every function here is a drop-in replacement for the matching `*_rows`
 //! row-range body in [`crate::kernels`]: same row-slice signature shape,
@@ -37,8 +36,6 @@
 //! API — they assume the row-aligned packed-plane invariants stated on
 //! each and are only meaningful through the fused executor (`kernels`).
 
-use crate::complexity::ceil_log2;
-use crate::Gen;
 use gca_engine::{AdjWord, Word, INFINITY, WORD_BITS};
 
 /// Writes `∞` over a gap of dead cells, returning how many actually
@@ -399,7 +396,7 @@ pub fn build_member_mask(mask: &mut Vec<AdjWord>, dn: &[Word], n: usize, wpr: us
 }
 
 /// One row of the fused broadcast-then-filter pass (generations 1+2 and
-/// 5+6 in the batched hot loop): the row conceptually takes the broadcast
+/// 5+6 in the iteration driver): the row conceptually takes the broadcast
 /// vector `labels` and is immediately filtered against `words`/`keep`, in
 /// a single load+store sweep instead of the broadcast's store pass plus
 /// the filter's load+store pass.
@@ -575,111 +572,10 @@ pub fn copy_save_rows(seg: &mut [Word], dn: &mut [Word], n: usize) -> usize {
     changed
 }
 
-/// Sub-generation bounds for the iterated phases of one problem size —
-/// the symbolic-activity schedule the [`crate::kernels::ExecPath::FusedSwar`]
-/// driver consults before running a sub-generation.
-///
-/// [`SwarSchedule::structural`] carries the paper's structural bounds
-/// (`⌈log₂ n⌉` sub-generations per iterated phase). `gca-analysis`'s
-/// activity layer derives the same bounds from its symbolic activity
-/// closed forms (`gca_analysis::activity::swar_schedule`) — provably equal
-/// for every `n ≥ 2`, so consulting the schedule never changes observable
-/// behavior; the machinery exists so that a *shorter* schedule (a
-/// hypothetical zero-activity tail) is skipped, and under
-/// [`gca_engine::Instrumentation::Validate`] such a skip is cross-checked
-/// against dynamic activity by a debug assertion instead of trusted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SwarSchedule {
-    n: usize,
-    min_reduce_subs: u32,
-    member_subs: u32,
-    jump_subs: u32,
-}
-
-impl SwarSchedule {
-    /// The structural schedule of problem size `n`: every iterated phase
-    /// runs its full `⌈log₂ n⌉` sub-generations.
-    pub fn structural(n: usize) -> Self {
-        let l = ceil_log2(n);
-        SwarSchedule {
-            n,
-            min_reduce_subs: l,
-            member_subs: l,
-            jump_subs: l,
-        }
-    }
-
-    /// A schedule with explicit sub-generation bounds for generations 3,
-    /// 7 and 10 (in that order) — how `gca-analysis` hands over bounds
-    /// derived from its activity polynomials, and how tests construct
-    /// deliberately short schedules to exercise the skip/assertion paths.
-    pub fn from_bounds(n: usize, min_reduce: u32, members: u32, jump: u32) -> Self {
-        SwarSchedule {
-            n,
-            min_reduce_subs: min_reduce,
-            member_subs: members,
-            jump_subs: jump,
-        }
-    }
-
-    /// The problem size this schedule was derived for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// How many sub-generations of `gen` the schedule keeps (non-iterated
-    /// generations always run their single sub-generation).
-    pub fn subgenerations(&self, gen: Gen) -> u32 {
-        match gen {
-            Gen::MinReduce => self.min_reduce_subs,
-            Gen::MinReduceMembers => self.member_subs,
-            Gen::PointerJump => self.jump_subs,
-            g => g.subgenerations(self.n),
-        }
-    }
-
-    /// Is sub-generation `sub` of `gen` scheduled (predicted non-zero
-    /// activity)?
-    pub fn live(&self, gen: Gen, sub: u32) -> bool {
-        sub < self.subgenerations(gen)
-    }
-
-    /// Does this schedule equal the structural one (no skips)?
-    pub fn is_structural(&self) -> bool {
-        *self == SwarSchedule::structural(self.n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn structural_schedule_keeps_every_subgeneration() {
-        for n in [0usize, 1, 2, 3, 5, 8, 64, 100] {
-            let s = SwarSchedule::structural(n);
-            assert!(s.is_structural());
-            for g in [Gen::MinReduce, Gen::MinReduceMembers, Gen::PointerJump] {
-                assert_eq!(s.subgenerations(g), g.subgenerations(n), "n={n} {g:?}");
-                for sub in 0..g.subgenerations(n) {
-                    assert!(s.live(g, sub));
-                }
-                assert!(!s.live(g, g.subgenerations(n)));
-            }
-            // Non-iterated generations are untouched by the bounds.
-            assert_eq!(s.subgenerations(Gen::BroadcastC), 1);
-        }
-    }
-
-    #[test]
-    fn short_schedule_drops_the_tail() {
-        let s = SwarSchedule::from_bounds(16, 3, 4, 2);
-        assert!(!s.is_structural());
-        assert!(s.live(Gen::MinReduce, 2));
-        assert!(!s.live(Gen::MinReduce, 3));
-        assert!(s.live(Gen::MinReduceMembers, 3));
-        assert!(!s.live(Gen::PointerJump, 2));
-    }
+    use crate::complexity::ceil_log2;
 
     #[test]
     fn filter_row_matches_scalar_semantics_across_word_boundaries() {

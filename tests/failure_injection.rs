@@ -2,6 +2,7 @@
 //! not silently tolerate them — bad pointers in GCA rules, access-policy
 //! violations on the PRAM, malformed inputs at the graph layer.
 
+use gca_engine::faults::{FaultKind, FaultPlan};
 use gca_engine::{
     Access, CellField, Domain, DomainViolationKind, Engine, FieldShape, GcaError, GcaRule,
     Instrumentation, Reads, StepCtx,
@@ -384,7 +385,9 @@ fn fused_replay_catches_seeded_kernel_mutation() {
     .with_exec(ExecPath::Fused);
     m.init().unwrap();
     let target = 2;
-    m.seed_fused_fault(target);
+    // Flip bit 0 of the target's word right after generation 1 (the first
+    // post-init generation) commits, before the replay compares states.
+    m.set_fault_plan(Some(FaultPlan::new(FaultKind::BitFlip { bit: 0 }, 1, target)));
     let err = m.run_iteration().unwrap_err();
     match err {
         GcaError::KernelDivergence { cell, generation, phase } => {
@@ -400,11 +403,11 @@ fn fused_replay_catches_seeded_kernel_mutation() {
 fn validator_catches_overlapping_parallel_partition() {
     // Safe Rust plus `par_chunks_mut`'s disjoint borrows make a genuinely
     // overlapping write partition unrepresentable — the borrow checker
-    // rejects two workers aliasing a row. So the injector seeds the
+    // rejects two workers aliasing a row. So the `dup-row` fault seeds the
     // *observable effect* of an overlap instead: one duplicated
-    // congestion-histogram contribution on the first parallel counting
-    // broadcast, exactly the residue a row double-counted by two workers
-    // would leave. The differential replay must pinpoint it.
+    // congestion-histogram contribution on the parallel counting broadcast
+    // of generation 1, exactly the residue a row double-counted by two
+    // workers would leave. The differential replay must pinpoint it.
     let g = generators::gnp(10, 0.4, 21);
     let mut m = Machine::with_engine(
         &g,
@@ -416,7 +419,7 @@ fn validator_catches_overlapping_parallel_partition() {
         threshold: Some(0),
     }));
     m.init().unwrap();
-    m.seed_partition_fault();
+    m.set_fault_plan(Some(FaultPlan::new(FaultKind::DuplicatedChunkRow, 1, 0)));
     let err = m.run_iteration().unwrap_err();
     match err {
         GcaError::KernelDivergence { cell, generation, phase } => {
