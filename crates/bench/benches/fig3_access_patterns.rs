@@ -19,13 +19,14 @@ fn bench_capture(c: &mut Criterion) {
             phase: Gen::BroadcastC.number(),
             subgeneration: 0,
         };
-        group.bench_with_input(BenchmarkId::from_parameter(n), &m, |b, m| {
+        let field = m.to_field();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &field, |b, field| {
             b.iter(|| {
                 black_box(AccessPattern::capture(
                     m.rule(),
                     &ctx,
                     m.layout().shape(),
-                    m.field().states(),
+                    field.states(),
                 ))
             });
         });
@@ -43,7 +44,7 @@ fn bench_render(c: &mut Criterion) {
         phase: Gen::BroadcastC.number(),
         subgeneration: 0,
     };
-    let pattern = AccessPattern::capture(m.rule(), &ctx, m.layout().shape(), m.field().states());
+    let pattern = AccessPattern::capture(m.rule(), &ctx, m.layout().shape(), m.to_field().states());
     c.bench_function("fig3/render_n16", |b| {
         b.iter(|| black_box(pattern.render()));
     });

@@ -23,7 +23,7 @@ fn broadcast_accesses(n: usize) -> Vec<gca_engine::Access> {
         phase: Gen::BroadcastC.number(),
         subgeneration: 0,
     };
-    AccessPattern::capture(m.rule(), &ctx, m.layout().shape(), m.field().states())
+    AccessPattern::capture(m.rule(), &ctx, m.layout().shape(), m.to_field().states())
         .accesses()
         .to_vec()
 }

@@ -37,7 +37,7 @@ fn main() {
             machine.rule(),
             &ctx,
             machine.layout().shape(),
-            machine.field().states(),
+            machine.to_field().states(),
         );
         let sub_label = if gen.is_iterated() {
             format!(", sub-generation {sub}")

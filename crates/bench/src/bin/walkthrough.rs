@@ -15,11 +15,12 @@ use gca_hirschberg::{complexity, iteration_schedule, Machine};
 fn render_field(machine: &Machine) -> String {
     let layout = machine.layout();
     let n = layout.n();
+    let field = machine.to_field();
     let mut out = String::new();
     for j in 0..=n {
         out.push_str("    ");
         for i in 0..n {
-            let d = machine.field().at(j, i).d;
+            let d = field.at(j, i).d;
             if d == INFINITY {
                 out.push_str("   -");
             } else {

@@ -300,8 +300,8 @@ OPTIONS:
   --convergence <c>  fixed (default) | detect — pointer-jump convergence early exit (gca machine only)
   --exec <e>         generic (default) | fused | fused-par | fused-swar — per-cell dispatch,
                      fused flat-array kernels, row-partitioned parallel fused kernels, or
-                     word-parallel SWAR kernels over the bit-packed adjacency plane with the
-                     symbolic-activity generation scheduler (gca machine only)
+                     word-parallel SWAR kernels over the bit-packed adjacency plane (gca
+                     machine only)
   --workers <k>      worker count for --exec fused-par / fused-swar (0 or omitted = auto from
                      the machine's thread count; fused-swar runs single-thread unless given)
   --validate         run under the CROW/domain sanitizer: replay every generation against the

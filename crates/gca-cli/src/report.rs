@@ -211,7 +211,7 @@ fn supervised_gca(
         .with_exec(opts.exec);
     if let Some(spec) = recovery.inject {
         let plan = spec.resolve(
-            machine.field().len(),
+            machine.layout().cells(),
             total_generations(graph.n()),
             machine.exec_level(),
         );

@@ -1,9 +1,11 @@
 use crate::complexity::{ceil_log2, total_generations};
+use crate::hfield::HField;
 use crate::invariants::{InvariantChecker, InvariantClass};
 use crate::kernels::{FusedExecutor, ParPolicy};
 use crate::{iteration_schedule, ExecPath, Gen, HCell, HirschbergRule, Layout};
 use gca_engine::faults::{FaultKind, FaultPlan};
 use gca_engine::metrics::{CongestionHistogram, GenerationMetrics, MetricsLog};
+use gca_engine::snapshot::FieldSnapshot;
 use gca_engine::{
     CellField, Engine, GcaError, Instrumentation, InvariantCheck, StepCtx, StepReport, Word,
 };
@@ -45,36 +47,44 @@ pub enum Convergence {
 
 /// The generation-level stepper for the Hirschberg GCA.
 ///
-/// [`Machine`] owns the field, the rule and an [`Engine`], and exposes the
-/// state machine one generation at a time — the figure/table binaries drive
-/// it manually to capture access patterns, while [`HirschbergGca::run`]
-/// drives it to completion.
+/// [`Machine`] owns the cell state, the rule and an [`Engine`], and exposes
+/// the state machine one generation at a time — the figure/table binaries
+/// drive it manually to capture access patterns, while
+/// [`HirschbergGca::run`] drives it to completion.
+///
+/// The cell state is one struct-of-arrays `HField` on every exec path: a
+/// 4-byte data plane plus the packed adjacency plane, the paper's `(d, a)`
+/// registers. The fused kernels run on it in place; an engine step (the
+/// generic path, the `Trace` fallback, the `Validate` replay) runs on a
+/// lazily allocated `CellField<HCell>` scratch that is refilled from the
+/// planes first, and the generic path copies the data words back.
 pub struct Machine {
     layout: Layout,
     rule: HirschbergRule,
     engine: Engine,
-    field: CellField<HCell>,
     metrics: MetricsLog,
     convergence: Convergence,
     exec: ExecPath,
+    /// The fused kernels, and in them the machine's cell state
+    /// ([`FusedExecutor::field`]).
     fused: FusedExecutor,
-    /// Whether the fused executor's SoA mirror currently reflects `field`
-    /// (or runs ahead of it, between a fused tick and the write-back).
-    /// Anything that mutates the field behind the kernels' back (generic
-    /// steps, snapshot restore, graph reset) clears it; the next fused step
-    /// reloads the mirror.
-    soa_valid: bool,
+    /// The engine scratch: allocated on the first engine step (or
+    /// validated fused step) and refilled from the cell state before each.
+    /// Under [`Instrumentation::Validate`] on the fused paths it is also
+    /// the replay shadow. Never read as state.
+    scratch: Option<CellField<HCell>>,
     initialized: bool,
     /// The differential harness armed by [`Instrumentation::Validate`] on
-    /// the fused path: a shadow field replayed through the reference engine
-    /// (itself running the CROW sanitizer) after every fused generation.
-    validator: Option<FusedValidator>,
+    /// the fused paths: a sequential reference engine (itself running the
+    /// CROW sanitizer) that replays every fused generation on the scratch.
+    replay: Option<Engine>,
     /// The algorithm-level invariant checker, also armed by
     /// [`Instrumentation::Validate`] — on *every* execution path. Replays
     /// the schedule's Hoare-contract transfers (see
     /// [`crate::invariants`]) against each committed generation and
     /// asserts the iteration-boundary invariants of the induction
-    /// argument. Rebuilt lazily from the field after a reset or restore.
+    /// argument. Rebuilt lazily from the cell state after a reset or
+    /// restore.
     inv: Option<InvariantChecker>,
     /// Test-only pending invariant fault, installed into the checker once
     /// it exists (see [`Machine::seed_invariant_fault`]).
@@ -83,26 +93,24 @@ pub struct Machine {
     /// runs — every hook starts with this check, keeping injection
     /// zero-cost when off.
     inject: Option<FaultPlan>,
-    /// Pre-generation capture scratch for dropped-generation faults on
-    /// the fused paths (the SoA data plane).
+    /// Pre-generation capture of the data plane for dropped-generation
+    /// faults.
     drop_words: Vec<Word>,
-    /// Pre-generation capture scratch for dropped-generation faults on
-    /// the generic path (the full cell states).
-    drop_states: Vec<HCell>,
     /// Pre-generation value of a torn-write target word.
     torn_pre: Option<Word>,
 }
 
-/// Shadow state of the fused-kernel differential harness.
-///
-/// Before each fused generation the current field is copied into `shadow`;
-/// after the kernel ran, `engine` (a sequential
-/// [`Instrumentation::Validate`] engine — the same CROW/domain checker the
-/// generic path uses) replays the generation on the shadow, and the two
-/// next-states plus read histograms must agree cell for cell.
-struct FusedValidator {
-    engine: Engine,
-    shadow: CellField<HCell>,
+/// Refills the engine scratch from the cell state, allocating it on first
+/// use. A free function so that the caller can keep borrowing the engine
+/// and the rule while it holds the scratch.
+fn refill<'a>(
+    scratch: &'a mut Option<CellField<HCell>>,
+    layout: &Layout,
+    state: &HField,
+) -> &'a mut CellField<HCell> {
+    let field = scratch.get_or_insert_with(|| CellField::new(*layout.shape(), HCell::new(0)));
+    state.store(field.states_mut());
+    field
 }
 
 impl Machine {
@@ -115,24 +123,23 @@ impl Machine {
     /// Builds a machine with an explicit engine configuration.
     pub fn with_engine(graph: &AdjacencyMatrix, engine: Engine) -> Result<Self, GcaError> {
         let layout = Layout::new(graph.n())?;
-        let field = layout.build_field(graph)?;
+        let mut fused = FusedExecutor::new(graph.n());
+        fused.field_mut().fill(graph)?;
         Ok(Machine {
             layout,
             rule: HirschbergRule::new(graph.n()),
             engine,
-            field,
             metrics: MetricsLog::new(),
             convergence: Convergence::Fixed,
             exec: ExecPath::Generic,
-            fused: FusedExecutor::new(graph.n()),
-            soa_valid: false,
+            fused,
+            scratch: None,
             initialized: false,
-            validator: None,
+            replay: None,
             inv: None,
             inv_fault: None,
             inject: None,
             drop_words: Vec::new(),
-            drop_states: Vec::new(),
             torn_pre: None,
         })
     }
@@ -147,8 +154,7 @@ impl Machine {
     /// Sets the execution path (see [`ExecPath`]).
     #[must_use]
     pub fn with_exec(mut self, exec: ExecPath) -> Self {
-        self.exec = exec;
-        self.fused.set_swar(matches!(exec, ExecPath::FusedSwar(_)));
+        self.set_exec(exec);
         self
     }
 
@@ -177,9 +183,12 @@ impl Machine {
         &self.rule
     }
 
-    /// Read-only view of the current field.
-    pub fn field(&self) -> &CellField<HCell> {
-        &self.field
+    /// An array-of-structures copy of the current field, built on each
+    /// call (the machine keeps its state in split planes).
+    pub fn to_field(&self) -> CellField<HCell> {
+        let mut field = CellField::new(*self.layout.shape(), HCell::new(0));
+        self.fused.field().store(field.states_mut());
+        field
     }
 
     /// Generations executed so far.
@@ -208,12 +217,10 @@ impl Machine {
 
     /// Executes a single `(generation, sub-generation)` of the state
     /// machine and records its metrics: one tick of the iteration driver,
-    /// then the field write-back (callers inspect the field between steps)
-    /// and, on the fused paths under counting, the report's congestion
+    /// plus, on the fused paths under counting, the report's congestion
     /// histogram.
     pub fn step(&mut self, gen: Gen, subgeneration: u32) -> Result<StepReport, GcaError> {
         let mut rep = self.tick(gen, subgeneration)?;
-        self.write_back();
         if self.fused_active() && self.counting() {
             rep.congestion = Some(CongestionHistogram::from_reads(self.fused.reads().to_vec()));
         }
@@ -221,21 +228,21 @@ impl Machine {
     }
 
     /// One `(generation, sub-generation)` on the configured path: the
-    /// engine's per-cell evaluator, or the fused kernels over the SoA
-    /// mirror. Records the metrics entry and, under
-    /// [`Instrumentation::Validate`], checks the generation. A fused tick
-    /// reports no congestion histogram and, unless validating, leaves the
-    /// field write-back to its caller.
+    /// engine's per-cell evaluator over the scratch, or the fused kernels
+    /// over the cell state. Fires the armed fault plan, records the
+    /// metrics entry and, under [`Instrumentation::Validate`], checks the
+    /// generation. A fused tick reports no congestion histogram.
     fn tick(&mut self, gen: Gen, subgeneration: u32) -> Result<StepReport, GcaError> {
+        self.ensure_invariant_checker();
+        let generation = self.engine.generation();
         if !self.fused_active() {
-            self.ensure_invariant_checker();
-            let fault_gen = self.engine.generation();
-            self.arm_generic_fault(fault_gen);
+            self.arm_fault(generation);
+            let scratch = refill(&mut self.scratch, &self.layout, self.fused.field());
             let rep = self
                 .engine
-                .step(&mut self.field, &self.rule, gen.number(), subgeneration)?;
-            self.apply_generic_fault(fault_gen);
-            self.soa_valid = false;
+                .step(scratch, &self.rule, gen.number(), subgeneration)?;
+            self.fused.field_mut().load_d(scratch.states());
+            self.apply_fault(generation);
             if let Some(hist) = rep.congestion.as_ref() {
                 self.metrics
                     .push(GenerationMetrics::new(rep.ctx, rep.active_cells, hist));
@@ -247,14 +254,10 @@ impl Machine {
         let counting = self.counting();
         let par = self.par_policy();
         self.begin_fused_validation();
-        self.ensure_soa();
-        self.arm_fused_fault(ctx.generation);
-        let rep = self.fused.step(&ctx, counting, par)?;
-        self.apply_fused_fault(ctx.generation);
+        self.arm_fault(generation);
+        let rep = self.fused.step(gen, &ctx, counting, par)?;
+        self.apply_fault(generation);
         if self.validating() {
-            // The replay harness compares against the field, so each
-            // validated generation writes back immediately.
-            self.fused.store_d(&mut self.field);
             self.check_fused_generation(&ctx)?;
             self.check_invariants(&ctx)?;
         }
@@ -269,14 +272,6 @@ impl Machine {
             congestion: None,
             accesses: None,
         })
-    }
-
-    /// Writes the fused kernels' SoA data plane back into the public field
-    /// when it runs ahead of it. No-op on the generic path.
-    fn write_back(&mut self) {
-        if self.soa_valid {
-            self.fused.store_d(&mut self.field);
-        }
     }
 
     /// Fused kernels reproduce `Counts` metrics exactly, but per-cell
@@ -313,14 +308,6 @@ impl Machine {
                 .unwrap_or_else(|| self.engine.min_parallel_cells()),
             explicit: cfg.workers != 0,
         })
-    }
-
-    /// Reloads the kernels' SoA mirror from the field if it is stale.
-    fn ensure_soa(&mut self) {
-        if !self.soa_valid {
-            self.fused.load(&self.field);
-            self.soa_valid = true;
-        }
     }
 
     /// Whether a step should account reads (mirrors the engine's `counting`).
@@ -382,14 +369,12 @@ impl Machine {
 
     /// Switches the execution path in place — the degradation ladder's
     /// rung change. Unlike [`Machine::with_exec`] this is callable
-    /// mid-run; the paths are bit-identical in labels and metrics, so a
-    /// switch at any generation boundary is semantically invisible.
+    /// mid-run; the paths share one cell state and are bit-identical in
+    /// labels and metrics, so a switch at any generation boundary is
+    /// semantically invisible.
     pub fn set_exec(&mut self, exec: ExecPath) {
         self.exec = exec;
         self.fused.set_swar(matches!(exec, ExecPath::FusedSwar(_)));
-        // The SoA mirror's auxiliary planes (occupancy) are path-dependent;
-        // force a reload under the new path's configuration.
-        self.soa_valid = false;
     }
 
     /// Rewinds the machine to a checkpoint: restores the field snapshot,
@@ -398,87 +383,27 @@ impl Machine {
     /// the log holds exactly one entry per committed generation, so the
     /// re-executed span appends over a clean suffix and a recovered run's
     /// log is bit-identical to an undisturbed one). The fused replay
-    /// shadow is dropped and re-arms in lockstep on the next validated
+    /// engine is dropped and re-arms in lockstep on the next validated
     /// generation.
     pub fn rollback_to(
         &mut self,
         generation: u64,
-        snapshot: &gca_engine::snapshot::FieldSnapshot<HCell>,
+        snapshot: &FieldSnapshot<HCell>,
     ) -> Result<(), GcaError> {
         self.restore(snapshot)?;
         self.engine.rewind_to(generation);
         self.metrics.truncate(generation as usize);
-        self.validator = None;
+        self.replay = None;
         self.torn_pre = None;
         Ok(())
     }
 
-    /// Pre-generation half of the generic-path injection hook: captures
-    /// whatever pre-state the armed fault needs. `generation` is the
-    /// number the generation will commit as (the pre-step counter).
-    fn arm_generic_fault(&mut self, generation: u64) {
-        let Some(plan) = self.inject.as_ref() else {
-            return;
-        };
-        match plan.peek(generation, self.exec_level()) {
-            Some(FaultKind::DroppedGeneration) => {
-                self.drop_states.clear();
-                self.drop_states.extend_from_slice(self.field.states());
-            }
-            Some(FaultKind::TornWrite) => {
-                self.torn_pre = self.field.states().get(plan.cell()).map(|c| c.d);
-            }
-            _ => {}
-        }
-    }
-
-    /// Post-generation half of the generic-path injection hook: fires the
-    /// plan and corrupts the committed field state. The invariant
-    /// checker's contract-step mirror (armed under
-    /// [`Instrumentation::Validate`]) is the detector on this path — it
-    /// replays the generation from the uncorrupted pre-state and compares
-    /// the full field. Kinds without a generic-path surface (stale
-    /// occupancy bits, duplicated chunk rows, histogram merges live in
-    /// the fused kernels) consume their charge without effect.
-    fn apply_generic_fault(&mut self, generation: u64) {
-        let level = self.exec_level();
-        let Some(plan) = self.inject.as_mut() else {
-            return;
-        };
-        let Some(kind) = plan.fire(generation, level) else {
-            return;
-        };
-        let cell = plan.cell();
-        match kind {
-            FaultKind::BitFlip { bit } => {
-                if let Some(c) = self.field.states_mut().get_mut(cell) {
-                    c.d ^= 1 << (bit % Word::BITS);
-                }
-            }
-            FaultKind::TornWrite => {
-                if let (Some(pre), Some(c)) =
-                    (self.torn_pre.take(), self.field.states_mut().get_mut(cell))
-                {
-                    c.d = (c.d & !TORN_LO_MASK) | (pre & TORN_LO_MASK);
-                }
-            }
-            FaultKind::DroppedGeneration => {
-                if self.drop_states.len() == self.field.len() {
-                    self.field.states_mut().clone_from_slice(&self.drop_states);
-                }
-            }
-            FaultKind::StaleOccupancy
-            | FaultKind::DuplicatedChunkRow
-            | FaultKind::CorruptHistogramMerge => {}
-        }
-    }
-
-    /// Pre-kernel half of the fused-path injection hook. Runs after
-    /// `ensure_soa`, so captures see the authoritative SoA mirror.
-    /// Duplicated-chunk-row faults arm here (the overlap fires *inside*
-    /// the kernel's partitioned counting broadcast); everything else only
-    /// captures pre-state.
-    fn arm_fused_fault(&mut self, generation: u64) {
+    /// Pre-generation half of the injection hook, shared by every path:
+    /// captures whatever pre-state the armed fault needs. `generation` is
+    /// the number the generation will commit as (the pre-step counter).
+    /// Duplicated-chunk-row faults arm the fused kernels here (the overlap
+    /// fires *inside* a partitioned counting broadcast).
+    fn arm_fault(&mut self, generation: u64) {
         let Some(plan) = self.inject.as_ref() else {
             return;
         };
@@ -489,21 +414,27 @@ impl Machine {
             Some(FaultKind::TornWrite) => {
                 self.torn_pre = self.fused.word_at(plan.cell());
             }
-            Some(FaultKind::DuplicatedChunkRow) => {
+            Some(FaultKind::DuplicatedChunkRow) if self.fused_active() => {
                 self.fused.seed_partition_fault();
             }
             _ => {}
         }
     }
 
-    /// Post-kernel half of the fused-path injection hook: fires the plan
-    /// and corrupts the kernel's committed output *before* the field
-    /// write-back and the differential-replay comparison — exactly where
-    /// a hardware fault between kernel and commit would land. Detection
-    /// is the replay harness ([`GcaError::KernelDivergence`]) under
-    /// [`Instrumentation::Validate`].
-    fn apply_fused_fault(&mut self, generation: u64) {
+    /// Post-generation half of the injection hook: fires the plan and
+    /// corrupts the committed state *before* the differential replay and
+    /// the invariant checker look at it — exactly where a hardware fault
+    /// between compute and commit would land. Detection under
+    /// [`Instrumentation::Validate`] is the replay harness
+    /// ([`GcaError::KernelDivergence`]) on the fused paths and the
+    /// invariant checker's contract-step mirror on the generic path.
+    /// Kinds whose surface lives in the fused kernels (stale occupancy
+    /// bits, duplicated chunk rows, histogram merges) consume their charge
+    /// without effect on the generic path: an engine step leaves no
+    /// occupancy plane, no partition and no kernel histogram.
+    fn apply_fault(&mut self, generation: u64) {
         let level = self.exec_level();
+        let kernel_hist = self.fused_active() && self.counting();
         let Some(plan) = self.inject.as_mut() else {
             return;
         };
@@ -511,7 +442,6 @@ impl Machine {
             return;
         };
         let cell = plan.cell();
-        let counting = self.counting();
         match kind {
             FaultKind::BitFlip { bit } => {
                 if let Some(w) = self.fused.word_at(cell) {
@@ -520,7 +450,8 @@ impl Machine {
             }
             FaultKind::TornWrite => {
                 if let (Some(pre), Some(w)) = (self.torn_pre.take(), self.fused.word_at(cell)) {
-                    self.fused.set_word(cell, (w & !TORN_LO_MASK) | (pre & TORN_LO_MASK));
+                    self.fused
+                        .set_word(cell, (w & !TORN_LO_MASK) | (pre & TORN_LO_MASK));
                 }
             }
             FaultKind::DroppedGeneration => {
@@ -530,18 +461,18 @@ impl Machine {
                 self.fused.clear_occ_bit(cell);
             }
             FaultKind::CorruptHistogramMerge => {
-                if counting {
+                if kernel_hist {
                     self.fused.bump_read(cell);
                 }
             }
-            // Armed pre-kernel; the overlap already fired inside the
+            // Armed pre-generation; the overlap already fired inside the
             // partitioned broadcast (or expired unobserved if this
             // generation ran sequentially).
             FaultKind::DuplicatedChunkRow => {}
         }
     }
 
-    /// Lazily (re)builds the invariant checker from the current field — the
+    /// Lazily (re)builds the invariant checker from the cell state — the
     /// pre-state of the next generation to run. Called before every
     /// generation executes; a checker dropped by `reset_with`/`restore`
     /// re-arms here (at an iteration boundary, where column 0 carries the
@@ -550,7 +481,10 @@ impl Machine {
         if !self.validating() || self.inv.is_some() {
             return;
         }
-        let mut inv = InvariantChecker::from_states(self.n(), self.field.states());
+        let n = self.n();
+        let state = self.fused.field();
+        let adj = (0..n * n).map(|i| state.adjacency(i)).collect();
+        let mut inv = InvariantChecker::new(n, adj, &state.d);
         if let Some(class) = self.inv_fault.take() {
             inv.seed_fault(class);
         }
@@ -566,72 +500,57 @@ impl Machine {
             return Ok(());
         }
         match self.inv.as_mut() {
-            Some(inv) => inv.after_generation(ctx, self.field.states()),
+            Some(inv) => inv.after_generation(ctx, &self.fused.field().d),
             None => Ok(()),
         }
     }
 
-    /// Copies the pre-generation field into the shadow so the reference
-    /// engine can replay the generation the fused kernel is about to run.
+    /// Refills the scratch with the pre-generation state so the replay
+    /// engine can re-run the generation the fused kernel is about to run.
     /// No-op unless validating.
     fn begin_fused_validation(&mut self) {
         if !self.validating() {
             return;
         }
-        self.ensure_invariant_checker();
-        if self.validator.is_none() {
-            self.validator = Some(FusedValidator {
-                engine: Engine::sequential().with_instrumentation(Instrumentation::Validate),
-                shadow: self.field.clone(),
-            });
-        }
-        let Some(v) = self.validator.as_mut() else {
-            return;
-        };
-        v.shadow.states_mut().clone_from_slice(self.field.states());
-        // Keep the shadow engine's generation counter in lockstep (it may
+        let engine = self.replay.get_or_insert_with(|| {
+            Engine::sequential().with_instrumentation(Instrumentation::Validate)
+        });
+        // Keep the replay engine's generation counter in lockstep (it may
         // lag when the machine was restored from a snapshot).
-        while v.engine.generation() < self.engine.generation() {
-            v.engine.advance_generation();
+        while engine.generation() < self.engine.generation() {
+            engine.advance_generation();
         }
+        refill(&mut self.scratch, &self.layout, self.fused.field());
     }
 
     /// The differential check: replays the generation the fused kernel just
     /// executed through the reference engine (running the CROW sanitizer)
-    /// on the shadow copy, then compares next-states and read histograms
-    /// cell by cell. The first disagreeing cell is reported as
-    /// [`GcaError::KernelDivergence`]. No-op unless validating.
+    /// on the scratch, then compares data words and read histograms cell
+    /// by cell. The first disagreeing cell is reported as
+    /// [`GcaError::KernelDivergence`]. Runs only under validation, after
+    /// [`Machine::begin_fused_validation`].
     fn check_fused_generation(&mut self, ctx: &StepCtx) -> Result<(), GcaError> {
-        if !self.validating() {
-            return Ok(());
-        }
-        let Some(v) = self.validator.as_mut() else {
-            // Unreachable in practice: `begin_fused_validation` arms the
-            // validator whenever `validating()` holds.
+        let (Some(engine), Some(shadow)) = (self.replay.as_mut(), self.scratch.as_mut()) else {
             return Ok(());
         };
-        let rep = v
-            .engine
-            .step(&mut v.shadow, &self.rule, ctx.phase, ctx.subgeneration)?;
+        let rep = engine.step(shadow, &self.rule, ctx.phase, ctx.subgeneration)?;
         let diverged = |cell: usize| GcaError::KernelDivergence {
             cell,
             generation: ctx.generation,
             phase: ctx.phase,
         };
-        if let Some(cell) = v
-            .shadow
+        let plane = &self.fused.field().d;
+        if let Some(cell) = shadow
             .states()
             .iter()
-            .zip(self.field.states())
-            .position(|(replayed, fused)| replayed != fused)
+            .zip(plane)
+            .position(|(replayed, &fused)| replayed.d != fused)
         {
             return Err(diverged(cell));
         }
         if let Some(hist) = rep.congestion.as_ref() {
             let kernel = self.fused.reads();
-            if let Some(cell) =
-                (0..self.field.len()).find(|&i| hist.reads_of(i) != kernel[i])
-            {
+            if let Some(cell) = (0..plane.len()).find(|&i| hist.reads_of(i) != kernel[i]) {
                 return Err(diverged(cell));
             }
         }
@@ -668,12 +587,14 @@ impl Machine {
     /// `count · iteration_schedule(n).len()` under [`Convergence::Fixed`],
     /// possibly fewer under [`Convergence::Detect`] (skipped pointer-jump
     /// sub-generations are not executed at all and record no metrics).
-    /// Iterating before [`Machine::init`] is [`GcaError::OutOfOrder`].
+    /// Iterating before [`Machine::init`] is [`GcaError::OutOfOrder`]. A
+    /// failed generation never commits.
     ///
-    /// On the fused paths the SoA mirror is the working state and the
-    /// public field is written back once, when this returns — also on
-    /// error, so committed generations stay visible exactly as the generic
-    /// engine leaves them (a failed generation never commits).
+    /// This is the iteration driver: it walks `iteration_schedule(n)`
+    /// `count` times with one `Machine::tick` per entry. Two fused special
+    /// cases run several entries in one call: the SWAR broadcast+filter
+    /// pair (gated by `Machine::fuse_broadcast_filter`) and the
+    /// pointer-jump ping-pong (`Machine::fused_pointer_jump`).
     pub fn run_iterations(&mut self, count: u64) -> Result<u64, GcaError> {
         if !self.initialized {
             return Err(GcaError::OutOfOrder {
@@ -681,22 +602,11 @@ impl Machine {
                 initialized: false,
             });
         }
-        let result = self.drive(count);
-        self.write_back();
-        result
-    }
-
-    /// The iteration driver: walks `iteration_schedule(n)` `count` times
-    /// with one [`Machine::tick`] per entry. Two fused special cases run
-    /// several entries in one call: the SWAR broadcast+filter pair (gated
-    /// by [`Machine::fuse_broadcast_filter`]) and the pointer-jump
-    /// ping-pong ([`Machine::fused_pointer_jump`]).
-    fn drive(&mut self, count: u64) -> Result<u64, GcaError> {
         let schedule = iteration_schedule(self.n());
         let fuse_pair = self.fuse_broadcast_filter();
         // The ping-pong keeps labels in private buffers between
         // sub-generations. The replay harness needs every generation's
-        // writes in the field, and an armed fault plan needs every
+        // writes in the data plane, and an armed fault plan needs every
         // generation as an injection site, so both tick each jump instead.
         let ping_pong = self.fused_active() && !self.validating() && self.inject.is_none();
         let detect = self.convergence == Convergence::Detect;
@@ -760,7 +670,6 @@ impl Machine {
             Gen::FilterNeighbors
         };
         let par = self.par_policy();
-        self.ensure_soa();
         let (bcast, filtered) = self.fused.broadcast_filter(members, par);
         let ctx_b = self.fused_ctx(broadcast, 0);
         self.fused_commit(ctx_b, bcast.active);
@@ -778,13 +687,12 @@ impl Machine {
     fn fused_pointer_jump(&mut self) -> Result<u64, GcaError> {
         let counting = self.counting();
         let par = self.par_policy();
-        self.ensure_soa();
         self.fused.gather_labels();
         let mut executed = 0u64;
         let mut failure = None;
         for s in 0..ceil_log2(self.n()) {
             if counting {
-                self.fused.reset_reads(self.field.len());
+                self.fused.reset_reads(self.layout.cells());
             }
             let ctx = self.fused_ctx(Gen::PointerJump, s);
             match self.fused.jump_once(&ctx, counting, par) {
@@ -811,28 +719,24 @@ impl Machine {
     /// Captures the complete field state for checkpointing. Meaningful at
     /// iteration boundaries (mid-iteration snapshots additionally require
     /// the caller to remember the schedule position).
-    pub fn snapshot(&self) -> gca_engine::snapshot::FieldSnapshot<HCell> {
-        gca_engine::snapshot::FieldSnapshot::capture(&self.field)
+    pub fn snapshot(&self) -> FieldSnapshot<HCell> {
+        FieldSnapshot::capture(&self.to_field())
     }
 
     /// Restores a previously captured field state into this machine. The
     /// snapshot must match the machine's field shape; the machine is marked
     /// initialized (snapshots are taken after generation 0 by construction).
-    pub fn restore(
-        &mut self,
-        snapshot: &gca_engine::snapshot::FieldSnapshot<HCell>,
-    ) -> Result<(), GcaError> {
+    pub fn restore(&mut self, snapshot: &FieldSnapshot<HCell>) -> Result<(), GcaError> {
         let field = snapshot.restore()?;
-        if field.shape() != self.field.shape() {
+        if field.shape() != self.layout.shape() {
             return Err(GcaError::ShapeMismatch {
-                expected: self.field.len(),
+                expected: self.layout.cells(),
                 actual: field.len(),
             });
         }
-        self.field = field;
-        self.soa_valid = false;
+        self.fused.field_mut().load(field.states());
         self.initialized = true;
-        // The invariant checker's shadow plane no longer matches the field;
+        // The invariant checker's shadow plane no longer matches the state;
         // it re-arms lazily from the restored state (an iteration boundary).
         self.inv = None;
         Ok(())
@@ -848,22 +752,24 @@ impl Machine {
     /// Writes the current `C` vector (column 0) into `out`, reusing its
     /// allocation — the steady-state extraction path of the batched runner.
     pub fn labels_into(&self, out: &mut Vec<Word>) {
+        let d = &self.fused.field().d;
         out.clear();
-        out.extend((0..self.n()).map(|j| self.field.get(self.layout.c_index(j)).d));
+        out.extend((0..self.n()).map(|j| d[self.layout.c_index(j)]));
     }
 
     /// Reloads the machine with a new graph of the **same size**, reusing
-    /// every buffer (field, engine scratch, metrics log, kernel scratch) —
+    /// every buffer (cell state, scratch, metrics log, kernel scratch) —
     /// no allocation. The machine returns to its pre-[`Machine::init`]
-    /// state; configuration (engine, convergence, exec path) is kept.
+    /// state; configuration (engine, convergence, exec path) is kept. A
+    /// graph of another size is [`GcaError::GraphSizeMismatch`] and leaves
+    /// the machine as it was.
     pub fn reset_with(&mut self, graph: &AdjacencyMatrix) -> Result<(), GcaError> {
-        self.layout.refill_field(graph, &mut self.field)?;
+        self.fused.field_mut().fill(graph)?;
         self.engine.reset();
         self.metrics.clear();
-        self.soa_valid = false;
         self.initialized = false;
-        if let Some(v) = self.validator.as_mut() {
-            v.engine.reset();
+        if let Some(engine) = self.replay.as_mut() {
+            engine.reset();
         }
         self.inv = None;
         self.inv_fault = None;
@@ -996,8 +902,6 @@ impl HirschbergGca {
                 previous = current;
             }
         } else {
-            // No between-iteration label reads: the fused paths write the
-            // field back once, at the end of the run.
             machine.run_iterations(u64::from(max_iterations))?;
             iterations = max_iterations;
         }
@@ -1436,7 +1340,11 @@ mod tests {
                 assert_eq!(m.generations(), reference.generations, "{exec:?}");
                 assert_eq!(m.metrics().entries(), reference.metrics.entries(), "{exec:?}");
             }
-            assert_eq!(stepped.field().states(), driven.field().states(), "{exec:?}");
+            assert_eq!(
+                stepped.to_field().states(),
+                driven.to_field().states(),
+                "{exec:?}"
+            );
         }
     }
 
@@ -1780,10 +1688,10 @@ mod tests {
 
     #[test]
     fn swar_snapshot_restore_roundtrip_agrees_with_cellfield() {
-        // The serde snapshot path captures the authoritative CellField, not
-        // the SoA mirror: a snapshot taken mid-SWAR-run must restore into
-        // both a fresh SWAR machine and a generic machine, and all three
-        // must finish in the same state.
+        // A snapshot is a CellField copy of the split planes, whatever path
+        // wrote them: one taken mid-SWAR-run must restore into both a fresh
+        // SWAR machine and a generic machine, and all three must finish in
+        // the same state, adjacency included.
         let g = generators::gnp(20, 0.2, 6);
         let mut swar = Machine::new(&g).unwrap().with_exec(ExecPath::fused_swar());
         swar.init().unwrap();
@@ -1800,14 +1708,14 @@ mod tests {
         }
         assert_eq!(swar.labels().unwrap(), resumed_swar.labels().unwrap());
         assert_eq!(swar.labels().unwrap(), resumed_generic.labels().unwrap());
-        assert_eq!(swar.field().states(), resumed_generic.field().states());
+        assert_eq!(swar.to_field().states(), resumed_generic.to_field().states());
     }
 
     #[test]
     fn swar_reset_with_reloads_adjacency_plane() {
-        // reset_with refills the AoS field in place; the row-aligned packed
-        // adjacency plane must be rebuilt for the new graph on the next
-        // fused step (stale bits would corrupt FilterNeighbors).
+        // reset_with refills both planes in place; the row-aligned packed
+        // adjacency plane must hold the new graph (stale bits would corrupt
+        // FilterNeighbors).
         let g1 = generators::gnp(12, 0.3, 1);
         let g2 = generators::ring(12);
         let mut m = Machine::new(&g1).unwrap().with_exec(ExecPath::fused_swar());
@@ -1826,9 +1734,10 @@ mod tests {
 
     #[test]
     fn swar_survives_generic_steps_mid_run() {
-        // Flipping the exec path between iterations exercises the
-        // `soa_valid` protocol: generic steps dirty the AoS field behind
-        // the SoA mirror, and the next SWAR step must reload both planes.
+        // Flipping the exec path between iterations: generic steps run on
+        // the engine scratch and commit their data words behind the SWAR
+        // kernels' back, which must drop the occupancy plane and leave the
+        // adjacency plane intact for the next SWAR step.
         let g = generators::gnp(14, 0.25, 9);
         let mut m = Machine::new(&g).unwrap();
         let mut reference = Machine::new(&g).unwrap();
@@ -1850,7 +1759,7 @@ mod tests {
             }
         }
         assert_eq!(m.labels().unwrap(), reference.labels().unwrap());
-        assert_eq!(m.field().states(), reference.field().states());
+        assert_eq!(m.to_field().states(), reference.to_field().states());
     }
 
     #[test]
@@ -1875,8 +1784,56 @@ mod tests {
 
     #[test]
     fn reset_with_rejects_wrong_size() {
+        // A wrong-size graph is a typed error that leaves the machine as it
+        // was; a matching one reproduces a freshly built machine's field.
+        let g = generators::gnp(8, 0.4, 2);
         let mut m = Machine::new(&generators::ring(8)).unwrap();
-        assert!(m.reset_with(&generators::ring(9)).is_err());
+        assert_eq!(
+            m.reset_with(&generators::ring(9)).unwrap_err(),
+            GcaError::GraphSizeMismatch {
+                graph_nodes: 9,
+                layout_nodes: 8
+            }
+        );
+        m.init().unwrap();
+        m.run_iteration().unwrap();
+        m.reset_with(&g).unwrap();
+        let fresh = Machine::new(&g).unwrap();
+        assert_eq!(m.to_field().states(), fresh.to_field().states());
+        m.init().unwrap();
+        m.run_iterations(u64::from(ceil_log2(8))).unwrap();
+        let expected = union_find_components_dense(&g);
+        assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
+    }
+
+    #[test]
+    fn engine_scratch_is_allocated_only_by_engine_steps() {
+        // The split planes are the only state; the AoS scratch exists only
+        // once an engine step (generic path, Trace fallback, Validate
+        // replay) has needed one.
+        let g = generators::gnp(12, 0.3, 4);
+        let engine = |i| Engine::sequential().with_instrumentation(i);
+        let cases = [
+            (ExecPath::Fused, Instrumentation::Off, false),
+            (ExecPath::Fused, Instrumentation::Counts, false),
+            (ExecPath::fused_parallel(2), Instrumentation::Counts, false),
+            (ExecPath::fused_swar(), Instrumentation::Off, false),
+            (ExecPath::fused_swar(), Instrumentation::Counts, false),
+            (ExecPath::Generic, Instrumentation::Off, true),
+            (ExecPath::Generic, Instrumentation::Counts, true),
+            (ExecPath::Fused, Instrumentation::Trace, true),
+            (ExecPath::Fused, Instrumentation::Validate, true),
+            (ExecPath::fused_swar(), Instrumentation::Validate, true),
+        ];
+        for (exec, instr, allocates) in cases {
+            let mut m = Machine::with_engine(&g, engine(instr)).unwrap().with_exec(exec);
+            assert!(m.scratch.is_none(), "{exec:?} {instr:?} at build");
+            m.init().unwrap();
+            m.run_iterations(u64::from(ceil_log2(12))).unwrap();
+            assert_eq!(m.scratch.is_some(), allocates, "{exec:?} {instr:?}");
+            let expected = union_find_components_dense(&g);
+            assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
+        }
     }
 
     #[test]

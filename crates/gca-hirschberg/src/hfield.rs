@@ -1,37 +1,34 @@
-//! Struct-of-arrays view of the Hirschberg field — the fused kernels' hot
-//! representation.
+//! Struct-of-arrays Hirschberg field — [`crate::Machine`]'s only
+//! persistent cell state, on every execution path.
 //!
-//! [`gca_engine::CellField<HCell>`] stores the field as an array of
-//! structures: every cell carries its data word `d` *and* its adjacency bit
-//! `a`. The adjacency bits are immutable after [`crate::Layout::build_field`]
-//! (the paper's `A` matrix is an input, never written by any generation), so
-//! on the hot path every `HCell` copy moves a byte of dead weight and every
-//! broadcast/copy fill is a strided struct write instead of a plain word
-//! fill.
-//!
-//! [`HField`] splits the buffer into two planes:
+//! The paper's cell holds two registers: a data word `d` and the read-only
+//! adjacency bit `a` (the pointer is recomputed every generation). [`HField`]
+//! stores them as two planes:
 //!
 //! * a contiguous `Vec<Word>` **data plane** with the same linear indexing
 //!   as [`crate::Layout`] (`index = row · n + col`, `D_N` at
 //!   `n² .. n² + n`) — the per-generation working set; broadcasts and
 //!   copies become `memcpy`-shaped fills, and row-partitioned parallel
 //!   kernels split it with `split_at_mut`-safe disjoint chunks;
-//! * a bit-packed **adjacency plane** (one bit per square cell) — loaded
-//!   once per graph, read-only afterwards. The plane is **row-aligned**:
-//!   row `r` occupies the [`HField::words_per_row`] words starting at
-//!   `r · words_per_row`, column `c` is bit `c % WORD_BITS` of word
-//!   `c / WORD_BITS` within the row, and the tail bits of the last word of
-//!   every row are zero. Row alignment is what makes the SWAR kernels'
-//!   zero-word skip sound: an all-zero adjacency word always covers cells
-//!   of a single row, never a wrapped row boundary.
+//! * a bit-packed **adjacency plane** (one bit per square cell) — filled
+//!   once per graph straight from the [`AdjacencyMatrix`] rows
+//!   ([`HField::fill`]), read-only afterwards. The plane is
+//!   **row-aligned**: row `r` occupies the [`HField::words_per_row`] words
+//!   starting at `r · words_per_row`, column `c` is bit `c % WORD_BITS` of
+//!   word `c / WORD_BITS` within the row, and the tail bits of the last
+//!   word of every row are zero. Row alignment is what makes the SWAR
+//!   kernels' zero-word skip sound: an all-zero adjacency word always
+//!   covers cells of a single row, never a wrapped row boundary.
 //!
-//! Conversion happens only at the [`crate::Machine`] boundary
-//! ([`HField::load`] / [`HField::store_d`]), so snapshots, the generic
-//! engine path, `Validate` replay and serde all keep operating on the
-//! authoritative `CellField<HCell>`.
+//! The array-of-structures `CellField<HCell>` exists only where a consumer
+//! needs one: the machine's engine scratch (refilled by [`HField::store`]
+//! before each engine step, copied back by [`HField::load_d`]) and on-demand
+//! copies for snapshots and [`crate::Machine::to_field`]. A restored
+//! snapshot comes back in through [`HField::load`].
 
 use crate::HCell;
-use gca_engine::{AdjWord, CellField, Word, WORD_BITS};
+use gca_engine::{AdjWord, GcaError, Word, WORD_BITS};
+use gca_graphs::AdjacencyMatrix;
 
 /// Reads the adjacency bit of square cell `(row, col)` from a row-aligned
 /// packed plane with `wpr` words per row.
@@ -40,17 +37,17 @@ pub(crate) fn a_bit(plane: &[AdjWord], wpr: usize, row: usize, col: usize) -> bo
     (plane[row * wpr + col / WORD_BITS] >> (col % WORD_BITS)) & 1 == 1
 }
 
-/// The struct-of-arrays mirror of one `(n+1) × n` Hirschberg field.
+/// The two planes of one `(n+1) × n` Hirschberg field.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct HField {
     /// Problem size `n`.
     pub n: usize,
-    /// The data plane: `d` of every cell, `n · (n+1)` words, same linear
-    /// indexing as the AoS buffer.
+    /// The data plane: `d` of every cell, `n · (n+1)` words.
     pub d: Vec<Word>,
     /// The adjacency plane: `A(row, col)` bit-packed row-aligned over the
-    /// `n²` square cells (the `D_N` row carries no adjacency). Immutable
-    /// between [`HField::load`] calls; row-tail bits are always zero.
+    /// `n²` square cells (the `D_N` row carries no adjacency). Written only
+    /// by [`HField::fill`] and [`HField::load`]; row-tail bits are always
+    /// zero.
     pub a: Vec<AdjWord>,
     /// Packed words per adjacency row: `n.div_ceil(WORD_BITS)`.
     pub words_per_row: usize,
@@ -68,21 +65,42 @@ impl HField {
         }
     }
 
-    /// Loads both planes from the AoS field (called whenever the machine's
-    /// `CellField` may have changed behind the SoA mirror's back: reset,
-    /// snapshot restore, generic-path steps).
-    pub fn load(&mut self, field: &CellField<HCell>) {
-        let cells = field.states();
-        debug_assert_eq!(cells.len(), self.n * (self.n + 1));
-        self.d.clear();
-        self.d.extend(cells.iter().map(|c| c.d));
-        let wpr = self.n.div_ceil(WORD_BITS);
-        self.words_per_row = wpr;
-        self.a.clear();
-        self.a.resize(self.n * wpr, 0);
-        for row in 0..self.n {
-            let words = &mut self.a[row * wpr..(row + 1) * wpr];
-            for (col, c) in cells[row * self.n..(row + 1) * self.n].iter().enumerate() {
+    /// Loads `graph` in place: zeroes the data plane (generation 0
+    /// initializes it) and copies the adjacency rows, which the matrix
+    /// already packs row-aligned in `u64` words. The diagonal and row-tail
+    /// bits are masked off. Fails with [`GcaError::GraphSizeMismatch`],
+    /// leaving the field untouched, if the graph has another size.
+    pub fn fill(&mut self, graph: &AdjacencyMatrix) -> Result<(), GcaError> {
+        let n = self.n;
+        if graph.n() != n {
+            return Err(GcaError::GraphSizeMismatch {
+                graph_nodes: graph.n(),
+                layout_nodes: n,
+            });
+        }
+        self.d.fill(0);
+        let wpr = self.words_per_row;
+        let tail: AdjWord = match n % WORD_BITS {
+            0 => !0,
+            r => (1 << r) - 1,
+        };
+        for (row, words) in self.a.chunks_mut(wpr.max(1)).enumerate() {
+            words.copy_from_slice(graph.row_words(row));
+            words[wpr - 1] &= tail;
+            words[row / WORD_BITS] &= !(1 << (row % WORD_BITS));
+        }
+        Ok(())
+    }
+
+    /// Loads both planes from array-of-structures cell states (a restored
+    /// snapshot), `n · (n+1)` of them in field order.
+    pub fn load(&mut self, cells: &[HCell]) {
+        debug_assert_eq!(cells.len(), self.d.len());
+        self.load_d(cells);
+        self.a.fill(0);
+        let (n, wpr) = (self.n, self.words_per_row);
+        for (row, words) in self.a.chunks_mut(wpr.max(1)).enumerate() {
+            for (col, c) in cells[row * n..(row + 1) * n].iter().enumerate() {
                 if c.a {
                     words[col / WORD_BITS] |= 1 << (col % WORD_BITS);
                 }
@@ -90,19 +108,30 @@ impl HField {
         }
     }
 
-    /// Writes the data plane back into the AoS field, leaving every
-    /// adjacency bit untouched — the only direction state ever flows out
-    /// (no generation writes `a`).
-    pub fn store_d(&self, field: &mut CellField<HCell>) {
-        for (cell, &d) in field.states_mut().iter_mut().zip(&self.d) {
-            cell.d = d;
+    /// Writes both planes into array-of-structures cell states — the
+    /// engine scratch refill and the on-demand `CellField` copies.
+    pub fn store(&self, cells: &mut [HCell]) {
+        debug_assert_eq!(cells.len(), self.d.len());
+        let n = self.n.max(1);
+        for (row, (cells, d)) in cells.chunks_mut(n).zip(self.d.chunks(n)).enumerate() {
+            for (col, (c, &d)) in cells.iter_mut().zip(d).enumerate() {
+                let a = row < self.n && a_bit(&self.a, self.words_per_row, row, col);
+                *c = HCell::with_adjacency(d, a);
+            }
+        }
+    }
+
+    /// Copies the data words of array-of-structures cell states back into
+    /// the data plane — the commit of an engine step. Adjacency never
+    /// flows back: no generation writes `a`.
+    pub fn load_d(&mut self, cells: &[HCell]) {
+        for (d, c) in self.d.iter_mut().zip(cells) {
+            *d = c.d;
         }
     }
 
     /// Reads the adjacency bit of square cell `i` (linear `row · n + col`
-    /// indexing; the kernels read the packed plane directly via [`a_bit`] —
-    /// this accessor serves the tests).
-    #[cfg(test)]
+    /// indexing; the kernels read the packed plane directly via [`a_bit`]).
     pub fn adjacency(&self, i: usize) -> bool {
         a_bit(&self.a, self.words_per_row, i / self.n, i % self.n)
     }
@@ -114,66 +143,70 @@ mod tests {
     use crate::Layout;
     use gca_graphs::generators;
 
+    /// The planes of `graph` as a fresh machine holds them.
+    fn filled(graph: &AdjacencyMatrix) -> HField {
+        let mut h = HField::new(graph.n());
+        h.fill(graph).unwrap();
+        h
+    }
+
+    #[test]
+    fn fill_matches_the_layout_build() {
+        // n = 70 spans two adjacency words per row.
+        for g in [generators::gnp(9, 0.4, 3), generators::gnp(70, 0.2, 5)] {
+            let field = Layout::new(g.n()).unwrap().build_field(&g).unwrap();
+            let h = filled(&g);
+            let mut cells = vec![HCell::new(7); field.len()];
+            h.store(&mut cells);
+            assert_eq!(cells, field.states(), "n = {}", g.n());
+        }
+    }
+
     #[test]
     fn round_trip_preserves_data_and_adjacency() {
         let g = generators::gnp(9, 0.4, 3);
-        let layout = Layout::new(9).unwrap();
-        let mut field = layout.build_field(&g).unwrap();
-        let before: Vec<HCell> = field.states().to_vec();
+        let h = filled(&g);
+        let mut cells = vec![HCell::new(0); h.d.len()];
+        h.store(&mut cells);
 
-        let mut h = HField::new(9);
-        h.load(&field);
-        for (i, c) in before.iter().enumerate() {
-            assert_eq!(h.d[i], c.d, "d plane at {i}");
-            if i < 81 {
-                assert_eq!(h.adjacency(i), c.a, "a plane at {i}");
-            }
+        // Data words flow back through `load_d`; adjacency never does.
+        for (i, c) in cells.iter_mut().enumerate() {
+            c.d = i as Word + 7;
+            c.a = !c.a;
         }
+        let mut back = h.clone();
+        back.load_d(&cells);
+        for i in 0..cells.len() {
+            assert_eq!(back.d[i], i as Word + 7, "d plane at {i}");
+        }
+        assert_eq!(back.a, h.a, "adjacency must never change");
 
-        // Mutate the data plane, store back: d follows, a survives.
-        for v in h.d.iter_mut() {
-            *v = v.wrapping_add(7);
-        }
-        h.store_d(&mut field);
-        for (i, c) in field.states().iter().enumerate() {
-            assert_eq!(c.d, before[i].d.wrapping_add(7), "stored d at {i}");
-            assert_eq!(c.a, before[i].a, "adjacency must never change at {i}");
-        }
+        // `load` takes both planes, as a snapshot restore needs.
+        h.store(&mut cells);
+        let mut restored = HField::new(9);
+        restored.load(&cells);
+        assert_eq!(restored.d, h.d);
+        assert_eq!(restored.a, h.a);
     }
 
     #[test]
     fn zero_size_field_is_empty() {
-        let h = HField::new(0);
+        let h = filled(&generators::empty(0));
         assert!(h.d.is_empty());
         assert!(h.a.is_empty());
-    }
-
-    #[test]
-    fn load_resizes_planes() {
-        let g = generators::ring(5);
-        let layout = Layout::new(5).unwrap();
-        let field = layout.build_field(&g).unwrap();
-        let mut h = HField::new(0);
-        h.n = 5;
-        h.load(&field);
-        assert_eq!(h.d.len(), 30);
-        // Row-aligned plane: one packed word per row.
-        assert_eq!(h.words_per_row, 1);
-        assert_eq!(h.a.len(), 5);
+        h.store(&mut []);
     }
 
     #[test]
     fn row_tail_bits_stay_zero() {
         // n = 5 leaves WORD_BITS - 5 tail bits per row word; the SWAR
         // zero-word skip relies on them never being set.
-        let g = generators::complete(5);
-        let layout = Layout::new(5).unwrap();
-        let field = layout.build_field(&g).unwrap();
-        let mut h = HField::new(5);
-        h.load(&field);
+        let h = filled(&generators::complete(5));
+        assert_eq!(h.words_per_row, 1);
         let tail_mask: AdjWord = !((1 << 5) - 1);
         for (row, &w) in h.a.iter().enumerate() {
             assert_eq!(w & tail_mask, 0, "tail bits of row {row}");
+            assert!(!h.adjacency(row * 5 + row), "diagonal of row {row}");
         }
     }
 }

@@ -24,7 +24,6 @@
 //! answers "does the machine match the *algorithm*?".
 
 use crate::phase::Gen;
-use crate::HCell;
 use gca_engine::{GcaError, InvariantCheck, StepCtx, Word, INFINITY};
 use std::fmt;
 
@@ -312,17 +311,16 @@ pub struct InvariantChecker {
 
 impl InvariantChecker {
     /// Build a checker from the machine's current field contents (the
-    /// *pre*-state of the next generation to run). Used both at `init()`
-    /// and to re-arm after `restore()` — field snapshots are meaningful at
-    /// iteration boundaries, where column 0 carries the labels.
-    pub fn from_states(n: usize, states: &[HCell]) -> Self {
-        debug_assert_eq!(states.len(), (n + 1) * n);
-        let mut adj = vec![false; n * n];
-        for (i, slot) in adj.iter_mut().enumerate() {
-            *slot = states[i].a;
-        }
+    /// *pre*-state of the next generation to run): the `n²` adjacency bits
+    /// of the square and the `n(n+1)` data words, both in row-major field
+    /// order. Used both at `init()` and to re-arm after `restore()` — field
+    /// snapshots are meaningful at iteration boundaries, where column 0
+    /// carries the labels.
+    pub fn new(n: usize, adj: Vec<bool>, d: &[Word]) -> Self {
+        debug_assert_eq!(adj.len(), n * n);
+        debug_assert_eq!(d.len(), (n + 1) * n);
         let true_min = component_minima(n, &adj);
-        let spec: Vec<Word> = states.iter().map(|c| c.d).collect();
+        let spec = d.to_vec();
         let iter_labels: Vec<Word> = (0..n).map(|r| spec[r * n]).collect();
         InvariantChecker {
             n,
@@ -419,14 +417,14 @@ impl InvariantChecker {
         }
         // Refinement: new classes never span two true components.
         let mut class_min = vec![None; n];
-        for v in 0..n {
-            let l = new[v] as usize;
+        for (v, (&l, &min)) in new.iter().zip(&self.true_min).enumerate() {
+            let l = l as usize;
             if l >= n {
                 continue;
             }
             match class_min[l] {
-                None => class_min[l] = Some(self.true_min[v]),
-                Some(m) if m != self.true_min[v] => {
+                None => class_min[l] = Some(min),
+                Some(m) if m != min => {
                     return Err(self.violation(InvariantClass::PartitionRefinement, ctx, v * n));
                 }
                 Some(_) => {}
@@ -439,8 +437,8 @@ impl InvariantChecker {
             comp_size[self.true_min[v] as usize] += 1;
         }
         let mut old_size = vec![0usize; n];
-        for v in 0..n {
-            let o = old[v] as usize;
+        for &o in &old {
+            let o = o as usize;
             if o < n {
                 old_size[o] += 1;
             }
@@ -450,8 +448,8 @@ impl InvariantChecker {
             .count();
         let s_old = old_size.iter().filter(|&&s| s > 0).count();
         let mut seen_new = vec![false; n];
-        for v in 0..n {
-            let l = new[v] as usize;
+        for &l in &new {
+            let l = l as usize;
             if l < n {
                 seen_new[l] = true;
             }
@@ -466,8 +464,11 @@ impl InvariantChecker {
     }
 }
 
-impl InvariantCheck<HCell> for InvariantChecker {
-    fn after_generation(&mut self, ctx: &StepCtx, states: &[HCell]) -> Result<(), GcaError> {
+/// The observed states are the machine's data plane: the adjacency plane
+/// never changes during a run, so the checker keeps its own copy from
+/// [`InvariantChecker::new`].
+impl InvariantCheck<Word> for InvariantChecker {
+    fn after_generation(&mut self, ctx: &StepCtx, states: &[Word]) -> Result<(), GcaError> {
         let n = self.n;
         let Some(gen) = Gen::from_number(ctx.phase) else {
             return Ok(()); // foreign phase tag: not ours to judge
@@ -485,8 +486,8 @@ impl InvariantCheck<HCell> for InvariantChecker {
         if self.take_fault(InvariantClass::ContractStep) && !self.spec.is_empty() {
             self.spec[0] = self.spec[0].wrapping_add(1);
         }
-        for (i, cell) in states.iter().enumerate() {
-            if cell.d != self.spec[i] {
+        for (i, &d) in states.iter().enumerate() {
+            if d != self.spec[i] {
                 return Err(self.violation(InvariantClass::ContractStep, ctx, i));
             }
         }
@@ -550,10 +551,10 @@ mod tests {
         for (gen, sub) in schedule {
             engine.step(&mut field, &rule, gen.number(), sub).unwrap();
             spec = contract_step(n, gen, sub, &adj, &spec);
-            for i in 0..field.len() {
+            for (i, &want) in spec.iter().enumerate() {
                 assert_eq!(
                     field.get(i).d,
-                    spec[i],
+                    want,
                     "cell {i} diverged at {gen:?} sub {sub}"
                 );
             }

@@ -10,7 +10,11 @@
 //! `O(n)` useful updates.
 //!
 //! This module implements each of Figure 2's generations as a specialized
-//! kernel over the struct-of-arrays `HField` data plane instead:
+//! kernel over the struct-of-arrays `HField` data plane instead. The
+//! executor owns that `HField`, which is [`crate::Machine`]'s only
+//! persistent cell state on every path: the kernels run on it in place,
+//! and the machine's engine steps copy it into a scratch `CellField` and
+//! back.
 //!
 //! * **broadcasts** (generations 1, 5, 9) gather the column-0 vector into a
 //!   reusable scratch once, then fill rows with strided writes;
@@ -59,8 +63,8 @@
 //! [`crate::Machine`] falls back to it.
 
 use crate::hfield::{a_bit, HField};
-use crate::{swar, Gen, HCell};
-use gca_engine::{AdjWord, CellField, GcaError, StepCtx, Word, INFINITY, WORD_BITS};
+use crate::{swar, Gen};
+use gca_engine::{AdjWord, GcaError, StepCtx, Word, INFINITY, WORD_BITS};
 use rayon::prelude::*;
 
 /// Which implementation executes the state machine's generations.
@@ -254,15 +258,14 @@ fn chunk_slots(
 
 /// Reusable scratch and per-generation kernels for one problem size `n`.
 ///
-/// Owned by [`crate::Machine`]; all buffers (including the [`HField`] SoA
-/// mirror of the machine's field) are allocated once and reused, so fused
+/// Owned by [`crate::Machine`]; all buffers (including the [`HField`] that
+/// holds the machine's cell state) are allocated once and reused, so fused
 /// steady-state stepping performs no allocation (under
 /// `Instrumentation::Off`) beyond what the metrics log itself appends.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FusedExecutor {
     n: usize,
-    /// The SoA mirror the kernels execute on; synced with the machine's
-    /// `CellField<HCell>` at the `Machine` boundary.
+    /// The machine's cell state, which the kernels execute on in place.
     hfield: HField,
     /// Gathered column-0 (`C`/`T`) values — the broadcast source and the
     /// "ping" label buffer of pointer jumping.
@@ -275,7 +278,7 @@ pub(crate) struct FusedExecutor {
     /// Per-chunk accumulators of the parallel path.
     chunks: Vec<ChunkReport>,
     /// Route row bodies through the SWAR kernels of [`crate::swar`]
-    /// ([`ExecPath::FusedSwar`]); set by the machine at SoA sync time.
+    /// ([`ExecPath::FusedSwar`]); set by the machine with its exec path.
     swar: bool,
     /// Generation 6 scratch of the SWAR path: the row-aligned membership
     /// mask (`bit (r, c) ⇔ D_N[c] = r`), rebuilt each FilterMembers.
@@ -287,8 +290,8 @@ pub(crate) struct FusedExecutor {
     occ: Vec<AdjWord>,
     /// Whether `occ` currently mirrors the square plane. True only in the
     /// filter → min-reduce windows of a SWAR run; any other kernel (or a
-    /// SoA reload) invalidates it, dropping the reductions back to their
-    /// occupancy-free bodies.
+    /// write through [`FusedExecutor::field_mut`]) invalidates it, dropping
+    /// the reductions back to their occupancy-free bodies.
     occ_valid: bool,
     /// Test-only seeded fault: the next *parallel counting* broadcast
     /// accounts one boundary cell as if two adjacent row partitions
@@ -326,16 +329,17 @@ impl FusedExecutor {
         self.swar = swar;
     }
 
-    /// Reloads the SoA mirror from the authoritative AoS field.
-    pub fn load(&mut self, field: &CellField<HCell>) {
-        self.hfield.load(field);
-        self.occ_valid = false;
+    /// The cell state the kernels execute on.
+    pub fn field(&self) -> &HField {
+        &self.hfield
     }
 
-    /// Writes the SoA data plane back into the AoS field (adjacency bits
-    /// are immutable and never flow back).
-    pub fn store_d(&self, field: &mut CellField<HCell>) {
-        self.hfield.store_d(field);
+    /// Mutable access to the cell state for writes behind the kernels'
+    /// back (engine steps, graph reloads, snapshot restores); invalidates
+    /// the occupancy plane.
+    pub fn field_mut(&mut self) -> &mut HField {
+        self.occ_valid = false;
+        &mut self.hfield
     }
 
     /// Per-target read counts of the last kernel executed with
@@ -416,19 +420,18 @@ impl FusedExecutor {
         }
     }
 
-    /// Executes one `(generation, sub-generation)` over the SoA mirror,
-    /// dispatching to the matching kernel. `par` carries the resolved
-    /// parallel policy (`None` = sequential fused path). On error the data
-    /// plane is left on its previous generation, like
-    /// [`gca_engine::Engine::step`].
+    /// Executes generation `gen` (sub-generation and counter in `ctx`)
+    /// over the data plane, dispatching to the matching kernel. `par`
+    /// carries the resolved parallel policy (`None` = sequential fused
+    /// path). On error the data plane is left on its previous generation,
+    /// like [`gca_engine::Engine::step`].
     pub fn step(
         &mut self,
+        gen: Gen,
         ctx: &StepCtx,
         counting: bool,
         par: Option<ParPolicy>,
     ) -> Result<KernelReport, GcaError> {
-        let gen = Gen::from_number(ctx.phase)
-            .unwrap_or_else(|| panic!("invalid Hirschberg phase {}", ctx.phase));
         let n = self.n;
         self.reads.clear();
         if counting {
@@ -1338,14 +1341,11 @@ mod tests {
         // tail — geometry the n ≤ 64 property corpus cannot reach.
         let n = 70usize;
         let g = gca_graphs::generators::gnp(n, 0.13, 99);
-        let layout = crate::Layout::new(n).unwrap();
-        let field = layout.build_field(&g).unwrap();
-
         let mut scalar = FusedExecutor::new(n);
         let mut swar_exec = FusedExecutor::new(n);
         swar_exec.set_swar(true);
-        scalar.load(&field);
-        swar_exec.load(&field);
+        scalar.field_mut().fill(&g).unwrap();
+        swar_exec.field_mut().fill(&g).unwrap();
 
         for (generation, &(phase, sub)) in [
             (Gen::Init, 0u32),
@@ -1372,8 +1372,8 @@ mod tests {
                 phase: phase.number(),
                 subgeneration: sub,
             };
-            let a = scalar.step(&ctx, true, None).unwrap();
-            let b = swar_exec.step(&ctx, true, None).unwrap();
+            let a = scalar.step(phase, &ctx, true, None).unwrap();
+            let b = swar_exec.step(phase, &ctx, true, None).unwrap();
             assert_eq!(scalar.hfield.d, swar_exec.hfield.d, "{phase:?}/{sub} plane");
             assert_eq!(a.active, b.active, "{phase:?}/{sub} active");
             assert_eq!(a.reads, b.reads, "{phase:?}/{sub} reads");

@@ -103,33 +103,6 @@ impl Layout {
         }))
     }
 
-    /// Rewrites an existing field in place from a new adjacency matrix —
-    /// the allocation-free counterpart of [`Layout::build_field`], used when
-    /// reusing a machine across graphs of the same size. Data parts are
-    /// zeroed exactly as a fresh build would leave them. Fails with
-    /// [`GcaError::GraphSizeMismatch`] / [`GcaError::ShapeMismatch`] if the
-    /// graph or the field does not match the layout.
-    pub fn refill_field(
-        &self,
-        graph: &AdjacencyMatrix,
-        field: &mut CellField<HCell>,
-    ) -> Result<(), GcaError> {
-        self.check_graph(graph)?;
-        if field.len() != self.cells() {
-            return Err(GcaError::ShapeMismatch {
-                expected: self.cells(),
-                actual: field.len(),
-            });
-        }
-        for (index, cell) in field.states_mut().iter_mut().enumerate() {
-            let row = self.shape.row(index);
-            let col = self.shape.col(index);
-            let a = row < self.n && graph.has_edge_checked(row, col);
-            *cell = HCell::with_adjacency(0, a);
-        }
-        Ok(())
-    }
-
     /// Reads the result vector `C` out of the first column.
     pub fn extract_labels(&self, field: &CellField<HCell>) -> Vec<Word> {
         (0..self.n).map(|j| field.get(self.c_index(j)).d).collect()
@@ -219,34 +192,6 @@ mod tests {
                 layout_nodes: 3
             }
         );
-    }
-
-    #[test]
-    fn refill_field_checks_graph_and_field() {
-        let l = Layout::new(3).unwrap();
-        let g3 = GraphBuilder::new(3).edge(0, 1).build().unwrap();
-        let g2 = GraphBuilder::new(2).build().unwrap();
-        let mut f = l.build_field(&g3).unwrap();
-        assert_eq!(
-            l.refill_field(&g2, &mut f).unwrap_err(),
-            GcaError::GraphSizeMismatch {
-                graph_nodes: 2,
-                layout_nodes: 3
-            }
-        );
-        let l2 = Layout::new(2).unwrap();
-        assert_eq!(
-            l2.refill_field(&g2, &mut f).unwrap_err(),
-            GcaError::ShapeMismatch {
-                expected: 6,
-                actual: 12
-            }
-        );
-        // A matching refill reproduces a fresh build.
-        let refreshed = l.build_field(&g3).unwrap();
-        f.set(0, HCell::new(9));
-        l.refill_field(&g3, &mut f).unwrap();
-        assert_eq!(f.states(), refreshed.states());
     }
 
     #[test]

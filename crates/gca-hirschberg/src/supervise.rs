@@ -230,7 +230,7 @@ mod tests {
         // ladder drops below fused-swar.
         let plan = FaultSpec::parse("bitflip@5.3.1:sticky")
             .unwrap()
-            .resolve(sm.machine().field().len(), 100, sm.machine().exec_level());
+            .resolve(sm.machine().layout().cells(), 100, sm.machine().exec_level());
         sm.machine_mut().set_fault_plan(Some(plan));
         let report = Supervisor::new(RecoveryPolicy::Degrade).run(&mut sm);
         assert!(matches!(report.outcome, RecoveryOutcome::Recovered), "{report}");

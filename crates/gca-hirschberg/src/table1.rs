@@ -297,7 +297,7 @@ mod tests {
                            md: &Machine,
                            mh: &Machine| {
                 let at = format!("n = {n}, gen {} / sub {}", rd.ctx.phase, rd.ctx.subgeneration);
-                assert_eq!(md.field().states(), mh.field().states(), "{at}");
+                assert_eq!(md.to_field().states(), mh.to_field().states(), "{at}");
                 assert_eq!(rd.active_cells, rh.active_cells, "{at}");
                 assert_eq!(rd.total_reads, rh.total_reads, "{at}");
                 assert_eq!(rd.changed_cells, rh.changed_cells, "{at}");

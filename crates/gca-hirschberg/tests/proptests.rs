@@ -42,26 +42,27 @@ proptest! {
         let c_before: Vec<u32> = m.labels_raw();
         for (gen, sub) in iteration_schedule(n) {
             m.step(gen, sub).unwrap();
+            let field = m.to_field();
             match (gen, sub) {
                 (Gen::BroadcastC, _) => {
                     // Every row of D (incl. D_N) equals the old C.
                     for j in 0..=n {
                         for (i, &c) in c_before.iter().enumerate() {
-                            prop_assert_eq!(m.field().at(j, i).d, c);
+                            prop_assert_eq!(field.at(j, i).d, c);
                         }
                     }
                 }
                 (Gen::ResolveIsolated, _) => {
                     // Column 0 = step-2 T: finite node numbers only.
                     for j in 0..n {
-                        let t = m.field().at(j, 0).d;
+                        let t = field.at(j, 0).d;
                         prop_assert!(t != INFINITY && (t as usize) < n);
                     }
                 }
                 (Gen::CopyAndSaveT, _) => {
                     // D_N holds T = column 0's current values.
-                    let col0: Vec<u32> = (0..n).map(|j| m.field().at(j, 0).d).collect();
-                    let dn = m.layout().extract_dn(m.field());
+                    let col0: Vec<u32> = (0..n).map(|j| field.at(j, 0).d).collect();
+                    let dn = m.layout().extract_dn(&field);
                     prop_assert_eq!(dn, col0);
                 }
                 _ => {}

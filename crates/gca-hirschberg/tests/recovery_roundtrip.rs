@@ -6,9 +6,9 @@
 //! **bit-identical** — labels, field states and `Counts` metrics — to a
 //! machine that never stopped. These properties pin that claim on every
 //! execution path, including the paths with hidden state beyond the
-//! field: the fused SoA mirror (`soa_valid` must drop on restore so the
-//! kernels reload it) and the SWAR occupancy plane (rebuilt inside the
-//! filter → min-reduce window after any reload).
+//! data and adjacency planes: the engine scratch (refilled before every
+//! engine step, never read as state) and the SWAR occupancy plane (dropped
+//! on restore, rebuilt inside the next filter → min-reduce window).
 
 use gca_engine::snapshot::FieldSnapshot;
 use gca_engine::{Engine, Instrumentation};
@@ -125,8 +125,8 @@ proptest! {
                 "labels diverged on {:?}", exec
             );
             prop_assert_eq!(
-                m.field().states(),
-                reference.field().states(),
+                m.to_field().states(),
+                reference.to_field().states(),
                 "field states diverged on {:?}", exec
             );
             prop_assert_eq!(
