@@ -16,10 +16,11 @@
 //!   ranges ever diverged, a chunk would pair rows of one plane with
 //!   bits of another;
 //! * **histogram aliasing** — the pointer-chase generations merge
-//!   per-chunk read histograms into the shared plane at targets `d·n`
-//!   (generation 10) and `d·n + 1` (generation 11); if two distinct
-//!   chased labels mapped to one target, read accounting would be
-//!   wrong even though the labels themselves are.
+//!   per-chunk read histograms into one read-footprint counter per
+//!   chased label, whose slot `d` stands for cell `d·n` (generation 10)
+//!   or `d·n + 1` (generation 11); if two distinct chased labels mapped
+//!   to one cell, read accounting would be wrong even though the labels
+//!   themselves are.
 //!
 //! This prover enumerates the *exact* planner over every kernel
 //! geometry — all `n = 2^k` (`k ≤ 16`) × worker counts `1..=64` ×
@@ -228,10 +229,10 @@ pub struct PartitionReport {
 /// read-histogram target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum HistMerge {
-    /// Generation 10: `reads[d·n] += count`.
+    /// Generation 10: slot `d` counts the reads of cell `d·n`.
     Jump,
-    /// Generation 11: `reads[d·n + 1] += count`, kernel-guarded to stay
-    /// inside the plane.
+    /// Generation 11: slot `d` counts the reads of cell `d·n + 1`,
+    /// kernel-guarded to stay inside the plane.
     FinalMin,
 }
 

@@ -4,7 +4,7 @@ use crate::invariants::{InvariantChecker, InvariantClass};
 use crate::kernels::{FusedExecutor, ParPolicy};
 use crate::{iteration_schedule, ExecPath, Gen, HCell, HirschbergRule, Layout};
 use gca_engine::faults::{FaultKind, FaultPlan};
-use gca_engine::metrics::{CongestionHistogram, GenerationMetrics, MetricsLog};
+use gca_engine::metrics::{GenerationMetrics, MetricsLog};
 use gca_engine::snapshot::FieldSnapshot;
 use gca_engine::{
     CellField, Engine, GcaError, Instrumentation, InvariantCheck, StepCtx, StepReport, Word,
@@ -218,11 +218,11 @@ impl Machine {
     /// Executes a single `(generation, sub-generation)` of the state
     /// machine and records its metrics: one tick of the iteration driver,
     /// plus, on the fused paths under counting, the report's congestion
-    /// histogram.
+    /// histogram, expanded from the kernel's read footprint.
     pub fn step(&mut self, gen: Gen, subgeneration: u32) -> Result<StepReport, GcaError> {
         let mut rep = self.tick(gen, subgeneration)?;
         if self.fused_active() && self.counting() {
-            rep.congestion = Some(CongestionHistogram::from_reads(self.fused.reads().to_vec()));
+            rep.congestion = Some(self.fused.footprint().to_histogram());
         }
         Ok(rep)
     }
@@ -525,7 +525,8 @@ impl Machine {
 
     /// The differential check: replays the generation the fused kernel just
     /// executed through the reference engine (running the CROW sanitizer)
-    /// on the scratch, then compares data words and read histograms cell
+    /// on the scratch, then compares data words and per-cell read counts
+    /// (the replay's histogram against the kernel's read footprint) cell
     /// by cell. The first disagreeing cell is reported as
     /// [`GcaError::KernelDivergence`]. Runs only under validation, after
     /// [`Machine::begin_fused_validation`].
@@ -549,8 +550,8 @@ impl Machine {
             return Err(diverged(cell));
         }
         if let Some(hist) = rep.congestion.as_ref() {
-            let kernel = self.fused.reads();
-            if let Some(cell) = (0..plane.len()).find(|&i| hist.reads_of(i) != kernel[i]) {
+            let kernel = self.fused.footprint();
+            if let Some(cell) = (0..plane.len()).find(|&i| hist.reads_of(i) != kernel.reads_of(i)) {
                 return Err(diverged(cell));
             }
         }
@@ -566,13 +567,17 @@ impl Machine {
     }
 
     /// Books one successfully executed fused generation: advances the
-    /// engine's generation counter and appends the metrics entry, exactly as
-    /// an engine-executed step would.
+    /// engine's generation counter and appends the metrics entry, built
+    /// from the kernel's read footprint, exactly as an engine-executed step
+    /// would.
     fn fused_commit(&mut self, ctx: StepCtx, active: usize) {
         self.engine.advance_generation();
         if self.counting() {
-            self.metrics
-                .push(GenerationMetrics::from_read_counts(ctx, active, self.fused.reads()));
+            self.metrics.push(GenerationMetrics::from_footprint(
+                ctx,
+                active,
+                self.fused.footprint(),
+            ));
         }
     }
 
@@ -644,24 +649,24 @@ impl Machine {
 
     /// Whether the driver may fuse each broadcast with the filter that
     /// immediately follows it (generations 1+2 and 5+6). Requires the
-    /// SWAR path *and* an unobservable intermediate state: under counting
-    /// the two generations report separate read footprints, and under
+    /// fused SWAR path *and* an unobservable intermediate state: under
     /// validation the replay harness compares the field after every
-    /// generation — both must see the broadcast materialized. An armed
+    /// generation, so it must see the broadcast materialized. An armed
     /// fault plan also disables the fusion: fault coordinates address
     /// individual committed generations, so every generation must
-    /// materialize as an injection site.
+    /// materialize as an injection site. Counting does not: both halves
+    /// have static read footprints, committed one per generation.
     fn fuse_broadcast_filter(&self) -> bool {
-        matches!(self.exec, ExecPath::FusedSwar(_))
-            && !self.counting()
+        self.fused_active()
+            && matches!(self.exec, ExecPath::FusedSwar(_))
             && !self.validating()
             && self.inject.is_none()
     }
 
     /// Runs one fused broadcast+filter pair (generations 1+2 for
     /// [`Gen::BroadcastC`], 5+6 for [`Gen::BroadcastT`]) and commits both
-    /// generations, exactly as two separate ticks would have. Returns the
-    /// filter generation it ran.
+    /// generations, each with its own read footprint, exactly as two
+    /// separate ticks would have. Returns the filter generation it ran.
     fn broadcast_filter_ticks(&mut self, broadcast: Gen) -> Gen {
         let members = broadcast == Gen::BroadcastT;
         let filter = if members {
@@ -671,12 +676,13 @@ impl Machine {
         };
         let par = self.par_policy();
         let (bcast, filtered) = self.fused.broadcast_filter(members, par);
-        let ctx_b = self.fused_ctx(broadcast, 0);
-        self.fused_commit(ctx_b, bcast.active);
-        // The second ctx is built after the first commit so its generation
-        // number advances exactly as under separate ticks.
-        let ctx_f = self.fused_ctx(filter, 0);
-        self.fused_commit(ctx_f, filtered.active);
+        for (gen, rep) in [(broadcast, bcast), (filter, filtered)] {
+            // Each ctx is built after the previous commit so its generation
+            // number advances exactly as under separate ticks.
+            let ctx = self.fused_ctx(gen, 0);
+            self.fused.record_footprint(&rep);
+            self.fused_commit(ctx, rep.active);
+        }
         filter
     }
 
@@ -691,9 +697,6 @@ impl Machine {
         let mut executed = 0u64;
         let mut failure = None;
         for s in 0..ceil_log2(self.n()) {
-            if counting {
-                self.fused.reset_reads(self.layout.cells());
-            }
             let ctx = self.fused_ctx(Gen::PointerJump, s);
             match self.fused.jump_once(&ctx, counting, par) {
                 Ok(rep) => {
@@ -1305,7 +1308,9 @@ mod tests {
         // The single-step API over the schedule and the iteration driver are
         // two walks of the same state machine: on every exec path they must
         // agree on labels, generation count and the full `Counts` log (and
-        // both with the generic reference). n = 70 spans two adjacency words.
+        // both with the generic reference), and every single step's full
+        // congestion histogram must equal the generic step's. n = 70 spans
+        // two adjacency words.
         use crate::kernels::FusedParallel;
         let n = 70;
         let g = generators::gnp(n, 0.08, 21);
@@ -1323,13 +1328,18 @@ mod tests {
         ];
         let reference = HirschbergGca::new().run(&g).unwrap();
         for (exec, init_workers) in paths {
+            let mut generic = Machine::new(&g).unwrap();
             let mut stepped = Machine::new(&g).unwrap().with_exec(exec);
+            let want = generic.init().unwrap();
             let rep = stepped.init().unwrap();
             assert_eq!(rep.workers, init_workers, "{exec:?} init chunking");
+            assert_eq!(rep.congestion, want.congestion, "{exec:?} init histogram");
             for _ in 0..ceil_log2(n) {
                 for (gen, sub) in iteration_schedule(n) {
+                    let want = generic.step(gen, sub).unwrap();
                     let rep = stepped.step(gen, sub).unwrap();
                     assert!(rep.congestion.is_some(), "{exec:?} {gen:?}/{sub} histogram");
+                    assert_eq!(rep.congestion, want.congestion, "{exec:?} {gen:?}/{sub}");
                 }
             }
             let mut driven = Machine::new(&g).unwrap().with_exec(exec);
@@ -1345,6 +1355,82 @@ mod tests {
                 driven.to_field().states(),
                 "{exec:?}"
             );
+        }
+    }
+
+    #[test]
+    fn counts_logs_agree_on_every_exec_path_at_corner_sizes() {
+        // n = 1 runs generation 0 alone over a two-cell field, whose D_N
+        // row is one cell; n = 2 and 3 have one tree partner per row in
+        // every sub-generation; n = 64, 65 and 70 put rows on, just past
+        // and well past an adjacency word boundary.
+        use crate::kernels::{FusedParallel, FusedSwar};
+        let par = FusedParallel {
+            workers: 3,
+            threshold: Some(0),
+        };
+        let paths = [
+            ExecPath::Fused,
+            ExecPath::FusedParallel(par),
+            ExecPath::fused_swar(),
+            ExecPath::FusedSwar(FusedSwar {
+                parallel: Some(par),
+            }),
+        ];
+        for n in [1usize, 2, 3, 64, 65, 70] {
+            let graphs = [
+                generators::empty(n),
+                generators::path(n),
+                generators::gnp(n, 0.1, n as u64),
+            ];
+            for g in &graphs {
+                for convergence in [Convergence::Fixed, Convergence::Detect] {
+                    let reference = HirschbergGca::new()
+                        .convergence(convergence)
+                        .run(g)
+                        .unwrap();
+                    for exec in paths {
+                        let run = HirschbergGca::new()
+                            .convergence(convergence)
+                            .exec(exec)
+                            .run(g)
+                            .unwrap();
+                        assert_eq!(run.labels, reference.labels, "n = {n} {exec:?}");
+                        assert_eq!(
+                            run.metrics.entries(),
+                            reference.metrics.entries(),
+                            "n = {n} {exec:?} {convergence:?} on {g:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accounting_memory_is_linear_in_n() {
+        // Counting keeps a compact footprint per generation: no buffer the
+        // executor holds for read accounting may outgrow n + 1 counters per
+        // chunk, let alone the n(n + 1)-cell field.
+        let n = 256;
+        let g = generators::gnp(n, 0.05, 3);
+        let par = ExecPath::FusedParallel(crate::kernels::FusedParallel {
+            workers: 2,
+            threshold: Some(0),
+        });
+        for exec in [ExecPath::Fused, par] {
+            let mut m = Machine::new(&g).unwrap().with_exec(exec);
+            m.init().unwrap();
+            m.run_iterations(u64::from(ceil_log2(n))).unwrap();
+            assert_eq!(m.metrics().generations() as u64, total_generations(n));
+            let buffers = m.fused.accounting_capacities();
+            assert!(!buffers.is_empty());
+            for held in buffers {
+                assert!(
+                    held <= n + 1,
+                    "{exec:?}: an accounting buffer holds {held} counters"
+                );
+            }
         }
     }
 

@@ -51,19 +51,26 @@
 //!
 //! **Metrics contract.** Every kernel produces the exact counters the
 //! generic path produces: active cells per Table 1, total reads, changed
-//! cells (the convergence signal), and — when counting — the per-target
-//! read histogram in `FusedExecutor::reads`. Statically addressed phases
-//! recount their histogram in a data-independent pass on the calling
-//! thread; the data-dependent pointer chases (generations 10 and 11)
-//! accumulate compact per-chunk histograms (indexed by the chased label,
-//! `≤ n`) that are folded into the shared histogram after the join.
-//! `tests/property_based.rs` asserts labelings *and* `Counts` metrics are
-//! bit-identical across all three paths; `Instrumentation::Trace` needs
-//! per-cell access lists only the generic evaluator materializes, so
-//! [`crate::Machine`] falls back to it.
+//! cells (the convergence signal), and — when counting — the generation's
+//! reads as a compact [`ReadFootprint`] in `FusedExecutor::footprint`,
+//! never as a per-cell vector over the `n(n+1)` field. A statically
+//! addressed kernel returns its target family as a [`TargetGrid`] in its
+//! report, measured from its own row and column loop bounds (column 0,
+//! the `D_N` row, or the tree partners `col + 2^s`, each with one δ), and
+//! the executor records it in O(1). The data-dependent pointer chases
+//! (generations 10 and 11) accumulate per-chunk histograms indexed by the
+//! chased label (`≤ n`) and sum them after the join into the footprint's
+//! `n + 1` counters, one per candidate target `d·n` or `d·n + 1`.
+//! [`gca_engine::metrics::GenerationMetrics::from_footprint`] builds the
+//! Table 1 entry from that footprint, with the δ = 0 group as the field
+//! size minus the cells read. `tests/property_based.rs` asserts labelings
+//! *and* `Counts` metrics are bit-identical across all paths;
+//! `Instrumentation::Trace` needs per-cell access lists only the generic
+//! evaluator materializes, so [`crate::Machine`] falls back to it.
 
 use crate::hfield::{a_bit, HField};
 use crate::{swar, Gen};
+use gca_engine::metrics::{ReadFootprint, TargetGrid};
 use gca_engine::{AdjWord, GcaError, StepCtx, Word, INFINITY, WORD_BITS};
 use rayon::prelude::*;
 
@@ -94,8 +101,8 @@ pub enum ExecPath {
     /// filter generations. Optionally composes with row partitioning
     /// ([`FusedSwar::parallel`]): SWAR inside each chunk. Labels and
     /// `Counts` metrics stay bit-identical to [`ExecPath::Fused`]; `Trace`
-    /// falls back to generic like `Fused`. Under
-    /// [`gca_engine::Instrumentation::Off`] the machine driver additionally
+    /// falls back to generic like `Fused`. Unless validation or a fault
+    /// plan must observe every generation, the machine driver additionally
     /// runs each broadcast and the filter after it in one sweep.
     FusedSwar(FusedSwar),
 }
@@ -209,6 +216,11 @@ pub(crate) struct KernelReport {
     /// Worker chunks that executed the kernel (`1` = sequential, including
     /// the below-threshold auto-fallback).
     pub workers: usize,
+    /// The read targets of a statically addressed generation, measured
+    /// from the kernel's own row and column loop bounds; `None` for the
+    /// pointer chases, which record their data-dependent footprint in the
+    /// executor themselves.
+    pub grid: Option<TargetGrid>,
 }
 
 impl KernelReport {
@@ -219,14 +231,41 @@ impl KernelReport {
             changed,
             evaluated: active,
             workers: 1,
+            grid: None,
         }
     }
 }
 
+/// Column 0 (`C`/`T`) of an `n`-node field, every cell read `delta` times.
+fn column_zero(n: usize, delta: usize) -> TargetGrid {
+    TargetGrid {
+        start: 0,
+        rows: n,
+        row_step: n,
+        cols: 1,
+        col_step: 1,
+        // delta ≤ n + 1 and the layout caps n below u32::MAX.
+        delta: delta as u32, // gca-lint: allow(truncating-cast)
+    }
+}
+
+/// The `D_N` row of an `n`-node field, every cell read `delta` times.
+fn dn_row(n: usize, delta: usize) -> TargetGrid {
+    TargetGrid {
+        start: n * n,
+        rows: 1,
+        row_step: n,
+        cols: n,
+        col_step: 1,
+        // delta ≤ n and the layout caps n below u32::MAX.
+        delta: delta as u32, // gca-lint: allow(truncating-cast)
+    }
+}
+
 /// One parallel chunk's accumulator: a changed-cell tally, a compact
-/// per-label read histogram for the data-dependent kernels (merged into
-/// the shared histogram after the join) and an error slot. Owned by the
-/// executor so the buffers stay warm across generations.
+/// per-label read histogram for the data-dependent kernels (summed into
+/// the executor's read footprint after the join) and an error slot.
+/// Owned by the executor so the buffers stay warm across generations.
 #[derive(Clone, Debug, Default)]
 struct ChunkReport {
     changed: usize,
@@ -272,9 +311,9 @@ pub(crate) struct FusedExecutor {
     labels: Vec<Word>,
     /// The "pong" label buffer of pointer jumping.
     labels_next: Vec<Word>,
-    /// Per-target read counts of the last executed generation (the Table-1
-    /// congestion histogram), filled when counting.
-    reads: Vec<u32>,
+    /// The reads of the last executed generation (Table 1's congestion
+    /// column) in compact form, recorded when counting.
+    footprint: ReadFootprint,
     /// Per-chunk accumulators of the parallel path.
     chunks: Vec<ChunkReport>,
     /// Route row bodies through the SWAR kernels of [`crate::swar`]
@@ -310,7 +349,7 @@ impl FusedExecutor {
             hfield,
             labels: Vec::with_capacity(n),
             labels_next: vec![0; n],
-            reads: Vec::new(),
+            footprint: ReadFootprint::new(),
             chunks: Vec::new(),
             swar: false,
             member_mask: Vec::new(),
@@ -342,18 +381,19 @@ impl FusedExecutor {
         &mut self.hfield
     }
 
-    /// Per-target read counts of the last kernel executed with
-    /// `counting = true` (empty otherwise).
-    pub fn reads(&self) -> &[u32] {
-        &self.reads
+    /// The read footprint of the last generation executed with
+    /// `counting = true`.
+    pub fn footprint(&self) -> &ReadFootprint {
+        &self.footprint
     }
 
-    /// Zero-fills the read-count scratch for a directly driven kernel call
-    /// ([`FusedExecutor::jump_once`]); [`FusedExecutor::step`] does this
-    /// itself.
-    pub fn reset_reads(&mut self, len: usize) {
-        self.reads.clear();
-        self.reads.resize(len, 0);
+    /// Records a static generation's read targets (the `grid` of its
+    /// report) as the footprint of the last executed generation. No-op
+    /// for the pointer chases, which record theirs while they run.
+    pub fn record_footprint(&mut self, rep: &KernelReport) {
+        if let Some(grid) = rep.grid {
+            self.footprint.set_grid(self.hfield.d.len(), grid);
+        }
     }
 
     /// Arms the seeded partition-overlap fault — the surface of
@@ -410,14 +450,12 @@ impl FusedExecutor {
             !(1 << (col % WORD_BITS));
     }
 
-    /// Increments the read-count of cell `i` behind the kernels' back —
-    /// the corrupted-histogram-merge fault surface (a chunk's congestion
-    /// accumulator folded in twice). No-op when the scratch is not sized
-    /// (non-counting step) or `i` is out of range.
+    /// Adds one read on cell `i` to the recorded footprint behind the
+    /// kernels' back — the corrupted-histogram-merge fault surface (a
+    /// chunk's congestion accumulator folded in twice). No-op when `i` is
+    /// out of range.
     pub fn bump_read(&mut self, i: usize) {
-        if let Some(r) = self.reads.get_mut(i) {
-            *r += 1;
-        }
+        self.footprint.bump(i);
     }
 
     /// Executes generation `gen` (sub-generation and counter in `ctx`)
@@ -433,42 +471,43 @@ impl FusedExecutor {
         par: Option<ParPolicy>,
     ) -> Result<KernelReport, GcaError> {
         let n = self.n;
-        self.reads.clear();
-        if counting {
-            self.reads.resize(self.hfield.d.len(), 0);
-        }
         if n == 0 {
-            return Ok(KernelReport {
+            let rep = KernelReport {
                 workers: 1,
+                grid: Some(TargetGrid::default()),
                 ..KernelReport::default()
-            });
+            };
+            if counting {
+                self.record_footprint(&rep);
+            }
+            return Ok(rep);
         }
         // Occupancy lifecycle: the SWAR filters produce an exact plane,
         // the tree reductions keep it exact, everything else (including
         // errors, which leave the plane mid-state) invalidates it.
         let occ_was_valid = self.occ_valid;
         self.occ_valid = false;
-        match gen {
+        let rep = match gen {
             Gen::Init => Ok(self.init(par)),
-            Gen::BroadcastC => Ok(self.broadcast(counting, true, par)),
+            Gen::BroadcastC => Ok(self.broadcast(true, par)),
             Gen::FilterNeighbors => {
-                let rep = self.filter_neighbors(counting, par);
+                let rep = self.filter_neighbors(par);
                 self.occ_valid = self.swar;
                 Ok(rep)
             }
             Gen::MinReduce | Gen::MinReduceMembers => {
-                let rep = self.min_reduce(ctx.subgeneration, counting, occ_was_valid, par);
+                let rep = self.min_reduce(ctx.subgeneration, occ_was_valid, par);
                 self.occ_valid = self.swar && occ_was_valid;
                 Ok(rep)
             }
-            Gen::ResolveIsolated | Gen::ResolveMembers => Ok(self.resolve(counting, par)),
-            Gen::BroadcastT => Ok(self.broadcast(counting, false, par)),
+            Gen::ResolveIsolated | Gen::ResolveMembers => Ok(self.resolve(par)),
+            Gen::BroadcastT => Ok(self.broadcast(false, par)),
             Gen::FilterMembers => {
-                let rep = self.filter_members(counting, par);
+                let rep = self.filter_members(par);
                 self.occ_valid = self.swar;
                 Ok(rep)
             }
-            Gen::CopyAndSaveT => Ok(self.copy_and_save_t(counting, par)),
+            Gen::CopyAndSaveT => Ok(self.copy_and_save_t(par)),
             Gen::PointerJump => {
                 self.gather_labels();
                 let rep = self.jump_once(ctx, counting, par)?;
@@ -476,7 +515,25 @@ impl FusedExecutor {
                 Ok(rep)
             }
             Gen::FinalMin => self.final_min(ctx, counting, par),
+        }?;
+        if counting {
+            self.record_footprint(&rep);
+            if rep.workers > 1
+                && self.overlap_fault
+                && matches!(gen, Gen::BroadcastC | Gen::BroadcastT)
+            {
+                // Seeded fault: account the first column-0 cell once more,
+                // exactly what an off-by-one row partition (two chunks both
+                // covering row 0) would have produced. Safe Rust makes a
+                // real aliasing overlap unrepresentable (`par_chunks_mut`
+                // hands out disjoint `&mut` slices), so the injectable
+                // fault is the accounting effect the replay harness must
+                // flag as `KernelDivergence`.
+                self.overlap_fault = false;
+                self.footprint.bump(0);
+            }
         }
+        Ok(rep)
     }
 
     /// Generation 0: `d ← row(index)` everywhere, no reads.
@@ -511,18 +568,14 @@ impl FusedExecutor {
             changed,
             evaluated: touched,
             workers,
+            grid: Some(TargetGrid::default()),
         }
     }
 
     /// Generations 1 and 5: fill every row with the gathered column-0
     /// vector. Generation 1 (`include_dn`) also overwrites `D_N` (saving
     /// `C`); generation 5 leaves `D_N` on its saved copy.
-    fn broadcast(
-        &mut self,
-        counting: bool,
-        include_dn: bool,
-        par: Option<ParPolicy>,
-    ) -> KernelReport {
+    fn broadcast(&mut self, include_dn: bool, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         self.labels.clear();
         {
@@ -549,29 +602,14 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for col in 0..n {
-                // rows ≤ n + 1 and the layout caps n below u32::MAX.
-                self.reads[col * n] += rows as u32; // gca-lint: allow(truncating-cast)
-            }
-            if workers > 1 && self.overlap_fault {
-                // Seeded fault: account the first column-0 cell once more,
-                // exactly what an off-by-one row partition (two chunks both
-                // covering row 0) would have produced. Safe Rust makes a
-                // real aliasing overlap unrepresentable (`par_chunks_mut`
-                // hands out disjoint `&mut` slices), so the injectable
-                // fault is the accounting effect the replay harness must
-                // flag as `KernelDivergence`.
-                self.overlap_fault = false;
-                self.reads[0] += 1;
-            }
-        }
         KernelReport {
             active: touched,
             reads: touched as u64,
             changed,
             evaluated: touched,
             workers,
+            // Every one of the `rows` rows reads each column-0 cell once.
+            grid: Some(column_zero(n, rows)),
         }
     }
 
@@ -580,11 +618,12 @@ impl FusedExecutor {
     /// load+store per cell instead of the broadcast's store pass plus the
     /// filter's load+store pass. SWAR-only, and only reached from the
     /// iteration driver when the post-broadcast intermediate state is
-    /// unobservable (instrumentation off, no validation, no
-    /// single-stepping): per-generation read accounting is not produced
-    /// here. The returned pair carries the two generations' reports with
-    /// the exact `changed` counts the separate passes produce (see
-    /// [`swar::broadcast_filter_neighbor_rows`]).
+    /// unobservable (no validation, no fault plan, no single-stepping).
+    /// The returned pair carries the two generations' reports with the
+    /// exact `changed` counts the separate passes produce (see
+    /// [`swar::broadcast_filter_neighbor_rows`]) and each generation's own
+    /// static read footprint; the caller records and commits them in
+    /// order.
     pub(crate) fn broadcast_filter(
         &mut self,
         members: bool,
@@ -669,6 +708,7 @@ impl FusedExecutor {
             changed: b_changed,
             evaluated: bcast_rows * n,
             workers,
+            grid: Some(column_zero(n, bcast_rows)),
         };
         let filter = KernelReport {
             active: n * n,
@@ -676,6 +716,8 @@ impl FusedExecutor {
             changed: f_changed,
             evaluated: n * n,
             workers,
+            // Each of the n square rows reads one D_N cell per column.
+            grid: Some(dn_row(n, n)),
         };
         (bcast, filter)
     }
@@ -683,7 +725,7 @@ impl FusedExecutor {
     /// Generation 2: keep `d = C(col)` only where an edge connects `row` to
     /// `col` and the endpoints are in different components (`d ≠ C(row)`,
     /// with `C(row)` read from `D_N`); else `∞`.
-    fn filter_neighbors(&mut self, counting: bool, par: Option<ParPolicy>) -> KernelReport {
+    fn filter_neighbors(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let wpr = self.hfield.words_per_row;
         let swar = self.swar;
@@ -717,18 +759,14 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for row in 0..n {
-                // The layout caps n below u32::MAX.
-                self.reads[n * n + row] += n as u32; // gca-lint: allow(truncating-cast)
-            }
-        }
         KernelReport {
             active: n * n,
             reads: (n * n) as u64,
             changed,
             evaluated: n * n,
             workers,
+            // All n cells of square row `row` read D_N[row].
+            grid: Some(dn_row(n, n)),
         }
     }
 
@@ -736,13 +774,7 @@ impl FusedExecutor {
     /// (`col ≡ 0 (mod 2^{s+1})`, `col + 2^s < n`) folds in the cell `2^s` to
     /// its right. In place: written and read columns are disjoint, and both
     /// stay inside the cell's own row, so row partitions never alias.
-    fn min_reduce(
-        &mut self,
-        s: u32,
-        counting: bool,
-        occ_valid: bool,
-        par: Option<ParPolicy>,
-    ) -> KernelReport {
+    fn min_reduce(&mut self, s: u32, occ_valid: bool, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let wpr = self.hfield.words_per_row;
         let stride = 1usize << s;
@@ -777,28 +809,28 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for row in 0..n {
-                let base = row * n;
-                let mut col = 0;
-                while col + stride < n {
-                    self.reads[base + col + stride] += 1;
-                    col += stride << 1;
-                }
-            }
-        }
         KernelReport {
             active,
             reads: active as u64,
             changed,
             evaluated: active,
             workers,
+            // Every row: the `per_row` partners `col + 2^s` of the
+            // participating columns `col ≡ 0 (mod 2^{s+1})`, one read each.
+            grid: Some(TargetGrid {
+                start: stride,
+                rows: n,
+                row_step: n,
+                cols: per_row,
+                col_step: stride << 1,
+                delta: 1,
+            }),
         }
     }
 
     /// Generations 4 and 8: column-0 cells still holding `∞` fall back to
     /// the saved `C(row)` from `D_N`.
-    fn resolve(&mut self, counting: bool, par: Option<ParPolicy>) -> KernelReport {
+    fn resolve(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let (square, dn) = self.hfield.d.split_at_mut(n * n);
         let (changed, workers) = match plan_rows(par, n, n, 1) {
@@ -814,18 +846,17 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for row in 0..n {
-                self.reads[n * n + row] += 1;
-            }
+        // The column-0 cell of each square row reads that row's D_N cell.
+        KernelReport {
+            grid: Some(dn_row(n, 1)),
+            ..KernelReport::sequential(n, n as u64, changed).with_workers(workers)
         }
-        KernelReport::sequential(n, n as u64, changed).with_workers(workers)
     }
 
     /// Generation 6: keep `d = T(col)` only where `col` is a member of
     /// component `row` (`C(col) = row`, read from `D_N`) and its candidate
     /// differs from `row`; else `∞`.
-    fn filter_members(&mut self, counting: bool, par: Option<ParPolicy>) -> KernelReport {
+    fn filter_members(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let wpr = self.hfield.words_per_row;
         let swar = self.swar;
@@ -862,18 +893,14 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for col in 0..n {
-                // The layout caps n below u32::MAX.
-                self.reads[n * n + col] += n as u32; // gca-lint: allow(truncating-cast)
-            }
-        }
         KernelReport {
             active: n * n,
             reads: (n * n) as u64,
             changed,
             evaluated: n * n,
             workers,
+            // All n square rows read D_N[col] in column `col`.
+            grid: Some(dn_row(n, n)),
         }
     }
 
@@ -882,7 +909,7 @@ impl FusedExecutor {
     /// read stable sources; the `D_N` save of row `k` reads only row `k`'s
     /// column 0, keeping the fused per-row form race-free under row
     /// partitioning.
-    fn copy_and_save_t(&mut self, counting: bool, par: Option<ParPolicy>) -> KernelReport {
+    fn copy_and_save_t(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let (square, dn) = self.hfield.d.split_at_mut(n * n);
         let run: fn(&mut [Word], &mut [Word], usize) -> usize = if self.swar {
@@ -903,18 +930,39 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for row in 0..n {
-                // The layout caps n below u32::MAX.
-                self.reads[row * n] += n as u32; // gca-lint: allow(truncating-cast)
-            }
-        }
         KernelReport {
             active: n * n,
             reads: (n * n) as u64,
             changed,
             evaluated: n * n,
             workers,
+            // Column 0 of row `row` is read by the row's n − 1 other
+            // cells and by D_N[row].
+            grid: Some(column_zero(n, n)),
+        }
+    }
+
+    /// Counter capacity of every buffer held for read accounting: the
+    /// footprint's slots and each chunk's label histogram.
+    #[cfg(test)]
+    pub(crate) fn accounting_capacities(&self) -> Vec<usize> {
+        std::iter::once(self.footprint.capacity())
+            .chain(self.chunks.iter().map(|c| c.hist.capacity()))
+            .collect()
+    }
+
+    /// Records a pointer chase's footprint: the first `count` chunks'
+    /// per-label histograms summed into one counter per label `d ≤ n`,
+    /// the reads of cell `d·n + offset`.
+    fn record_chase(&mut self, offset: usize, count: usize) {
+        let n = self.n;
+        let counts = self
+            .footprint
+            .set_slots(self.hfield.d.len(), n, offset, n + 1);
+        for chunk in &self.chunks[..count] {
+            for (total, &c) in counts.iter_mut().zip(&chunk.hist) {
+                *total += c;
+            }
         }
     }
 
@@ -995,14 +1043,8 @@ impl FusedExecutor {
         }
         let changed: usize = self.chunks[..count].iter().map(|c| c.changed).sum();
         if counting {
-            for ci in 0..count {
-                for d in 0..=n {
-                    let c = self.chunks[ci].hist[d];
-                    if c > 0 {
-                        self.reads[d * n] += c;
-                    }
-                }
-            }
+            // Label `d` points at column 0 of row `d` (`D_N[0]` for d = n).
+            self.record_chase(0, count);
         }
         std::mem::swap(&mut self.labels, &mut self.labels_next);
         Ok(KernelReport::sequential(n, n as u64, changed).with_workers(if plan.is_some() {
@@ -1066,14 +1108,8 @@ impl FusedExecutor {
         }
         let changed: usize = self.chunks[..count].iter().map(|c| c.changed).sum();
         if counting {
-            for ci in 0..count {
-                for d in 0..=n {
-                    let c = self.chunks[ci].hist[d];
-                    if c > 0 {
-                        self.reads[d * n + 1] += c;
-                    }
-                }
-            }
+            // Label `d` points at column 1 of row `d`.
+            self.record_chase(1, count);
         }
         for (j, &v) in self.labels_next[..n].iter().enumerate() {
             self.hfield.d[j * n] = v;
@@ -1216,7 +1252,7 @@ pub fn copy_save_rows(seg: &mut [Word], dn: &mut [Word], n: usize) -> usize {
 
 /// One pointer-jump sub-generation over a segment of the pong buffer.
 /// `hist` (when counting) is the compact per-label histogram: slot `d`
-/// accumulates the reads the sequential path books at field index `d·n`.
+/// accumulates the reads of field cell `d·n`.
 #[allow(clippy::too_many_arguments)]
 pub fn jump_rows(
     seg: &mut [Word],
@@ -1254,8 +1290,7 @@ pub fn jump_rows(
 
 /// Generation 11 over a segment of the pong buffer: `min(C(i), T(C(i)))`
 /// with `T` read from the shared data plane (column 1, never written).
-/// `hist` slot `d` accumulates the reads the sequential path books at
-/// field index `d·n + 1`.
+/// `hist` slot `d` accumulates the reads of field cell `d·n + 1`.
 #[allow(clippy::too_many_arguments)]
 pub fn final_min_rows(
     seg: &mut [Word],
@@ -1378,7 +1413,12 @@ mod tests {
             assert_eq!(a.active, b.active, "{phase:?}/{sub} active");
             assert_eq!(a.reads, b.reads, "{phase:?}/{sub} reads");
             assert_eq!(a.changed, b.changed, "{phase:?}/{sub} changed");
-            assert_eq!(scalar.reads(), swar_exec.reads(), "{phase:?}/{sub} hist");
+            assert_eq!(a.grid, b.grid, "{phase:?}/{sub} static targets");
+            assert_eq!(
+                scalar.footprint(),
+                swar_exec.footprint(),
+                "{phase:?}/{sub} footprint"
+            );
         }
     }
 
