@@ -5,7 +5,7 @@
 //! Usage:
 //!
 //! ```text
-//! bench_compare --baseline BENCH_swar_kernels.json --fresh /tmp/BENCH_swar_kernels.json
+//! bench_compare --baseline BENCH_parallel_fused.json --fresh /tmp/BENCH_parallel_fused.json
 //!               [--threshold 25] [--strict]
 //! ```
 //!

@@ -45,7 +45,6 @@ fn fused_gca_runs(g: &AdjacencyMatrix) -> Vec<(String, Result<Labeling, GcaError
                 threshold: Some(0),
             }),
         ),
-        ("fused-swar", ExecPath::fused_swar()),
     ];
     let levels = [
         ("off", Instrumentation::Off),
@@ -78,7 +77,7 @@ fn main() -> ExitCode {
         let expected = union_find_components_dense(&g);
 
         // Oracle-free validation of the baseline itself.
-        if let Err(e) = verify_components(&g.to_adjacency_list(), &expected) {
+        if let Err(e) = verify_components(&g, &expected) {
             eprintln!("round {round}: union-find failed verification: {e}");
             eprintln!("{}", io::to_edge_list(&g));
             return ExitCode::FAILURE;

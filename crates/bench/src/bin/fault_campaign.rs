@@ -34,13 +34,13 @@ use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::{generators, AdjacencyMatrix, Labeling};
 use gca_hirschberg::complexity::total_generations;
 use gca_hirschberg::supervise::rung_name;
-use gca_hirschberg::{ExecPath, FusedParallel, FusedSwar, Machine, SupervisedMachine};
+use gca_hirschberg::{ExecPath, FusedParallel, Machine, SupervisedMachine};
 use serde_json::json;
 
 /// One execution-path rung of the campaign grid.
 struct PathRow {
     exec: ExecPath,
-    /// Ladder level (0 = generic … 3 = fused-swar), mirrored from
+    /// Ladder level (0 = generic … 2 = fused-par), mirrored from
     /// `Machine::exec_level` for sticky-fault binding.
     level: u8,
 }
@@ -54,14 +54,12 @@ fn grid_paths() -> Vec<PathRow> {
             exec: ExecPath::FusedParallel(FusedParallel { workers: 3, threshold: Some(0) }),
             level: 2,
         },
-        PathRow { exec: ExecPath::FusedSwar(FusedSwar { parallel: None }), level: 3 },
     ]
 }
 
-/// The fault classes that are meaningful on a given path. The SWAR
-/// occupancy plane exists only on the SWAR rung; the partition-overlap
-/// fault needs at least two workers; the histogram-merge fault lives in
-/// the fused kernels' counting machinery.
+/// The fault classes that are meaningful on a given path. The occupancy
+/// plane and the histogram-merge fault live in the fused kernels; the
+/// partition-overlap fault needs at least two workers.
 fn classes_for(exec: ExecPath) -> Vec<FaultKind> {
     let mut classes = vec![
         FaultKind::BitFlip { bit: 0 },
@@ -69,17 +67,14 @@ fn classes_for(exec: ExecPath) -> Vec<FaultKind> {
         FaultKind::DroppedGeneration,
     ];
     match exec {
-        ExecPath::Generic => {}
+        ExecPath::Generic => return classes,
         ExecPath::Fused => classes.push(FaultKind::CorruptHistogramMerge),
         ExecPath::FusedParallel(_) => {
             classes.push(FaultKind::CorruptHistogramMerge);
             classes.push(FaultKind::DuplicatedChunkRow);
         }
-        ExecPath::FusedSwar(_) => {
-            classes.push(FaultKind::CorruptHistogramMerge);
-            classes.push(FaultKind::StaleOccupancy);
-        }
     }
+    classes.push(FaultKind::StaleOccupancy);
     classes
 }
 
@@ -118,7 +113,7 @@ fn supervised_run(
 ///   generation) search the last outer iteration first — a corruption
 ///   there has no later iteration to self-heal behind — then stride
 ///   back through earlier ones.
-/// * A stale occupancy bit only bites while the SWAR occupancy plane is
+/// * A stale occupancy bit only bites while the occupancy plane is
 ///   exact, i.e. right after a filter generation, on a lane the filter
 ///   actually populated — so the candidates are the filter generations
 ///   of every iteration (earliest first: occupancy is richest before

@@ -39,7 +39,6 @@ fn exec_name(exec: ExecPath) -> String {
         ExecPath::Fused => "fused".to_string(),
         ExecPath::Generic => "generic".to_string(),
         ExecPath::FusedParallel(cfg) => format!("fused-par({})", cfg.workers),
-        ExecPath::FusedSwar(_) => "fused-swar".to_string(),
     }
 }
 

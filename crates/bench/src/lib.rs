@@ -10,7 +10,6 @@
 pub mod fused;
 pub mod parallel;
 pub mod sparse;
-pub mod swar;
 pub mod tables;
 pub mod workloads;
 

@@ -146,7 +146,7 @@ mod tests {
                 Engine::sequential().with_instrumentation(Instrumentation::Counts),
             )
             .unwrap()
-            .with_exec(ExecPath::fused_swar());
+            .with_exec(ExecPath::Fused);
             m.init().unwrap();
             // Bring the field into a representative mid-run state.
             m.step(Gen::BroadcastC, 0).unwrap();

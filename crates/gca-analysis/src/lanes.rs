@@ -949,43 +949,6 @@ pub fn verify_word_level() -> Result<usize, LaneMismatch> {
         }
         rows_checked += rows;
 
-        // --- init_rows (generation 0) ---
-        let mut seg: Vec<Word> = Vec::new();
-        for _ in 0..rows {
-            seg.extend(random_row(&mut rng, n, 0));
-        }
-        let mut scalar_seg = seg.clone();
-        let got = swar::init_rows(&mut seg, base_row, n);
-        let want = kernels::init_rows(&mut scalar_seg, base_row, n);
-        if let Some(m) = first_diff("init_rows", n, &seg, &scalar_seg) {
-            return Err(m);
-        }
-        if got != want {
-            return Err(tally_mismatch("init_rows", n, got, want));
-        }
-        rows_checked += rows;
-
-        // --- copy_save_rows (generation 9) ---
-        let mut seg: Vec<Word> = Vec::new();
-        for _ in 0..rows {
-            seg.extend(random_row(&mut rng, n, 0));
-        }
-        let mut dn_mut: Vec<Word> = (0..rows).map(|_| (rng.next() % 9) as Word).collect();
-        let mut scalar_seg = seg.clone();
-        let mut scalar_dn = dn_mut.clone();
-        let got = swar::copy_save_rows(&mut seg, &mut dn_mut, n);
-        let want = kernels::copy_save_rows(&mut scalar_seg, &mut scalar_dn, n);
-        if let Some(m) = first_diff("copy_save_rows", n, &seg, &scalar_seg) {
-            return Err(m);
-        }
-        if dn_mut != scalar_dn {
-            return Err(tally_mismatch("copy_save_rows [D_N plane]", n, 1, 0));
-        }
-        if got != want {
-            return Err(tally_mismatch("copy_save_rows", n, got, want));
-        }
-        rows_checked += rows;
-
         // --- min_reduce_rows: every sub-generation, strides through the
         // word-spanning range for n > WORD_BITS ---
         let mut seg: Vec<Word> = Vec::new();

@@ -7,8 +7,8 @@
 //! `Instrumentation::Validate`) replays the *same* transfer functions
 //! against live runs. These tests close the loop from both sides:
 //!
-//! * random graphs (`n ≤ 64`) run under the armed harness across all four
-//!   execution paths (generic, fused, row-parallel fused, SWAR) — no
+//! * random graphs (`n ≤ 64`) run under the armed harness across all three
+//!   execution paths (generic, fused, row-parallel fused) — no
 //!   `InvariantViolation` may fire, and the final labels must equal the
 //!   independent union-find canonical form;
 //! * the prover itself must discharge every contract over the same size
@@ -26,13 +26,12 @@ use gca_hirschberg::complexity::outer_iterations;
 use gca_hirschberg::{ExecPath, FusedParallel, InvariantClass, Machine};
 use proptest::prelude::*;
 
-/// The four execution paths the live harness must agree on.
-fn exec_paths() -> [ExecPath; 4] {
+/// The three execution paths the live harness must agree on.
+fn exec_paths() -> [ExecPath; 3] {
     [
         ExecPath::Generic,
         ExecPath::Fused,
         ExecPath::FusedParallel(FusedParallel::with_workers(2)),
-        ExecPath::fused_swar(),
     ]
 }
 

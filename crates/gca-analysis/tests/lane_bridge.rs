@@ -10,8 +10,8 @@
 //!   formula and checked against the scalar reference rule — the formulas
 //!   must agree off the exhaustively-enumerated grid too;
 //! * random graphs (`n ≤ 64`, one adjacency word per row plus a partial
-//!   tail) run through all four execution paths (generic, fused,
-//!   row-parallel fused, SWAR — sequential and row-parallel), asserting
+//!   tail) run through every execution path (generic, fused, and
+//!   row-parallel fused at two worker counts), asserting
 //!   label-for-label agreement with the sequential union-find baseline:
 //!   if a lifted formula mis-modeled the live kernels, this is where the
 //!   divergence would surface.
@@ -20,7 +20,7 @@ use gca_analysis::lanes::{self, LaneState};
 use gca_analysis::{occupancy, partition, OccupancyFault, PartitionFault, PlaneState};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::AdjacencyMatrix;
-use gca_hirschberg::{ExecPath, FusedParallel, FusedSwar, Gen, HirschbergGca};
+use gca_hirschberg::{ExecPath, FusedParallel, Gen, HirschbergGca};
 use proptest::prelude::*;
 
 /// Strategy: a random graph on up to `max_n` nodes as an edge list.
@@ -100,8 +100,9 @@ proptest! {
         }
     }
 
-    /// All four execution paths produce the union-find labeling on random
-    /// graphs spanning full words and partial tails (`n ≤ 64`).
+    /// Every execution path, with two row partitionings, produces the
+    /// union-find labeling on random graphs spanning full words and
+    /// partial tails (`n ≤ 64`).
     #[test]
     fn all_exec_paths_agree_on_random_graphs(g in arb_graph(64)) {
         let expected = union_find_components_dense(&g);
@@ -112,12 +113,9 @@ proptest! {
                 workers: 3,
                 threshold: Some(0),
             }),
-            ExecPath::fused_swar(),
-            ExecPath::FusedSwar(FusedSwar {
-                parallel: Some(FusedParallel {
-                    workers: 2,
-                    threshold: Some(0),
-                }),
+            ExecPath::FusedParallel(FusedParallel {
+                workers: 2,
+                threshold: Some(0),
             }),
         ];
         for path in paths {

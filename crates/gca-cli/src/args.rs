@@ -127,9 +127,8 @@ impl EngineOpts {
             "fused-par" | "fused-parallel" => {
                 Ok(ExecPath::FusedParallel(FusedParallel::default()))
             }
-            "fused-swar" => Ok(ExecPath::fused_swar()),
             other => Err(ArgError(format!(
-                "unknown exec path '{other}' (expected generic|fused|fused-par|fused-swar)"
+                "unknown exec path '{other}' (expected generic|fused|fused-par)"
             ))),
         }
     }
@@ -155,16 +154,12 @@ impl EngineOpts {
                 ExecPath::Generic => "generic",
                 ExecPath::Fused => "fused",
                 ExecPath::FusedParallel(_) => "fused-par",
-                ExecPath::FusedSwar(_) => "fused-swar",
             }
         );
-        let workers = match self.exec {
-            ExecPath::FusedParallel(cfg) => Some(cfg.workers),
-            ExecPath::FusedSwar(swar) => swar.parallel.map(|cfg| cfg.workers),
-            _ => None,
-        };
-        if let Some(w) = workers.filter(|&w| w != 0) {
-            s.push_str(&format!(" workers={w}"));
+        if let ExecPath::FusedParallel(cfg) = self.exec {
+            if cfg.workers != 0 {
+                s.push_str(&format!(" workers={}", cfg.workers));
+            }
         }
         if self.validate {
             s.push_str(" validate=on");
@@ -298,12 +293,11 @@ OPTIONS:
   --backend <b>      seq (default) | par — engine backend (gca machine only)
   --domain <d>       hinted (default) | dense — active-domain stepping policy (gca machine only)
   --convergence <c>  fixed (default) | detect — pointer-jump convergence early exit (gca machine only)
-  --exec <e>         generic (default) | fused | fused-par | fused-swar — per-cell dispatch,
-                     fused flat-array kernels, row-partitioned parallel fused kernels, or
-                     word-parallel SWAR kernels over the bit-packed adjacency plane (gca
-                     machine only)
-  --workers <k>      worker count for --exec fused-par / fused-swar (0 or omitted = auto from
-                     the machine's thread count; fused-swar runs single-thread unless given)
+  --exec <e>         generic (default) | fused | fused-par — per-cell dispatch, fused
+                     word-parallel (SWAR) kernels over the bit-packed adjacency plane, or the
+                     same kernels over row-partitioned workers (gca machine only)
+  --workers <k>      worker count for --exec fused-par (0 or omitted = auto from the
+                     machine's thread count)
   --validate         run under the CROW/domain sanitizer: replay every generation against the
                      owner-write / read-snapshot / domain contracts (gca machine only; slower)
   --invariants       run the live invariant mirror: every generation replayed against the
@@ -316,7 +310,7 @@ OPTIONS:
                      Detection needs --validate; an undetected label divergence exits 4.
   --recover <p>      recovery policy when a detector fires (implies supervision):
                      fail (default with --inject) | retry[:N] | rollback[:D] | degrade —
-                     degrade walks fused-swar -> fused-par -> fused -> generic. Exhausted
+                     degrade walks fused-par -> fused -> generic. Exhausted
                      recovery exits 3; a recovered run exits 0 and prints its report.
   --checkpoint-every <N>
                      checkpoint cadence in outer iterations under supervision (default 1)
@@ -472,14 +466,7 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
     if let Some(w) = workers {
         match &mut engine.exec {
             ExecPath::FusedParallel(cfg) => cfg.workers = w,
-            ExecPath::FusedSwar(swar) => {
-                swar.parallel = Some(FusedParallel::with_workers(w));
-            }
-            _ => {
-                return Err(ArgError(
-                    "--workers requires --exec fused-par or fused-swar".into(),
-                ))
-            }
+            _ => return Err(ArgError("--workers requires --exec fused-par".into())),
         }
     }
 
@@ -512,7 +499,6 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gca_hirschberg::FusedSwar;
 
     fn argv(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()
@@ -645,35 +631,21 @@ mod tests {
     }
 
     #[test]
-    fn parses_fused_swar_and_workers() {
-        let a = parse(&argv(&["--exec", "fused-swar", "ring:5"])).unwrap();
-        assert_eq!(a.engine.exec, ExecPath::fused_swar());
-        assert_eq!(
-            a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=fused-swar"
-        );
-
-        // --workers composes: SWAR bodies inside each parallel row chunk.
-        let a = parse(&argv(&["--exec", "fused-swar", "--workers", "4", "ring:5"])).unwrap();
-        assert_eq!(
-            a.engine.exec,
-            ExecPath::FusedSwar(FusedSwar {
-                parallel: Some(FusedParallel::with_workers(4)),
-            })
-        );
-        assert_eq!(
-            a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=fused-swar workers=4"
-        );
-
-        // --workers before --exec works too: patching happens after the loop.
-        let a = parse(&argv(&["--workers", "2", "--exec", "fused-swar", "ring:5"])).unwrap();
-        assert_eq!(
-            a.engine.exec,
-            ExecPath::FusedSwar(FusedSwar {
-                parallel: Some(FusedParallel::with_workers(2)),
-            })
-        );
+    fn fused_swar_is_not_an_exec_path() {
+        // `fused-swar` names no exec path (the SWAR bodies run on every
+        // fused path): it is rejected like any unknown value, with or
+        // without --workers.
+        for extra in [&[][..], &["--workers", "4"][..]] {
+            let mut items = vec!["--exec", "fused-swar"];
+            items.extend_from_slice(extra);
+            items.push("ring:5");
+            let err = parse(&argv(&items)).unwrap_err();
+            assert!(
+                err.0.contains("unknown exec path 'fused-swar'"),
+                "{}",
+                err.0
+            );
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn run(args: &Args) -> Result<(String, ExitCode), String> {
     let exhausted = outcome.recovery.as_ref().is_some_and(|r| !r.completed());
     let diverged = outcome.diverged == Some(true);
     if args.verify && !exhausted && !diverged {
-        gca_graphs::verify::verify_components(&graph.to_adjacency_list(), &outcome.labels)
+        gca_graphs::verify::verify_components(&graph, &outcome.labels)
             .map_err(|e| format!("verification FAILED: {e}"))?;
         if !args.json {
             out.push_str("verification: ok (no crossing edges, canonical, connected classes)\n");

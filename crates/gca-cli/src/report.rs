@@ -189,7 +189,7 @@ pub fn execute(
 
 /// Runs the main GCA machine under the checkpointing supervisor,
 /// optionally with a planted fault. The machine mirrors the plain arm's
-/// configuration (backend, domain, exec path, SWAR schedule, sanitizer);
+/// configuration (backend, domain, exec path, sanitizer);
 /// the fault spec is resolved against the run geometry, the supervisor
 /// drives iteration-granular checkpoints per the policy, and — whenever
 /// a fault is armed — the final labels are cross-checked against the
@@ -465,48 +465,25 @@ mod tests {
     #[test]
     fn fused_exec_matches_generic_via_cli_path() {
         use gca_hirschberg::ExecPath;
-        let g = generators::gnp(14, 0.2, 9);
-        let generic = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
-        let opts = EngineOpts {
-            exec: ExecPath::Fused,
-            ..EngineOpts::default()
-        };
-        let fused = execute(MachineKind::Gca, &g, &opts, &RecoveryOpts::default()).unwrap();
-        assert_eq!(fused.labels.as_slice(), generic.labels.as_slice());
-        assert_eq!(fused.steps, generic.steps);
-        assert_eq!(fused.max_congestion, generic.max_congestion);
-        assert_eq!(
-            fused.metrics.as_ref().unwrap().entries(),
-            generic.metrics.as_ref().unwrap().entries()
-        );
-        assert_eq!(
-            fused.engine.as_deref(),
-            Some("backend=sequential domain=hinted convergence=fixed exec=fused")
-        );
-    }
-
-    #[test]
-    fn fused_swar_exec_matches_generic_via_cli_path() {
-        // The CLI path additionally installs the symbolically derived
-        // schedule — this covers the oracle wiring end to end.
-        use gca_hirschberg::ExecPath;
-        let g = generators::gnp(17, 0.2, 5);
-        let generic = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
-        let opts = EngineOpts {
-            exec: ExecPath::fused_swar(),
-            ..EngineOpts::default()
-        };
-        let swar = execute(MachineKind::Gca, &g, &opts, &RecoveryOpts::default()).unwrap();
-        assert_eq!(swar.labels.as_slice(), generic.labels.as_slice());
-        assert_eq!(swar.steps, generic.steps);
-        assert_eq!(
-            swar.metrics.as_ref().unwrap().entries(),
-            generic.metrics.as_ref().unwrap().entries()
-        );
-        assert_eq!(
-            swar.engine.as_deref(),
-            Some("backend=sequential domain=hinted convergence=fixed exec=fused-swar")
-        );
+        for g in [generators::gnp(14, 0.2, 9), generators::gnp(17, 0.2, 5)] {
+            let generic = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
+            let opts = EngineOpts {
+                exec: ExecPath::Fused,
+                ..EngineOpts::default()
+            };
+            let fused = execute(MachineKind::Gca, &g, &opts, &RecoveryOpts::default()).unwrap();
+            assert_eq!(fused.labels.as_slice(), generic.labels.as_slice());
+            assert_eq!(fused.steps, generic.steps);
+            assert_eq!(fused.max_congestion, generic.max_congestion);
+            assert_eq!(
+                fused.metrics.as_ref().unwrap().entries(),
+                generic.metrics.as_ref().unwrap().entries()
+            );
+            assert_eq!(
+                fused.engine.as_deref(),
+                Some("backend=sequential domain=hinted convergence=fixed exec=fused")
+            );
+        }
     }
 
     #[test]
@@ -519,7 +496,6 @@ mod tests {
             ExecPath::Fused,
             // threshold 0 forces the row-partitioned path even at n = 16.
             ExecPath::FusedParallel(FusedParallel { workers: 2, threshold: Some(0) }),
-            ExecPath::fused_swar(),
         ] {
             let opts = EngineOpts {
                 exec,

@@ -44,8 +44,8 @@ pub enum FaultKind {
     DroppedGeneration,
     /// A stale occupancy bit: one live bit of the SWAR occupancy plane is
     /// cleared after a filter generation wrote it, so the next reduction
-    /// skips a populated lane. Meaningful only on the fused-SWAR path —
-    /// the other paths carry no occupancy plane.
+    /// skips a populated lane. Meaningful only on the fused paths — the
+    /// generic path carries no occupancy plane.
     StaleOccupancy,
     /// Two worker row partitions overlap on one boundary cell, which is
     /// then accounted twice in the counting broadcast — the observable
@@ -85,7 +85,7 @@ pub enum Persistence {
     /// broken unit (see `RecoveryPolicy::Degrade` in [`crate::recovery`]).
     Sticky {
         /// Lowest execution-ladder level at which the fault still fires
-        /// (0 = generic, 1 = fused, 2 = fused-par, 3 = fused-swar).
+        /// (0 = generic, 1 = fused, 2 = fused-par).
         min_level: u8,
     },
 }

@@ -12,7 +12,7 @@
 //! machine: it takes checkpoints on a cadence into a bounded ring, and
 //! on failure applies a [`RecoveryPolicy`] — retry the latest
 //! checkpoint, walk further back, or degrade the execution path one rung
-//! down the ladder (fused-swar → fused-par → fused → generic) when the
+//! down the ladder (fused-par → fused → generic) when the
 //! same frontier keeps diverging, which routes around a persistently
 //! broken functional unit.
 //!
@@ -456,7 +456,7 @@ mod tests {
         failures: Vec<(u64, usize, u32)>,
     }
 
-    const RUNGS: [&str; 3] = ["swar", "fused", "generic"];
+    const RUNGS: [&str; 3] = ["fused-par", "fused", "generic"];
 
     impl Stub {
         fn new(units: u64) -> Self {
@@ -593,7 +593,7 @@ mod tests {
         let report = Supervisor::new(RecoveryPolicy::Degrade).run(&mut m);
         assert!(matches!(report.outcome, RecoveryOutcome::Recovered));
         assert_eq!(report.degradations, 1);
-        assert_eq!(report.initial_rung, "swar");
+        assert_eq!(report.initial_rung, "fused-par");
         assert_eq!(report.final_rung, "fused");
         assert_eq!(m.field.states()[0], 5);
     }

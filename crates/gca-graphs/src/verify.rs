@@ -6,9 +6,54 @@
 //! shifts trust; this module checks the defining properties directly
 //! against the graph, so every machine in the workspace can be validated
 //! without a trusted oracle.
+//!
+//! The check reads the graph through [`NeighborSource`], so it runs on the
+//! bit-packed [`AdjacencyMatrix`] a machine was built from as well as on an
+//! [`AdjacencyList`], without converting one into the other.
 
-use crate::{AdjacencyList, Labeling};
+use crate::{AdjacencyList, AdjacencyMatrix, Labeling};
 use std::fmt;
+
+/// A graph as [`verify_components`] reads it: its node count, each node's
+/// neighbors, and its undirected edges.
+pub trait NeighborSource {
+    /// Number of nodes.
+    fn n(&self) -> usize;
+
+    /// The neighbors of node `u`.
+    fn neighbors(&self, u: usize) -> impl Iterator<Item = usize> + '_;
+
+    /// Every undirected edge `(u, v)` once, with `u < v`.
+    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_;
+}
+
+impl NeighborSource for AdjacencyList {
+    fn n(&self) -> usize {
+        AdjacencyList::n(self)
+    }
+
+    fn neighbors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        AdjacencyList::neighbors(self, u).iter().copied()
+    }
+
+    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        AdjacencyList::edges(self)
+    }
+}
+
+impl NeighborSource for AdjacencyMatrix {
+    fn n(&self) -> usize {
+        AdjacencyMatrix::n(self)
+    }
+
+    fn neighbors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        AdjacencyMatrix::neighbors(self, u)
+    }
+
+    fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        AdjacencyMatrix::edges(self)
+    }
+}
 
 /// Why a labeling failed verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +128,10 @@ impl std::error::Error for VerifyError {}
 ///
 /// Together these four properties *uniquely* determine the canonical
 /// labeling, so passing verification is equivalent to full correctness.
-pub fn verify_components(graph: &AdjacencyList, labeling: &Labeling) -> Result<(), VerifyError> {
+pub fn verify_components<G: NeighborSource>(
+    graph: &G,
+    labeling: &Labeling,
+) -> Result<(), VerifyError> {
     let n = graph.n();
     if labeling.n() != n {
         return Err(VerifyError::SizeMismatch {
@@ -131,7 +179,7 @@ pub fn verify_components(graph: &AdjacencyList, labeling: &Labeling) -> Result<(
             reached[v] = true;
             queue.push_back(v);
             while let Some(u) = queue.pop_front() {
-                for &w in graph.neighbors(u) {
+                for w in graph.neighbors(u) {
                     if !reached[w] {
                         reached[w] = true;
                         queue.push_back(w);
@@ -155,29 +203,40 @@ mod tests {
     use crate::connectivity::bfs_components;
     use crate::{generators, GraphBuilder};
 
-    fn list(edges: &[(usize, usize)], n: usize) -> AdjacencyList {
+    fn matrix(edges: &[(usize, usize)], n: usize) -> AdjacencyMatrix {
         let mut b = GraphBuilder::new(n);
         for &(u, v) in edges {
             b = b.edge(u, v);
         }
-        b.build().unwrap().to_adjacency_list()
+        b.build().unwrap()
+    }
+
+    /// Verifies `labeling` against `g` read as a matrix and as a list;
+    /// the two inputs must give the same verdict.
+    fn verify_both(g: &AdjacencyMatrix, labeling: &Labeling) -> Result<(), VerifyError> {
+        let from_matrix = verify_components(g, labeling);
+        assert_eq!(
+            from_matrix,
+            verify_components(&g.to_adjacency_list(), labeling)
+        );
+        from_matrix
     }
 
     #[test]
     fn accepts_correct_labelings() {
         for seed in 0..5 {
-            let g = generators::gnp(20, 0.15, seed).to_adjacency_list();
-            let l = bfs_components(&g);
-            verify_components(&g, &l).unwrap();
+            let g = generators::gnp(20, 0.15, seed);
+            let l = bfs_components(&g.to_adjacency_list());
+            verify_both(&g, &l).unwrap();
         }
     }
 
     #[test]
     fn rejects_size_mismatch() {
-        let g = list(&[], 3);
+        let g = matrix(&[], 3);
         let l = Labeling::new(vec![0, 1]).unwrap();
         assert!(matches!(
-            verify_components(&g, &l),
+            verify_both(&g, &l),
             Err(VerifyError::SizeMismatch { .. })
         ));
     }
@@ -185,10 +244,10 @@ mod tests {
     #[test]
     fn rejects_under_merging() {
         // Edge (0,1) but separate labels.
-        let g = list(&[(0, 1)], 2);
+        let g = matrix(&[(0, 1)], 2);
         let l = Labeling::new(vec![0, 1]).unwrap();
         assert_eq!(
-            verify_components(&g, &l),
+            verify_both(&g, &l),
             Err(VerifyError::CrossingEdge {
                 edge: (0, 1),
                 labels: (0, 1)
@@ -199,10 +258,10 @@ mod tests {
     #[test]
     fn rejects_over_merging() {
         // No edge between 0 and 1, yet both labeled 0.
-        let g = list(&[], 2);
+        let g = matrix(&[], 2);
         let l = Labeling::new(vec![0, 0]).unwrap();
         assert_eq!(
-            verify_components(&g, &l),
+            verify_both(&g, &l),
             Err(VerifyError::DisconnectedClass {
                 label: 0,
                 unreachable: 1
@@ -213,10 +272,10 @@ mod tests {
     #[test]
     fn rejects_non_canonical_representative() {
         // Component {0,1} labeled with 1 instead of its minimum 0.
-        let g = list(&[(0, 1)], 2);
+        let g = matrix(&[(0, 1)], 2);
         let l = Labeling::new(vec![1, 1]).unwrap();
         assert_eq!(
-            verify_components(&g, &l),
+            verify_both(&g, &l),
             Err(VerifyError::NotCanonical {
                 node: 0,
                 label: 1,
@@ -228,10 +287,10 @@ mod tests {
     #[test]
     fn detects_partial_over_merge_in_larger_graph() {
         // {0,1} and {2,3} are separate components; labeling merges them.
-        let g = list(&[(0, 1), (2, 3)], 4);
+        let g = matrix(&[(0, 1), (2, 3)], 4);
         let l = Labeling::new(vec![0, 0, 0, 0]).unwrap();
         assert!(matches!(
-            verify_components(&g, &l),
+            verify_both(&g, &l),
             Err(VerifyError::DisconnectedClass { label: 0, .. })
         ));
     }

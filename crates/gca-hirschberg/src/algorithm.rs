@@ -279,10 +279,8 @@ impl Machine {
     /// fall back to it. `Validate` stays fused on purpose: that is what
     /// arms the differential replay harness against the kernels.
     fn fused_active(&self) -> bool {
-        matches!(
-            self.exec,
-            ExecPath::Fused | ExecPath::FusedParallel(_) | ExecPath::FusedSwar(_)
-        ) && !matches!(self.engine.instrumentation(), Instrumentation::Trace)
+        matches!(self.exec, ExecPath::Fused | ExecPath::FusedParallel(_))
+            && !matches!(self.engine.instrumentation(), Instrumentation::Trace)
     }
 
     /// Resolves [`ExecPath::FusedParallel`]'s knob into the per-step policy
@@ -291,10 +289,8 @@ impl Machine {
     /// tunable, and anything that resolves below two workers runs the
     /// plain sequential fused path.
     fn par_policy(&self) -> Option<ParPolicy> {
-        let cfg = match self.exec {
-            ExecPath::FusedParallel(cfg) => cfg,
-            ExecPath::FusedSwar(swar) => swar.parallel?,
-            _ => return None,
+        let ExecPath::FusedParallel(cfg) = self.exec else {
+            return None;
         };
         let workers = if cfg.workers == 0 {
             rayon::current_num_threads()
@@ -337,7 +333,7 @@ impl Machine {
     /// its fault into the addressed committed generation on whichever
     /// execution path runs it (see [`gca_engine::faults`] for the per-kind
     /// semantics and which paths each kind applies to). Arming also
-    /// disables the driver's SWAR broadcast+filter and pointer-jump fusions
+    /// disables the driver's broadcast+filter and pointer-jump fusions
     /// so that every scheduled generation materializes as an injection
     /// site; a `None` plan restores full fusion and costs nothing per
     /// step. The plan survives [`Machine::reset_with`] and
@@ -357,13 +353,12 @@ impl Machine {
     /// The degradation-ladder level of the configured execution path —
     /// the coordinate sticky faults compare against (see
     /// [`gca_engine::faults::Persistence::Sticky`]). Higher is more
-    /// optimized: generic 0, fused 1, fused-par 2, fused-swar 3.
+    /// optimized: generic 0, fused 1, fused-par 2.
     pub fn exec_level(&self) -> u8 {
         match self.exec {
             ExecPath::Generic => 0,
             ExecPath::Fused => 1,
             ExecPath::FusedParallel(_) => 2,
-            ExecPath::FusedSwar(_) => 3,
         }
     }
 
@@ -374,7 +369,6 @@ impl Machine {
     /// semantically invisible.
     pub fn set_exec(&mut self, exec: ExecPath) {
         self.exec = exec;
-        self.fused.set_swar(matches!(exec, ExecPath::FusedSwar(_)));
     }
 
     /// Rewinds the machine to a checkpoint: restores the field snapshot,
@@ -597,7 +591,7 @@ impl Machine {
     ///
     /// This is the iteration driver: it walks `iteration_schedule(n)`
     /// `count` times with one `Machine::tick` per entry. Two fused special
-    /// cases run several entries in one call: the SWAR broadcast+filter
+    /// cases run several entries in one call: the broadcast+filter
     /// pair (gated by `Machine::fuse_broadcast_filter`) and the
     /// pointer-jump ping-pong (`Machine::fused_pointer_jump`).
     pub fn run_iterations(&mut self, count: u64) -> Result<u64, GcaError> {
@@ -648,8 +642,8 @@ impl Machine {
     }
 
     /// Whether the driver may fuse each broadcast with the filter that
-    /// immediately follows it (generations 1+2 and 5+6). Requires the
-    /// fused SWAR path *and* an unobservable intermediate state: under
+    /// immediately follows it (generations 1+2 and 5+6). Requires a fused
+    /// path *and* an unobservable intermediate state: under
     /// validation the replay harness compares the field after every
     /// generation, so it must see the broadcast materialized. An armed
     /// fault plan also disables the fusion: fault coordinates address
@@ -657,10 +651,7 @@ impl Machine {
     /// materialize as an injection site. Counting does not: both halves
     /// have static read footprints, committed one per generation.
     fn fuse_broadcast_filter(&self) -> bool {
-        self.fused_active()
-            && matches!(self.exec, ExecPath::FusedSwar(_))
-            && !self.validating()
-            && self.inject.is_none()
+        self.fused_active() && !self.validating() && self.inject.is_none()
     }
 
     /// Runs one fused broadcast+filter pair (generations 1+2 for
@@ -1324,7 +1315,6 @@ mod tests {
                 }),
                 3,
             ),
-            (ExecPath::fused_swar(), 1),
         ];
         let reference = HirschbergGca::new().run(&g).unwrap();
         for (exec, init_workers) in paths {
@@ -1364,19 +1354,12 @@ mod tests {
         // row is one cell; n = 2 and 3 have one tree partner per row in
         // every sub-generation; n = 64, 65 and 70 put rows on, just past
         // and well past an adjacency word boundary.
-        use crate::kernels::{FusedParallel, FusedSwar};
+        use crate::kernels::FusedParallel;
         let par = FusedParallel {
             workers: 3,
             threshold: Some(0),
         };
-        let paths = [
-            ExecPath::Fused,
-            ExecPath::FusedParallel(par),
-            ExecPath::fused_swar(),
-            ExecPath::FusedSwar(FusedSwar {
-                parallel: Some(par),
-            }),
-        ];
+        let paths = [ExecPath::Fused, ExecPath::FusedParallel(par)];
         for n in [1usize, 2, 3, 64, 65, 70] {
             let graphs = [
                 generators::empty(n),
@@ -1403,6 +1386,43 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_parallel_broadcast_filter_sweeps_match_generic() {
+        // The broadcast+filter pair under row partitioning: three workers
+        // take ⌈n/3⌉ rows each, which leaves a shorter last chunk at
+        // n = 2, 64 and 65, and n = 63, 64, 65 and 129 put rows just
+        // inside, on, just past one and just past two adjacency word
+        // boundaries. Every pair commits two Counts entries that must
+        // equal the generic path's two ticks.
+        use crate::kernels::FusedParallel;
+        let exec = ExecPath::FusedParallel(FusedParallel {
+            workers: 3,
+            threshold: Some(0),
+        });
+        for n in [1usize, 2, 3, 63, 64, 65, 129] {
+            let g = generators::gnp(n, 0.06, n as u64 + 7);
+            let m = Machine::new(&g).unwrap().with_exec(exec);
+            assert!(m.fuse_broadcast_filter(), "n = {n}: the pair must run");
+            for convergence in [Convergence::Fixed, Convergence::Detect] {
+                let reference = HirschbergGca::new()
+                    .convergence(convergence)
+                    .run(&g)
+                    .unwrap();
+                let run = HirschbergGca::new()
+                    .convergence(convergence)
+                    .exec(exec)
+                    .run(&g)
+                    .unwrap();
+                assert_eq!(run.labels, reference.labels, "n = {n} {convergence:?}");
+                assert_eq!(
+                    run.metrics.entries(),
+                    reference.metrics.entries(),
+                    "n = {n} {convergence:?}"
+                );
             }
         }
     }
@@ -1656,183 +1676,48 @@ mod tests {
     }
 
     #[test]
-    fn swar_matches_generic_and_fused_labels_and_metrics() {
-        for g in &fused_test_corpus() {
-            let generic = HirschbergGca::new().run(g).unwrap();
-            let fused = HirschbergGca::new().exec(ExecPath::Fused).run(g).unwrap();
-            let swar = HirschbergGca::new()
-                .exec(ExecPath::fused_swar())
-                .run(g)
-                .unwrap();
-            assert_eq!(swar.labels, generic.labels, "labels diverge on {g:?}");
-            assert_eq!(swar.generations, generic.generations, "on {g:?}");
-            assert_eq!(
-                swar.metrics.entries(),
-                generic.metrics.entries(),
-                "metrics diverge vs generic on {g:?}"
-            );
-            assert_eq!(
-                swar.metrics.entries(),
-                fused.metrics.entries(),
-                "metrics diverge vs fused on {g:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn swar_matches_generic_under_detect() {
-        for g in &fused_test_corpus() {
-            let generic = HirschbergGca::new()
-                .convergence(Convergence::Detect)
-                .run(g)
-                .unwrap();
-            let swar = HirschbergGca::new()
-                .convergence(Convergence::Detect)
-                .exec(ExecPath::fused_swar())
-                .run(g)
-                .unwrap();
-            assert_eq!(swar.labels, generic.labels, "labels diverge on {g:?}");
-            assert_eq!(swar.generations, generic.generations, "detect skipped differently");
-            assert_eq!(swar.metrics.entries(), generic.metrics.entries());
-        }
-    }
-
-    #[test]
-    fn swar_with_instrumentation_off_still_labels_correctly() {
-        for g in &fused_test_corpus() {
-            let expected = union_find_components_dense(g);
-            let run = HirschbergGca::new()
-                .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Off))
-                .exec(ExecPath::fused_swar())
-                .run(g)
-                .unwrap();
-            assert_eq!(run.labels.as_slice(), expected.as_slice());
-            assert_eq!(run.metrics.generations(), 0);
-        }
-    }
-
-    #[test]
-    fn validate_stays_fused_swar_and_runs_clean() {
-        for g in &fused_test_corpus() {
-            let m = Machine::with_engine(
-                g,
-                Engine::sequential().with_instrumentation(Instrumentation::Validate),
-            )
-            .unwrap()
-            .with_exec(ExecPath::fused_swar());
-            assert!(m.fused_active(), "Validate must stay fused-swar");
-            let reference = HirschbergGca::new().run(g).unwrap();
-            let validated = HirschbergGca::new()
-                .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
-                .exec(ExecPath::fused_swar())
-                .run(g)
-                .unwrap();
-            assert_eq!(validated.labels, reference.labels, "on {g:?}");
-            assert_eq!(validated.generations, reference.generations);
-            assert_eq!(validated.metrics.entries(), reference.metrics.entries());
-        }
-    }
-
-    #[test]
-    fn swar_composes_with_parallel_chunking() {
-        use crate::kernels::{FusedParallel, FusedSwar};
-        // SWAR inside each row chunk: the parallel driver partitions rows,
-        // each chunk runs the word-parallel bodies.
-        let exec = ExecPath::FusedSwar(FusedSwar {
-            parallel: Some(FusedParallel {
-                workers: 3,
-                threshold: Some(0),
-            }),
-        });
-        for g in &fused_test_corpus() {
-            let fused = HirschbergGca::new().exec(ExecPath::Fused).run(g).unwrap();
-            let par = HirschbergGca::new().exec(exec).run(g).unwrap();
-            assert_eq!(par.labels, fused.labels, "labels diverge on {g:?}");
-            assert_eq!(par.generations, fused.generations);
-            assert_eq!(
-                par.metrics.entries(),
-                fused.metrics.entries(),
-                "metrics diverge on {g:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn swar_composes_with_detect_and_early_exit() {
-        for seed in 0..4 {
-            let g = generators::gnp(15, 0.25, seed);
-            let expected = union_find_components_dense(&g);
-            let run = HirschbergGca::new()
-                .exec(ExecPath::fused_swar())
-                .convergence(Convergence::Detect)
-                .early_exit(true)
-                .run(&g)
-                .unwrap();
-            assert_eq!(run.labels.as_slice(), expected.as_slice());
-        }
-    }
-
-    #[test]
-    fn swar_snapshot_restore_roundtrip_agrees_with_cellfield() {
+    fn fused_snapshot_restore_roundtrip_agrees_with_cellfield() {
         // A snapshot is a CellField copy of the split planes, whatever path
-        // wrote them: one taken mid-SWAR-run must restore into both a fresh
-        // SWAR machine and a generic machine, and all three must finish in
+        // wrote them: one taken mid-fused-run must restore into both a fresh
+        // fused machine and a generic machine, and all three must finish in
         // the same state, adjacency included.
         let g = generators::gnp(20, 0.2, 6);
-        let mut swar = Machine::new(&g).unwrap().with_exec(ExecPath::fused_swar());
-        swar.init().unwrap();
-        swar.run_iteration().unwrap();
-        let snap = swar.snapshot();
-        let mut resumed_swar = Machine::new(&g).unwrap().with_exec(ExecPath::fused_swar());
-        resumed_swar.restore(&snap).unwrap();
+        let mut fused = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
+        fused.init().unwrap();
+        fused.run_iteration().unwrap();
+        let snap = fused.snapshot();
+        let mut resumed_fused = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
+        resumed_fused.restore(&snap).unwrap();
         let mut resumed_generic = Machine::new(&g).unwrap();
         resumed_generic.restore(&snap).unwrap();
         for _ in 1..ceil_log2(20) {
-            swar.run_iteration().unwrap();
-            resumed_swar.run_iteration().unwrap();
+            fused.run_iteration().unwrap();
+            resumed_fused.run_iteration().unwrap();
             resumed_generic.run_iteration().unwrap();
         }
-        assert_eq!(swar.labels().unwrap(), resumed_swar.labels().unwrap());
-        assert_eq!(swar.labels().unwrap(), resumed_generic.labels().unwrap());
-        assert_eq!(swar.to_field().states(), resumed_generic.to_field().states());
+        assert_eq!(fused.labels().unwrap(), resumed_fused.labels().unwrap());
+        assert_eq!(fused.labels().unwrap(), resumed_generic.labels().unwrap());
+        assert_eq!(
+            fused.to_field().states(),
+            resumed_generic.to_field().states()
+        );
     }
 
     #[test]
-    fn swar_reset_with_reloads_adjacency_plane() {
-        // reset_with refills both planes in place; the row-aligned packed
-        // adjacency plane must hold the new graph (stale bits would corrupt
-        // FilterNeighbors).
-        let g1 = generators::gnp(12, 0.3, 1);
-        let g2 = generators::ring(12);
-        let mut m = Machine::new(&g1).unwrap().with_exec(ExecPath::fused_swar());
-        m.init().unwrap();
-        for _ in 0..ceil_log2(12) {
-            m.run_iteration().unwrap();
-        }
-        m.reset_with(&g2).unwrap();
-        m.init().unwrap();
-        for _ in 0..ceil_log2(12) {
-            m.run_iteration().unwrap();
-        }
-        let expected = union_find_components_dense(&g2);
-        assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
-    }
-
-    #[test]
-    fn swar_survives_generic_steps_mid_run() {
+    fn fused_survives_generic_steps_mid_run() {
         // Flipping the exec path between iterations: generic steps run on
-        // the engine scratch and commit their data words behind the SWAR
+        // the engine scratch and commit their data words behind the fused
         // kernels' back, which must drop the occupancy plane and leave the
-        // adjacency plane intact for the next SWAR step.
+        // adjacency plane intact for the next fused step.
         let g = generators::gnp(14, 0.25, 9);
         let mut m = Machine::new(&g).unwrap();
         let mut reference = Machine::new(&g).unwrap();
-        m = m.with_exec(ExecPath::fused_swar());
+        m = m.with_exec(ExecPath::Fused);
         m.init().unwrap();
         reference.init().unwrap();
         for it in 0..ceil_log2(14) {
             m = m.with_exec(if it % 2 == 0 {
-                ExecPath::fused_swar()
+                ExecPath::Fused
             } else {
                 ExecPath::Generic
             });
@@ -1903,13 +1788,11 @@ mod tests {
             (ExecPath::Fused, Instrumentation::Off, false),
             (ExecPath::Fused, Instrumentation::Counts, false),
             (ExecPath::fused_parallel(2), Instrumentation::Counts, false),
-            (ExecPath::fused_swar(), Instrumentation::Off, false),
-            (ExecPath::fused_swar(), Instrumentation::Counts, false),
             (ExecPath::Generic, Instrumentation::Off, true),
             (ExecPath::Generic, Instrumentation::Counts, true),
             (ExecPath::Fused, Instrumentation::Trace, true),
             (ExecPath::Fused, Instrumentation::Validate, true),
-            (ExecPath::fused_swar(), Instrumentation::Validate, true),
+            (ExecPath::fused_parallel(2), Instrumentation::Validate, true),
         ];
         for (exec, instr, allocates) in cases {
             let mut m = Machine::with_engine(&g, engine(instr)).unwrap().with_exec(exec);

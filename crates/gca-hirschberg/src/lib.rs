@@ -62,7 +62,7 @@ pub use algorithm::{connected_components, Convergence, GcaRun, HirschbergGca, Ma
 pub use batch::{BatchReport, BatchRunner, BatchStats, ContainedReport, GraphFault};
 pub use cell::HCell;
 pub use invariants::{contract_step, InvariantChecker, InvariantClass};
-pub use kernels::{ExecPath, FusedParallel, FusedSwar};
+pub use kernels::{ExecPath, FusedParallel};
 pub use layout::Layout;
 pub use supervise::SupervisedMachine;
 pub use phase::{iteration_schedule, Gen};

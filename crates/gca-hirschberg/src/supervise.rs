@@ -12,13 +12,13 @@
 //! instrumentation) a metrics log bit-identical to an undisturbed run.
 //!
 //! [`SupervisedMachine`] also carries the **degradation ladder**: the
-//! four execution paths are bit-identical in labels and `Counts`
+//! three execution paths are bit-identical in labels and `Counts`
 //! metrics (a property the test suite and the differential replay
 //! harness enforce), so when a rung keeps diverging the supervisor can
 //! step down
 //!
 //! ```text
-//! fused-swar → fused-par → fused → generic
+//! fused-par → fused → generic
 //! ```
 //!
 //! and re-execute the faulted span on a less-optimized but
@@ -28,7 +28,7 @@
 //! an optimized kernel's own machinery.
 
 use crate::complexity::ceil_log2;
-use crate::{ExecPath, FusedParallel, HCell, Machine};
+use crate::{ExecPath, HCell, Machine};
 use gca_engine::recovery::{Checkpoint, Recoverable};
 use gca_engine::{Engine, GcaError};
 use gca_graphs::{AdjacencyMatrix, Labeling};
@@ -39,21 +39,13 @@ pub fn rung_name(exec: ExecPath) -> &'static str {
         ExecPath::Generic => "generic",
         ExecPath::Fused => "fused",
         ExecPath::FusedParallel(_) => "fused-par",
-        ExecPath::FusedSwar(_) => "fused-swar",
     }
 }
 
 /// The rung one below `exec` on the degradation ladder, or `None` at
-/// the bottom. A SWAR configuration carrying an inner parallel policy
-/// degrades to that policy (the same worker layout, minus the SWAR row
-/// bodies); a plain SWAR configuration skips to the sequential fused
-/// path — there is no parallel layout to preserve.
+/// the bottom.
 pub fn degraded(exec: ExecPath) -> Option<ExecPath> {
     match exec {
-        ExecPath::FusedSwar(cfg) => Some(match cfg.parallel {
-            Some(par) => ExecPath::FusedParallel(par),
-            None => ExecPath::FusedParallel(FusedParallel::with_workers(0)),
-        }),
         ExecPath::FusedParallel(_) => Some(ExecPath::Fused),
         ExecPath::Fused => Some(ExecPath::Generic),
         ExecPath::Generic => None,
@@ -170,14 +162,14 @@ mod tests {
     }
 
     #[test]
-    fn ladder_walks_all_four_rungs() {
-        let mut exec = ExecPath::fused_swar();
+    fn ladder_walks_all_three_rungs() {
+        let mut exec = ExecPath::fused_parallel(0);
         let mut names = vec![rung_name(exec)];
         while let Some(next) = degraded(exec) {
             names.push(rung_name(next));
             exec = next;
         }
-        assert_eq!(names, ["fused-swar", "fused-par", "fused", "generic"]);
+        assert_eq!(names, ["fused-par", "fused", "generic"]);
     }
 
     #[test]
@@ -185,11 +177,11 @@ mod tests {
         let g = generators::gnp(24, 0.15, 11);
         let expected = union_find_components_dense(&g);
         let mut sm =
-            SupervisedMachine::new(&g, validate_engine(), ExecPath::fused_swar()).unwrap();
+            SupervisedMachine::new(&g, validate_engine(), ExecPath::fused_parallel(2)).unwrap();
         let report = Supervisor::default().run(&mut sm);
         assert!(matches!(report.outcome, RecoveryOutcome::Clean), "{report}");
         assert_eq!(sm.labels().unwrap().as_slice(), expected.as_slice());
-        assert_eq!(report.final_rung, "fused-swar");
+        assert_eq!(report.final_rung, "fused-par");
     }
 
     #[test]
@@ -225,17 +217,17 @@ mod tests {
         let g = generators::path(20);
         let expected = union_find_components_dense(&g);
         let mut sm =
-            SupervisedMachine::new(&g, validate_engine(), ExecPath::fused_swar()).unwrap();
+            SupervisedMachine::new(&g, validate_engine(), ExecPath::fused_parallel(2)).unwrap();
         // Sticky at the top rung: fires on every re-execution until the
-        // ladder drops below fused-swar.
+        // ladder drops below fused-par.
         let plan = FaultSpec::parse("bitflip@5.3.1:sticky")
             .unwrap()
             .resolve(sm.machine().layout().cells(), 100, sm.machine().exec_level());
         sm.machine_mut().set_fault_plan(Some(plan));
         let report = Supervisor::new(RecoveryPolicy::Degrade).run(&mut sm);
         assert!(matches!(report.outcome, RecoveryOutcome::Recovered), "{report}");
-        assert_eq!(report.initial_rung, "fused-swar");
-        assert_eq!(report.final_rung, "fused-par");
+        assert_eq!(report.initial_rung, "fused-par");
+        assert_eq!(report.final_rung, "fused");
         assert_eq!(report.degradations, 1);
         assert_eq!(sm.labels().unwrap().as_slice(), expected.as_slice());
     }

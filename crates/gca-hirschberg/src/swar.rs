@@ -1,11 +1,12 @@
-//! SWAR (SIMD-within-a-register) kernel bodies for
-//! [`crate::kernels::ExecPath::FusedSwar`].
+//! SWAR (SIMD-within-a-register) kernel bodies: the row bodies every
+//! fused exec path ([`crate::kernels::ExecPath::Fused`] and
+//! [`crate::kernels::ExecPath::FusedParallel`]) runs.
 //!
-//! Every function here is a drop-in replacement for the matching `*_rows`
-//! row-range body in [`crate::kernels`]: same row-slice signature shape,
-//! same per-cell *semantics* (each cell's new value and its contribution to
-//! the `changed` counter are computed by the same rule), so labels and
-//! `Counts` metrics stay bit-identical to the scalar fused path by
+//! Every function here implements the matching scalar `*_rows` reference
+//! body in [`crate::kernels`]: same row-slice signature shape, same
+//! per-cell *semantics* (each cell's new value and its contribution to the
+//! `changed` counter are computed by the same rule), so labels and
+//! `Counts` metrics stay bit-identical to the generic path by
 //! construction. What changes is the *iteration structure*:
 //!
 //! * the adjacency- and membership-gated filters (generations 2 and 6) walk
@@ -14,11 +15,10 @@
 //!   count-and-fill of `∞` (no per-cell branch, no bit extraction), a
 //!   non-zero word visits only its set bits via `trailing_zeros` and fills
 //!   the gaps between them;
-//! * broadcast/copy fills (generations 0, 1, 5, 9) compare whole rows with
-//!   `memcmp`-shaped slice equality and fill with `copy_from_slice`/`fill`
-//!   instead of a branchy per-cell store — in the converged steady state
-//!   most rows already hold the broadcast vector and the kernel degrades to
-//!   a pure scan;
+//! * the broadcasts (generations 1, 5) compare whole rows with
+//!   `memcmp`-shaped slice equality before a fused count-and-store pass —
+//!   in the converged steady state most rows already hold the broadcast
+//!   vector and the kernel degrades to a pure scan;
 //! * the tree reductions (generations 3, 7) run branch-free
 //!   (`min` + difference-count) so the disjoint-column passes vectorize.
 //!
@@ -63,7 +63,7 @@ pub const SPARSE_BITS: u32 = 8;
 /// Three regimes per word, chosen by population count: all-zero words
 /// collapse to one count-and-fill; sparsely populated words walk their set
 /// bits and fill the gaps; dense words run a branch-free select per lane
-/// (`keep`-mask arithmetic, no data-dependent branches — the scalar fused
+/// (`keep`-mask arithmetic, no data-dependent branches — the scalar reference
 /// body loses ~4 ns/cell to branch mispredicts on random adjacency here).
 ///
 /// As a byproduct the filter writes the row's *occupancy word(s)* into
@@ -154,20 +154,6 @@ pub fn filter_word_dense(cells: &mut [Word], bits: AdjWord, keep: Word) -> usize
         let new = cur | !mask;
         changed += usize::from(new != cur);
         *cell = new;
-    }
-    changed
-}
-
-/// Generation 0 over whole rows: difference-count scan, then `fill`.
-pub fn init_rows(seg: &mut [Word], base_row: usize, n: usize) -> usize {
-    let mut changed = 0;
-    for (r, row) in seg.chunks_mut(n).enumerate() {
-        let v = (base_row + r) as Word;
-        let diffs = row.iter().filter(|&&c| c != v).count();
-        if diffs > 0 {
-            row.fill(v);
-        }
-        changed += diffs;
     }
     changed
 }
@@ -552,24 +538,6 @@ pub fn broadcast_filter_member_rows(
         f_changed += f;
     }
     (b_changed, f_changed)
-}
-
-/// Generation 9 over whole rows: difference-count scan of columns `1..`,
-/// then one `fill` per differing row.
-pub fn copy_save_rows(seg: &mut [Word], dn: &mut [Word], n: usize) -> usize {
-    let mut changed = 0;
-    for (r, row) in seg.chunks_mut(n).enumerate() {
-        let t = row[0];
-        changed += usize::from(dn[r] != t);
-        dn[r] = t;
-        let rest = &mut row[1..];
-        let diffs = rest.iter().filter(|&&c| c != t).count();
-        if diffs > 0 {
-            rest.fill(t);
-        }
-        changed += diffs;
-    }
-    changed
 }
 
 #[cfg(test)]

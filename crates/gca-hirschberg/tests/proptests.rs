@@ -169,12 +169,12 @@ proptest! {
         }
     }
 
-    /// Three-way execution-path identity: generic, fused, SWAR and
-    /// parallel fused agree on labels, generation counts AND full
-    /// `Counts` metric logs on arbitrary graphs up to one word (n ≤ 64
-    /// exercises the packed plane's tail-bit handling). Under `Off` the
-    /// SWAR driver additionally runs its fused broadcast+filter pair and
-    /// uniform-label shortcut, which the labels must not observe.
+    /// Three-way execution-path identity: generic, fused and parallel
+    /// fused agree on labels, generation counts AND full `Counts` metric
+    /// logs on arbitrary graphs up to one word (n ≤ 64 exercises the
+    /// packed plane's tail-bit handling). Under both levels the fused
+    /// driver runs its broadcast+filter pair and uniform-label shortcut,
+    /// which neither the labels nor the metric log may observe.
     #[test]
     fn exec_paths_agree_on_labels_and_metrics(g in arb_graph(2, 64)) {
         let run = |exec: ExecPath, instrumentation: Instrumentation| {
@@ -191,7 +191,6 @@ proptest! {
         prop_assert_eq!(generic.labels.as_slice(), expected.as_slice());
         for exec in [
             ExecPath::Fused,
-            ExecPath::fused_swar(),
             ExecPath::fused_parallel(2),
         ] {
             let counted = run(exec, Instrumentation::Counts);

@@ -1,4 +1,4 @@
-//! Snapshot/restore and rollback roundtrip properties across all four
+//! Snapshot/restore and rollback roundtrip properties across all three
 //! execution paths — the state-capture half of the recovery stack.
 //!
 //! The recovery supervisor's correctness rests on one claim: a machine
@@ -7,7 +7,7 @@
 //! machine that never stopped. These properties pin that claim on every
 //! execution path, including the paths with hidden state beyond the
 //! data and adjacency planes: the engine scratch (refilled before every
-//! engine step, never read as state) and the SWAR occupancy plane (dropped
+//! engine step, never read as state) and the fused occupancy plane (dropped
 //! on restore, rebuilt inside the next filter → min-reduce window).
 
 use gca_engine::snapshot::FieldSnapshot;
@@ -33,14 +33,13 @@ fn arb_graph(min_n: usize, max_n: usize) -> impl Strategy<Value = AdjacencyMatri
     })
 }
 
-const PATHS: [ExecPath; 4] = [
+const PATHS: [ExecPath; 3] = [
     ExecPath::Generic,
     ExecPath::Fused,
     ExecPath::FusedParallel(gca_hirschberg::FusedParallel {
         workers: 3,
         threshold: Some(0),
     }),
-    ExecPath::FusedSwar(gca_hirschberg::FusedSwar { parallel: None }),
 ];
 
 fn counting_machine(g: &AdjacencyMatrix, exec: ExecPath) -> Machine {
@@ -145,14 +144,14 @@ proptest! {
         let n = g.n();
         let total = ceil_log2(n);
         let expected = union_find_components_dense(&g);
-        let donor = run_to(&g, ExecPath::fused_swar(), 1.min(total));
+        let donor = run_to(&g, ExecPath::Fused, 1.min(total));
         let snapshot = donor.snapshot();
 
         let json = snapshot.to_json_value();
         let back = FieldSnapshot::<HCell>::from_json_value(&json).unwrap();
         prop_assert_eq!(&back, &snapshot);
 
-        let mut resumed = counting_machine(&g, ExecPath::fused_swar());
+        let mut resumed = counting_machine(&g, ExecPath::Fused);
         resumed.restore(&back).unwrap();
         for _ in 1.min(total)..total {
             resumed.run_iteration().unwrap();
