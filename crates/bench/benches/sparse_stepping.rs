@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gca_bench::sparse;
 use gca_engine::{DomainPolicy, Engine};
 use gca_graphs::generators;
-use gca_hirschberg::{Convergence, Gen, HirschbergGca};
+use gca_hirschberg::{Convergence, ExecPath, Gen, HirschbergGca};
 use std::hint::black_box;
 
 /// Sizes kept small enough for the CI sample budget; 1024 is exercised by
@@ -72,6 +72,7 @@ fn bench_full_run(c: &mut Criterion) {
         for (name, policy, convergence) in configs {
             let runner = HirschbergGca::new()
                 .with_engine(Engine::sequential().with_domain_policy(policy))
+                .exec(ExecPath::Generic)
                 .convergence(convergence);
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
                 b.iter(|| black_box(runner.run(&graph).expect("run")));

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gca_engine::{Engine, Instrumentation};
 use gca_graphs::generators;
-use gca_hirschberg::{iteration_schedule, Gen, Machine};
+use gca_hirschberg::{iteration_schedule, ExecPath, Gen, Machine};
 use std::hint::black_box;
 
 fn bench_iteration(c: &mut Criterion) {
@@ -17,7 +17,9 @@ fn bench_iteration(c: &mut Criterion) {
                 || {
                     let engine =
                         Engine::sequential().with_instrumentation(Instrumentation::Off);
-                    let mut m = Machine::with_engine(g, engine).unwrap();
+                    let mut m = Machine::with_engine(g, engine)
+                        .unwrap()
+                        .with_exec(ExecPath::Generic);
                     m.init().unwrap();
                     m
                 },

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gca_engine::{Engine, Instrumentation};
 use gca_graphs::generators;
-use gca_hirschberg::{complexity, HirschbergGca};
+use gca_hirschberg::{complexity, ExecPath, HirschbergGca};
 use std::hint::black_box;
 
 fn bench_total(c: &mut Criterion) {
@@ -17,7 +17,8 @@ fn bench_total(c: &mut Criterion) {
         group.throughput(Throughput::Elements((n * (n + 1)) as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             let runner = HirschbergGca::new()
-                .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Off));
+                .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Off))
+                .exec(ExecPath::Generic);
             b.iter(|| {
                 let run = runner.run(black_box(g)).unwrap();
                 assert_eq!(run.generations, complexity::total_generations(g.n()));
@@ -39,7 +40,9 @@ fn bench_parallel_backend(c: &mut Criterion) {
                 BenchmarkId::new(name, n),
                 &(g.clone(), engine),
                 |b, (g, engine)| {
-                    let runner = HirschbergGca::new().with_engine(engine.clone());
+                    let runner = HirschbergGca::new()
+                        .with_engine(engine.clone())
+                        .exec(ExecPath::Generic);
                     b.iter(|| black_box(runner.run(g).unwrap().labels));
                 },
             );

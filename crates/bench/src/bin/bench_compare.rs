@@ -13,8 +13,9 @@
 //! their *identity fields* (`n`, `workload`, `generation`,
 //! `subgeneration`, `workers`, …) rather than by position, so a quick CI
 //! run covering a subset of sizes still lines up against the full
-//! checked-in artifact. Wherever both sides carry a `*_ns_per_step`
-//! statistics object, the medians are compared: a fresh median more than
+//! checked-in artifact. Wherever both sides carry a `*_ns_per_step` or
+//! `*_ns_per_iteration` statistics object, the medians are compared: a
+//! fresh median more than
 //! `--threshold` percent (default 25) above the baseline median is a
 //! **regression**.
 //!
@@ -26,7 +27,7 @@
 use serde_json::Value;
 use std::process::ExitCode;
 
-/// One matched `*_ns_per_step` median pair.
+/// One matched timing-statistic median pair.
 #[derive(Debug, Clone)]
 struct Comparison {
     /// Human-readable path of the statistic (identity-keyed, not indexed).
@@ -77,7 +78,12 @@ fn identity(v: &Value) -> Option<String> {
     Some(parts.join(","))
 }
 
-/// Recursively collects matched `*_ns_per_step` median pairs from two
+/// Whether `key` names a timing statistics object.
+fn is_stat_key(key: &str) -> bool {
+    key.ends_with("_ns_per_step") || key.ends_with("_ns_per_iteration")
+}
+
+/// Recursively collects matched timing-statistic median pairs from two
 /// documents. Returns the comparisons plus the count of baseline
 /// statistics the fresh run did not cover (informational — a subset run
 /// is expected in CI).
@@ -89,7 +95,7 @@ fn collect(path: &str, baseline: &Value, fresh: &Value, out: &mut Vec<Comparison
                 let child = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
                 match fresh.get(k) {
                     Some(fv) => {
-                        if k.ends_with("_ns_per_step") {
+                        if is_stat_key(k) {
                             if let (Some(bm), Some(fm)) = (
                                 bv.get("median").and_then(Value::as_f64),
                                 fv.get("median").and_then(Value::as_f64),
@@ -101,7 +107,7 @@ fn collect(path: &str, baseline: &Value, fresh: &Value, out: &mut Vec<Comparison
                         uncovered += collect(&child, bv, fv, out);
                     }
                     None => {
-                        if k.ends_with("_ns_per_step") && bv.get("median").is_some() {
+                        if is_stat_key(k) && bv.get("median").is_some() {
                             uncovered += 1;
                         } else {
                             uncovered += count_stats(bv);
@@ -132,14 +138,14 @@ fn collect(path: &str, baseline: &Value, fresh: &Value, out: &mut Vec<Comparison
     uncovered
 }
 
-/// Counts the `*_ns_per_step` statistics under a value — used to report
+/// Counts the timing statistics under a value — used to report
 /// how much of the baseline a subset run left uncovered.
 fn count_stats(v: &Value) -> u64 {
     match v {
         Value::Object(entries) => entries
             .iter()
             .map(|(k, v)| {
-                if k.ends_with("_ns_per_step") && v.get("median").is_some() {
+                if is_stat_key(k) && v.get("median").is_some() {
                     1
                 } else {
                     count_stats(v)
@@ -285,6 +291,16 @@ mod tests {
         let (cmp, uncovered) = compare(&baseline, &fresh);
         assert_eq!(cmp.len(), 1);
         assert_eq!(cmp[0].path, "a.b.swar_ns_per_step");
+        assert!(cmp[0].regressed(25.0));
+        assert_eq!(uncovered, 0);
+    }
+
+    #[test]
+    fn per_iteration_statistics_are_compared() {
+        let baseline = json!({"iterations": [{"n": 64, "fused_ns_per_iteration": {"median": 10.0}}]});
+        let fresh = json!({"iterations": [{"n": 64, "fused_ns_per_iteration": {"median": 30.0}}]});
+        let (cmp, uncovered) = compare(&baseline, &fresh);
+        assert_eq!(cmp.len(), 1);
         assert!(cmp[0].regressed(25.0));
         assert_eq!(uncovered, 0);
     }

@@ -1,9 +1,11 @@
 //! Differential soak test: run every machine on a stream of random graphs,
 //! validate each result with the oracle-free verifier, and cross-compare
 //! label-for-label. The n² GCA runs on every exec path: generic, and each
-//! fused path under `Off`, `Counts` and `Validate` accounting. Exits
-//! non-zero on the first divergence or machine error with a reproducer (the
-//! offending graph as an edge list).
+//! fused path under `Off`, `Counts` and `Validate` accounting; under
+//! `Counts` the fused machines step in lockstep with the generic one, and
+//! their whole fields and metrics logs must match it after init and at
+//! every iteration boundary. Exits non-zero on the first divergence or
+//! machine error with a reproducer (the offending graph as an edge list).
 //!
 //! Usage: `differential_soak [iterations] [max_n] [seed]`
 //! (defaults: 200 iterations, n ≤ 24, seed 1).
@@ -15,7 +17,7 @@ use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::verify::verify_components;
 use gca_graphs::{generators, io, AdjacencyMatrix, Labeling};
 use gca_hirschberg::variants::{low_congestion, n_cells, two_handed};
-use gca_hirschberg::{ExecPath, FusedParallel, HirschbergGca};
+use gca_hirschberg::{ExecPath, FusedParallel, HirschbergGca, Machine};
 use gca_pram::hirschberg_ref;
 use std::process::ExitCode;
 
@@ -32,11 +34,13 @@ fn random_graph(round: usize, max_n: usize, seed: u64) -> AdjacencyMatrix {
     }
 }
 
-/// The fused exec paths, each soaked under every accounting level.
-/// `fused-par` forces its partition (threshold 0) so that even the small
-/// soak graphs split into two row chunks.
-fn fused_gca_runs(g: &AdjacencyMatrix) -> Vec<(String, Result<Labeling, GcaError>)> {
-    let paths = [
+/// One machine's name and result.
+type Run = (String, Result<Labeling, GcaError>);
+
+/// The fused exec paths. `fused-par` forces its partition (threshold 0)
+/// so that even the small soak graphs split into two row chunks.
+fn fused_paths() -> [(&'static str, ExecPath); 2] {
+    [
         ("fused", ExecPath::Fused),
         (
             "fused-par",
@@ -45,14 +49,18 @@ fn fused_gca_runs(g: &AdjacencyMatrix) -> Vec<(String, Result<Labeling, GcaError
                 threshold: Some(0),
             }),
         ),
-    ];
+    ]
+}
+
+/// Each fused path under the accounting levels the lockstep run leaves
+/// out: `Off` and `Validate`.
+fn fused_gca_runs(g: &AdjacencyMatrix) -> Vec<Run> {
     let levels = [
         ("off", Instrumentation::Off),
-        ("counts", Instrumentation::Counts),
         ("validate", Instrumentation::Validate),
     ];
     let mut runs = Vec::new();
-    for (path, exec) in paths {
+    for (path, exec) in fused_paths() {
         for (level, instr) in levels {
             let run = HirschbergGca::new()
                 .with_engine(Engine::sequential().with_instrumentation(instr))
@@ -62,6 +70,49 @@ fn fused_gca_runs(g: &AdjacencyMatrix) -> Vec<(String, Result<Labeling, GcaError
         }
     }
     runs
+}
+
+/// The generic machine and every fused path under `Counts`, one outer
+/// iteration at a time: after init and at each iteration boundary every
+/// fused machine's field and metrics log must equal the generic one's.
+/// Returns each machine's labels, or the first boundary where a fused
+/// machine diverged.
+fn lockstep_runs(g: &AdjacencyMatrix) -> Result<Vec<Run>, String> {
+    let build = |exec| Machine::new(g).map(|m| m.with_exec(exec));
+    let mut machines = vec![("gca".to_string(), build(ExecPath::Generic))];
+    for (path, exec) in fused_paths() {
+        machines.push((format!("gca/{path}/counts"), build(exec)));
+    }
+    let mut live: Vec<(String, Machine)> = Vec::new();
+    let mut runs = Vec::new();
+    for (name, m) in machines {
+        match m.and_then(|mut m| m.init().map(|_| m)) {
+            Ok(m) => live.push((name, m)),
+            Err(e) => runs.push((name, Err(e))),
+        }
+    }
+    for iteration in 0..=gca_hirschberg::complexity::ceil_log2(g.n()) {
+        if iteration > 0 {
+            for (_, m) in &mut live {
+                // Errors surface through `labels` below.
+                let _ = m.run_iteration();
+            }
+        }
+        let Some(((_, reference), fused)) = live.split_first() else {
+            break;
+        };
+        let want = reference.to_field();
+        for (name, m) in fused {
+            if m.to_field().states() != want.states() {
+                return Err(format!("{name}: field differs from generic after iteration {iteration}"));
+            }
+            if m.metrics().entries() != reference.metrics().entries() {
+                return Err(format!("{name}: metrics differ from generic after iteration {iteration}"));
+            }
+        }
+    }
+    runs.extend(live.into_iter().map(|(name, m)| (name, m.labels())));
+    Ok(runs)
 }
 
 fn main() -> ExitCode {
@@ -83,11 +134,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
 
-        let mut results: Vec<(String, Result<Labeling, GcaError>)> = vec![
-            (
-                "gca".into(),
-                Ok(HirschbergGca::new().run(&g).unwrap().labels),
-            ),
+        let mut results = match lockstep_runs(&g) {
+            Ok(runs) => runs,
+            Err(e) => {
+                eprintln!("round {round}: {e}");
+                eprintln!("reproducer graph:\n{}", io::to_edge_list(&g));
+                return ExitCode::FAILURE;
+            }
+        };
+        results.extend([
             ("ncells".into(), Ok(n_cells::run(&g).unwrap().labels)),
             (
                 "lowcong".into(),
@@ -106,7 +161,7 @@ fn main() -> ExitCode {
                 "emu".into(),
                 Ok(hirschberg_program::connected_components(&g).unwrap()),
             ),
-        ];
+        ]);
         results.extend(fused_gca_runs(&g));
         machines = results.len();
         for (name, labels) in &results {

@@ -62,26 +62,22 @@ fn sparse_stepping_doc() -> serde_json::Value {
     })
 }
 
-/// Measures generic-vs-fused stepping, full runs under both `Counts` and
-/// `Off` instrumentation, and the batched runner's throughput scaling (the
-/// `fused_kernels` bench's quantities, one sample each).
+/// Measures generic-vs-fused outer iterations, full runs under both
+/// `Counts` and `Off` instrumentation, and the batched runner's throughput
+/// scaling (the `fused_kernels` bench's quantities, one sample each).
 fn fused_kernels_doc() -> serde_json::Value {
-    let mut generation_rows = Vec::new();
+    let mut iteration_rows = Vec::new();
     for &n in &fused::SIZES {
         // Enough repetitions for stable medians at small n, few at large n.
-        let reps = (1 << 20 >> (n.ilog2())).clamp(2, 64) as u32;
-        for (gen, sub) in fused::kernel_generations() {
-            let t = fused::time_generation(n, gen, sub, reps);
-            generation_rows.push(json!({
-                "n": t.n,
-                "generation": t.generation.number(),
-                "subgeneration": t.subgeneration,
-                "generic_ns_per_step": t.generic_ns_per_step.json(),
-                "fused_ns_per_step": t.fused_ns_per_step.json(),
-                "speedup": t.speedup(),
-                "metrics_identical": t.metrics_identical,
-            }));
-        }
+        let reps = (1 << 16 >> (n.ilog2())).clamp(2, 64) as u32;
+        let t = fused::time_iteration(n, reps);
+        iteration_rows.push(json!({
+            "n": t.n,
+            "generic_ns_per_iteration": t.generic_ns_per_iter.json(),
+            "fused_ns_per_iteration": t.fused_ns_per_iter.json(),
+            "speedup": t.speedup(),
+            "metrics_identical": t.metrics_identical,
+        }));
     }
     let mut speedup_n256_off = 0.0;
     let mut full_rows = Vec::new();
@@ -120,7 +116,7 @@ fn fused_kernels_doc() -> serde_json::Value {
         "workload": format!("gnp(n, 0.3, seed {})", fused::SEED),
         "baseline": "generic exec path, sequential backend, hinted domains",
         "speedup_full_run_n256_instrumentation_off": speedup_n256_off,
-        "kernel_generations": generation_rows,
+        "iterations": iteration_rows,
         "full_runs": full_rows,
         "batch_throughput": batch_rows,
     })

@@ -57,25 +57,15 @@ fn grid_paths() -> Vec<PathRow> {
     ]
 }
 
-/// The fault classes that are meaningful on a given path. The occupancy
-/// plane and the histogram-merge fault live in the fused kernels; the
-/// partition-overlap fault needs at least two workers.
-fn classes_for(exec: ExecPath) -> Vec<FaultKind> {
-    let mut classes = vec![
+/// The fault classes of the campaign: data-plane corruptions, meaningful
+/// on every path (a fault plan hands the fused paths' generations to the
+/// engine, so they all land on the same materialized plane).
+fn classes() -> [FaultKind; 3] {
+    [
         FaultKind::BitFlip { bit: 0 },
         FaultKind::TornWrite,
         FaultKind::DroppedGeneration,
-    ];
-    match exec {
-        ExecPath::Generic => return classes,
-        ExecPath::Fused => classes.push(FaultKind::CorruptHistogramMerge),
-        ExecPath::FusedParallel(_) => {
-            classes.push(FaultKind::CorruptHistogramMerge);
-            classes.push(FaultKind::DuplicatedChunkRow);
-        }
-    }
-    classes.push(FaultKind::StaleOccupancy);
-    classes
+    ]
 }
 
 fn validated_machine(g: &AdjacencyMatrix, exec: ExecPath) -> Machine {
@@ -106,61 +96,26 @@ fn supervised_run(
     (report, labels, machine)
 }
 
-/// Candidate injection sites, class-aware: a fault is only *effective*
-/// where the state it corrupts is live.
-///
-/// * Generic state corruptions (bit flip, torn write, dropped
-///   generation) search the last outer iteration first — a corruption
-///   there has no later iteration to self-heal behind — then stride
-///   back through earlier ones.
-/// * A stale occupancy bit only bites while the occupancy plane is
-///   exact, i.e. right after a filter generation, on a lane the filter
-///   actually populated — so the candidates are the filter generations
-///   of every iteration (earliest first: occupancy is richest before
-///   convergence) crossed with above-diagonal lanes (`row r`, column
-///   `r + 1` is a live neighbor lane on a path graph).
-/// * A duplicated chunk row fires inside the partitioned counting
-///   broadcast, so the candidates are the broadcast generations (the
-///   cell coordinate is immaterial — the overlap is always the row-0
-///   boundary).
-fn candidate_sites(n: usize, kind: FaultKind, budget: usize) -> Vec<(u64, usize)> {
+/// Candidate injection sites: the last outer iteration first — a
+/// corruption there has no later iteration to self-heal behind — then
+/// strides back through earlier ones, over column-0 label cells, an
+/// interior cell and the plane edges.
+fn candidate_sites(n: usize, budget: usize) -> Vec<(u64, usize)> {
     let log = u64::from(gca_hirschberg::complexity::ceil_log2(n));
-    let iters = u64::from(gca_hirschberg::complexity::outer_iterations(n));
     let per_iter = 3 * log + 8;
-    // First generation of outer iteration `k` (generation 0 is init).
-    let start = |k: u64| 1 + k * per_iter;
     let len = (n + 1) * n;
-    let mut sites: Vec<(u64, usize)> = match kind {
-        FaultKind::StaleOccupancy => {
-            // Offsets 1 and 4+log are the two filter generations.
-            let cells = [1, n + 2, (n / 2) * n + n / 2 + 1];
-            (0..iters)
-                .flat_map(|k| [start(k) + 1, start(k) + 4 + log])
-                .flat_map(|g| cells.iter().map(move |&c| (g, c)))
-                .collect()
-        }
-        FaultKind::DuplicatedChunkRow => {
-            // Offsets 0 and 3+log are the two broadcast generations.
-            (0..iters)
-                .flat_map(|k| [start(k), start(k) + 3 + log])
-                .map(|g| (g, 0))
-                .collect()
-        }
-        _ => {
-            let total = total_generations(n);
-            let mut gens: Vec<u64> = (total - per_iter..total).rev().collect();
-            let mut g = total - per_iter;
-            while g > 1 {
-                gens.push(g);
-                g = g.saturating_sub(per_iter / 2 + 1);
-            }
-            // Column-0 label cells, an interior cell, and the plane edges.
-            let cells = [n, 0, 1, n + 1, (n / 2) * n + n / 2, n * n - 1, len - 1];
-            gens.iter()
-                .flat_map(|&g| cells.iter().map(move |&c| (g, c)))
-                .collect()
-        }
-    };
+    let total = total_generations(n);
+    let mut gens: Vec<u64> = (total - per_iter..total).rev().collect();
+    let mut g = total - per_iter;
+    while g > 1 {
+        gens.push(g);
+        g = g.saturating_sub(per_iter / 2 + 1);
+    }
+    let cells = [n, 0, 1, n + 1, (n / 2) * n + n / 2, n * n - 1, len - 1];
+    let mut sites: Vec<(u64, usize)> = gens
+        .iter()
+        .flat_map(|&g| cells.iter().map(move |&c| (g, c)))
+        .collect();
     sites.truncate(budget);
     sites
 }
@@ -192,7 +147,7 @@ fn run_cell(
     let mut benign = 0usize;
     let mut searched = 0usize;
 
-    for (generation, cell) in candidate_sites(g.n(), kind, budget) {
+    for (generation, cell) in candidate_sites(g.n(), budget) {
         searched += 1;
         let plan = FaultPlan::new(kind, generation, cell);
         let (report, labels, _) = supervised_run(g, path.exec, Some(plan), RecoveryPolicy::Fail);
@@ -378,7 +333,7 @@ fn main() {
         let clean_metrics = clean_machine.metrics().entries().to_vec();
 
         let mut flip_site = None;
-        for kind in classes_for(path.exec) {
+        for kind in classes() {
             let row = run_cell(&g, &expected, &clean_metrics, &path, kind, budget);
             println!(
                 "  {:<10} {:<10} site={:<14} detector={:<19} searched={:<3} benign={:<3} \
@@ -416,7 +371,7 @@ fn main() {
         "graph": format!("path:{n}"),
         "reduced": reduced,
         "site_budget": budget,
-        "instrumentation": "Validate (CROW sanitizer + differential replay + invariant mirror)",
+        "instrumentation": "Validate (CROW sanitizer + sweep cross-check + invariant mirror)",
         "stamp": gca_bench::stamp(),
         "coverage": rows,
         "ladder": ladder,

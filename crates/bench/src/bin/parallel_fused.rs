@@ -1,4 +1,4 @@
-//! Parallel-fused kernels vs. sequential fused: per-generation and full-run
+//! Parallel-fused sweep vs. sequential fused: per-iteration and full-run
 //! timings with bit-identical-metrics verification on every row.
 //!
 //! Usage: `parallel_fused [--out <path>] [--sizes a,b,c] [--workers a,b]
@@ -58,44 +58,34 @@ fn main() {
         }
     };
 
-    // --- Per-generation timings (threshold forced to zero) -----------------
-    let mut gen_rows = Vec::new();
-    let mut gen_table = Table::new(["n", "gen", "sub", "workers", "fused ns", "par ns", "speedup", "identical"]);
+    // --- Per-iteration timings (threshold forced to zero) ------------------
+    let mut iter_rows = Vec::new();
+    let mut iter_table = Table::new(["n", "workers", "fused ns", "par ns", "speedup", "identical"]);
     for &n in &sizes {
-        let reps = reps_override.unwrap_or((1 << 20 >> n.max(2).ilog2()).clamp(2, 64) as u32);
+        let reps = reps_override.unwrap_or((1 << 16 >> n.max(2).ilog2()).clamp(2, 64) as u32);
         for &w in &workers {
-            for (gen, sub) in fused::kernel_generations() {
-                let t = parallel::time_generation(n, gen, sub, w, reps).expect("generation timing");
-                check(
-                    format!("n={n} gen={gen:?} sub={sub} workers={w}"),
-                    t.metrics_identical,
-                    true,
-                );
-                gen_table.row([
-                    n.to_string(),
-                    format!("{:?}", t.generation),
-                    t.subgeneration.to_string(),
-                    w.to_string(),
-                    format!("{:.0}", t.fused_ns_per_step.median),
-                    format!("{:.0}", t.parallel_ns_per_step.median),
-                    format!("{:.2}x", t.speedup()),
-                    t.metrics_identical.to_string(),
-                ]);
-                gen_rows.push(json!({
-                    "n": t.n,
-                    "generation": t.generation.number(),
-                    "subgeneration": t.subgeneration,
-                    "workers": t.workers,
-                    "fused_ns_per_step": t.fused_ns_per_step.json(),
-                    "parallel_ns_per_step": t.parallel_ns_per_step.json(),
-                    "speedup": t.speedup(),
-                    "metrics_identical": t.metrics_identical,
-                }));
-            }
+            let t = parallel::time_iteration(n, w, reps).expect("iteration timing");
+            check(format!("n={n} workers={w}"), t.metrics_identical, true);
+            iter_table.row([
+                n.to_string(),
+                w.to_string(),
+                format!("{:.0}", t.fused_ns_per_iter.median),
+                format!("{:.0}", t.parallel_ns_per_iter.median),
+                format!("{:.2}x", t.speedup()),
+                t.metrics_identical.to_string(),
+            ]);
+            iter_rows.push(json!({
+                "n": t.n,
+                "workers": t.workers,
+                "fused_ns_per_iteration": t.fused_ns_per_iter.json(),
+                "parallel_ns_per_iteration": t.parallel_ns_per_iter.json(),
+                "speedup": t.speedup(),
+                "metrics_identical": t.metrics_identical,
+            }));
         }
     }
-    println!("per-generation, sequential fused vs parallel fused (threshold forced to 0):");
-    print!("{}", gen_table.render());
+    println!("per-iteration, sequential fused vs parallel fused (threshold forced to 0):");
+    print!("{}", iter_table.render());
 
     // --- Full runs (engine-tunable threshold, the deployment setting) ------
     let mut run_rows = Vec::new();
@@ -140,7 +130,7 @@ fn main() {
         "workload": format!("gnp(n, 0.3, seed {})", fused::SEED),
         "baseline": "sequential fused exec path, hinted domains, Counts instrumentation",
         "stamp": stamp,
-        "kernel_generations": gen_rows,
+        "iterations": iter_rows,
         "full_runs": run_rows,
     });
     match &out {

@@ -2,20 +2,21 @@
 //! the `BENCH_fused_kernels.json` export.
 //!
 //! The fused path ([`ExecPath::Fused`]) replaces the engine's per-cell
-//! rule dispatch and per-step full-field copy with flat-array kernels that
-//! update the current buffer in place (broadcast fills, in-place tree
-//! reductions, chased-pointer jumping over ping-pong label vectors). Its
-//! contract is *bit-identical* labelings and `Counts` metrics versus the
-//! generic path — every timing helper here asserts that equivalence on the
-//! workload before publishing a number. The comparison baseline is the
-//! generic path under [`DomainPolicy::Hinted`] (the tuned engine
-//! configuration of the `sparse_stepping` bench).
+//! rule dispatch over the `n(n+1)` field with one vector sweep per outer
+//! iteration over O(n) state and the packed adjacency plane. Its contract
+//! is *bit-identical* labelings, `Counts` metrics and iteration-boundary
+//! fields versus the generic path — every timing helper here asserts that
+//! equivalence on the workload before publishing a number. The comparison
+//! baseline is the generic path under [`DomainPolicy::Hinted`] (the tuned
+//! engine configuration of the `sparse_stepping` bench). Single generations
+//! are no longer compared: [`Machine::step`] is observation and ticks the
+//! engine on every path.
 
 use crate::NsPerStep;
 use gca_engine::{DomainPolicy, Engine, Instrumentation};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::generators;
-use gca_hirschberg::{BatchRunner, ExecPath, Gen, HirschbergGca, Machine};
+use gca_hirschberg::{BatchRunner, ExecPath, HirschbergGca, Machine};
 use std::time::Instant;
 
 /// Seed shared by all fused-kernel workloads (same as `sparse`).
@@ -23,18 +24,6 @@ pub const SEED: u64 = 2007;
 
 /// Problem sizes the export tracks.
 pub const SIZES: [usize; 4] = [16, 64, 256, 1024];
-
-/// Representative `(generation, sub-generation)` pairs, one per kernel
-/// family: dense broadcast, row filter, thinned tree reduction, and the
-/// chased-pointer jump.
-pub fn kernel_generations() -> [(Gen, u32); 4] {
-    [
-        (Gen::BroadcastC, 0),
-        (Gen::FilterNeighbors, 0),
-        (Gen::MinReduce, 1),
-        (Gen::PointerJump, 0),
-    ]
-}
 
 /// An initialized machine on the standard workload under the given path.
 pub fn machine(n: usize, exec: ExecPath, instrumentation: Instrumentation) -> Machine {
@@ -49,59 +38,51 @@ pub fn machine(n: usize, exec: ExecPath, instrumentation: Instrumentation) -> Ma
     m
 }
 
-/// One `(generation, sub)` timed under the generic (hinted) and fused paths.
+/// One outer iteration timed under the generic (hinted) and fused paths.
 #[derive(Clone, Debug)]
-pub struct FusedGenTiming {
+pub struct FusedIterTiming {
     /// Problem size.
     pub n: usize,
-    /// The timed generation.
-    pub generation: Gen,
-    /// The timed sub-generation.
-    pub subgeneration: u32,
-    /// Per-step statistics on the generic hinted path.
-    pub generic_ns_per_step: NsPerStep,
-    /// Per-step statistics on the fused path.
-    pub fused_ns_per_step: NsPerStep,
-    /// Whether active cells, reads, changed cells and the congestion
-    /// histogram were bit-identical between the two paths.
+    /// Per-iteration statistics on the generic hinted path.
+    pub generic_ns_per_iter: NsPerStep,
+    /// Per-iteration statistics on the fused path.
+    pub fused_ns_per_iter: NsPerStep,
+    /// Whether the first iteration left bit-identical fields and `Counts`
+    /// logs on the two paths.
     pub metrics_identical: bool,
 }
 
-impl FusedGenTiming {
+impl FusedIterTiming {
     /// Generic median time over fused median time.
     pub fn speedup(&self) -> f64 {
-        self.generic_ns_per_step.median / self.fused_ns_per_step.median
+        self.generic_ns_per_iter.median / self.fused_ns_per_iter.median
     }
 }
 
-fn time_steps(m: &mut Machine, gen: Gen, sub: u32, reps: u32) -> NsPerStep {
+fn time_iterations(m: &mut Machine, reps: u32) -> NsPerStep {
     NsPerStep::measure(
         || {
-            std::hint::black_box(m.step(gen, sub).expect("step"));
+            std::hint::black_box(m.run_iteration().expect("iteration"));
         },
         reps,
     )
 }
 
-/// Times `reps` executions of `(gen, sub)` under both paths on the same
-/// workload, asserting report equality on the first step.
-pub fn time_generation(n: usize, gen: Gen, sub: u32, reps: u32) -> FusedGenTiming {
+/// Times `reps` outer iterations under both paths on the same workload,
+/// asserting identical fields and metrics after the first.
+pub fn time_iteration(n: usize, reps: u32) -> FusedIterTiming {
     let mut generic = machine(n, ExecPath::Generic, Instrumentation::Counts);
     let mut fused = machine(n, ExecPath::Fused, Instrumentation::Counts);
-    let rg = generic.step(gen, sub).expect("generic step");
-    let rf = fused.step(gen, sub).expect("fused step");
-    let metrics_identical = rg.active_cells == rf.active_cells
-        && rg.total_reads == rf.total_reads
-        && rg.changed_cells == rf.changed_cells
-        && rg.congestion == rf.congestion;
-    let generic_ns = time_steps(&mut generic, gen, sub, reps);
-    let fused_ns = time_steps(&mut fused, gen, sub, reps);
-    FusedGenTiming {
+    generic.run_iteration().expect("generic iteration");
+    fused.run_iteration().expect("fused iteration");
+    let metrics_identical = generic.metrics().entries() == fused.metrics().entries()
+        && generic.to_field().states() == fused.to_field().states();
+    let generic_ns = time_iterations(&mut generic, reps);
+    let fused_ns = time_iterations(&mut fused, reps);
+    FusedIterTiming {
         n,
-        generation: gen,
-        subgeneration: sub,
-        generic_ns_per_step: generic_ns,
-        fused_ns_per_step: fused_ns,
+        generic_ns_per_iter: generic_ns,
+        fused_ns_per_iter: fused_ns,
         metrics_identical,
     }
 }
@@ -220,13 +201,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn generation_timings_report_identical_metrics() {
-        for (gen, sub) in kernel_generations() {
-            let t = time_generation(16, gen, sub, 2);
-            assert!(t.metrics_identical, "{gen:?} sub {sub}");
-            assert!(t.generic_ns_per_step.median > 0.0 && t.fused_ns_per_step.median > 0.0);
-            assert!(t.fused_ns_per_step.min <= t.fused_ns_per_step.max);
-        }
+    fn iteration_timings_report_identical_metrics() {
+        let t = time_iteration(16, 2);
+        assert!(t.metrics_identical);
+        assert!(t.generic_ns_per_iter.median > 0.0 && t.fused_ns_per_iter.median > 0.0);
+        assert!(t.fused_ns_per_iter.min <= t.fused_ns_per_iter.max);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Parallel-fused measurements: the data behind the `parallel_fused` bench
 //! and the `BENCH_parallel_fused.json` export.
 //!
-//! [`ExecPath::FusedParallel`] row-partitions every fused generation across
-//! worker threads over the struct-of-arrays hot field. Its contract is the
+//! [`ExecPath::FusedParallel`] row-partitions the sweep's neighbour-min
+//! across worker threads, one join per outer iteration. Its contract is the
 //! same as the fused path's, one level up: *bit-identical* labelings and
 //! `Counts` metrics versus **sequential fused** (and therefore versus the
 //! generic engine path, whose equivalence the `fused_kernels` bench already
@@ -10,17 +10,17 @@
 //! workload before publishing a number — the export fails outright if any
 //! row diverges.
 //!
-//! Thresholding: the helpers force `threshold = Some(0)` so the partitioned
-//! drivers run even on kernels whose touched-cell count dips below the
-//! engine's amortization cutoff — the point is to measure (and verify) the
-//! parallel code itself, not the auto-fallback. Full-run timings are taken
-//! both ways; see [`time_full_runs`].
+//! Thresholding: the per-iteration helper forces `threshold = Some(0)` so
+//! the partitioned neighbour-min runs even below the engine's amortization
+//! cutoff — the point is to measure (and verify) the parallel code itself,
+//! not the auto-fallback. Full-run timings are taken both ways; see
+//! [`time_full_runs`].
 
 use crate::{fused, NsPerStep};
 use gca_engine::{DomainPolicy, Engine, GcaError, Instrumentation};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::generators;
-use gca_hirschberg::{ExecPath, FusedParallel, Gen, HirschbergGca, Machine};
+use gca_hirschberg::{ExecPath, FusedParallel, HirschbergGca, Machine};
 use std::time::Instant;
 
 /// Problem sizes the export tracks (the fused bench's upper range — the
@@ -30,7 +30,7 @@ pub const SIZES: [usize; 3] = [256, 512, 1024];
 /// Worker counts the export sweeps.
 pub const WORKER_SWEEP: [usize; 2] = [2, 4];
 
-/// The forced-parallel execution path used by the per-generation timings.
+/// The forced-parallel execution path used by the per-iteration timings.
 pub fn forced(workers: usize) -> ExecPath {
     ExecPath::FusedParallel(FusedParallel {
         workers,
@@ -50,45 +50,38 @@ fn machine(n: usize, exec: ExecPath) -> Result<Machine, GcaError> {
     Ok(m)
 }
 
-/// One `(generation, sub)` timed under sequential fused and parallel fused.
+/// One outer iteration timed under sequential fused and parallel fused.
 #[derive(Clone, Debug)]
-pub struct ParGenTiming {
+pub struct ParIterTiming {
     /// Problem size.
     pub n: usize,
-    /// The timed generation.
-    pub generation: Gen,
-    /// The timed sub-generation.
-    pub subgeneration: u32,
     /// Worker count of the parallel path.
     pub workers: usize,
-    /// Per-step statistics, sequential fused.
-    pub fused_ns_per_step: NsPerStep,
-    /// Per-step statistics, parallel fused.
-    pub parallel_ns_per_step: NsPerStep,
-    /// Whether active cells, reads, changed cells and the congestion
-    /// histogram were bit-identical between the two paths.
+    /// Per-iteration statistics, sequential fused.
+    pub fused_ns_per_iter: NsPerStep,
+    /// Per-iteration statistics, parallel fused.
+    pub parallel_ns_per_iter: NsPerStep,
+    /// Whether the first iteration left bit-identical fields and `Counts`
+    /// logs on the two paths.
     pub metrics_identical: bool,
 }
 
-impl ParGenTiming {
+impl ParIterTiming {
     /// Sequential-fused median time over parallel-fused median time.
     pub fn speedup(&self) -> f64 {
-        self.fused_ns_per_step.median / self.parallel_ns_per_step.median
+        self.fused_ns_per_iter.median / self.parallel_ns_per_iter.median
     }
 }
 
-fn time_steps(m: &mut Machine, gen: Gen, sub: u32, reps: u32) -> Result<NsPerStep, GcaError> {
-    // One probing step surfaces most errors before the timing loop; the
-    // measurement closure is infallible by signature, so any error inside
-    // it is captured and surfaced afterwards.
-    std::hint::black_box(m.step(gen, sub)?);
+fn time_iterations(m: &mut Machine, reps: u32) -> Result<NsPerStep, GcaError> {
+    // The measurement closure is infallible by signature, so any error
+    // inside it is captured and surfaced afterwards.
     let mut failed = None;
     let ns = NsPerStep::measure(
-        || match m.step(gen, sub) {
-            Ok(report) => {
-                std::hint::black_box(report);
+        || {
+            if let Err(e) = m.run_iteration() {
+                failed = Some(e);
             }
-            Err(e) => failed = Some(e),
         },
         reps,
     );
@@ -98,33 +91,23 @@ fn time_steps(m: &mut Machine, gen: Gen, sub: u32, reps: u32) -> Result<NsPerSte
     }
 }
 
-/// Times `reps` executions of `(gen, sub)` under sequential fused and
-/// forced-parallel fused on the same workload, asserting report equality on
-/// the first step.
-pub fn time_generation(
-    n: usize,
-    gen: Gen,
-    sub: u32,
-    workers: usize,
-    reps: u32,
-) -> Result<ParGenTiming, GcaError> {
+/// Times `reps` outer iterations under sequential fused and
+/// forced-parallel fused on the same workload, asserting identical fields
+/// and metrics after the first.
+pub fn time_iteration(n: usize, workers: usize, reps: u32) -> Result<ParIterTiming, GcaError> {
     let mut seq = machine(n, ExecPath::Fused)?;
     let mut par = machine(n, forced(workers))?;
-    let rs = seq.step(gen, sub)?;
-    let rp = par.step(gen, sub)?;
-    let metrics_identical = rs.active_cells == rp.active_cells
-        && rs.total_reads == rp.total_reads
-        && rs.changed_cells == rp.changed_cells
-        && rs.congestion == rp.congestion;
-    let fused_ns = time_steps(&mut seq, gen, sub, reps)?;
-    let parallel_ns = time_steps(&mut par, gen, sub, reps)?;
-    Ok(ParGenTiming {
+    seq.run_iteration()?;
+    par.run_iteration()?;
+    let metrics_identical = seq.metrics().entries() == par.metrics().entries()
+        && seq.to_field().states() == par.to_field().states();
+    let fused_ns = time_iterations(&mut seq, reps)?;
+    let parallel_ns = time_iterations(&mut par, reps)?;
+    Ok(ParIterTiming {
         n,
-        generation: gen,
-        subgeneration: sub,
         workers,
-        fused_ns_per_step: fused_ns,
-        parallel_ns_per_step: parallel_ns,
+        fused_ns_per_iter: fused_ns,
+        parallel_ns_per_iter: parallel_ns,
         metrics_identical,
     })
 }
@@ -174,9 +157,9 @@ fn timed_run(
 }
 
 /// Times full runs on the standard workload at size `n` with `workers`
-/// parallel workers. With `force_threshold` the partitioned drivers run on
-/// every generation; without it the engine's amortization tunable decides
-/// per generation (the deployment configuration).
+/// parallel workers. With `force_threshold` the neighbour-min is always
+/// partitioned; without it the engine's amortization tunable decides (the
+/// deployment configuration).
 pub fn time_full_runs(
     n: usize,
     workers: usize,
@@ -213,13 +196,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn generation_timings_report_identical_metrics() {
-        for (gen, sub) in fused::kernel_generations() {
-            let t = time_generation(16, gen, sub, 2, 2).unwrap();
-            assert!(t.metrics_identical, "{gen:?} sub {sub}");
-            assert!(t.fused_ns_per_step.median > 0.0 && t.parallel_ns_per_step.median > 0.0);
-            assert!(t.parallel_ns_per_step.min <= t.parallel_ns_per_step.max);
-        }
+    fn iteration_timings_report_identical_metrics() {
+        let t = time_iteration(16, 2, 2).unwrap();
+        assert!(t.metrics_identical);
+        assert!(t.fused_ns_per_iter.median > 0.0 && t.parallel_ns_per_iter.median > 0.0);
+        assert!(t.parallel_ns_per_iter.min <= t.parallel_ns_per_iter.max);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use gca_engine::{DomainPolicy, Engine, GcaError};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::generators;
 use crate::NsPerStep;
-use gca_hirschberg::{Convergence, Gen, HirschbergGca, Machine};
+use gca_hirschberg::{Convergence, ExecPath, Gen, HirschbergGca, Machine};
 use std::time::Instant;
 
 /// Seed shared by all sparse-stepping workloads (deterministic rows).
@@ -39,7 +39,8 @@ pub fn restricted_generations() -> [(Gen, u32); 3] {
 pub fn machine(n: usize, policy: DomainPolicy) -> Result<Machine, GcaError> {
     let graph = generators::gnp(n, 0.3, SEED);
     let engine = Engine::sequential().with_domain_policy(policy);
-    let mut m = Machine::with_engine(&graph, engine)?;
+    // Domain stepping is the engine's, which only the generic path ticks.
+    let mut m = Machine::with_engine(&graph, engine)?.with_exec(ExecPath::Generic);
     m.init()?;
     Ok(m)
 }
@@ -137,6 +138,7 @@ fn timed_run(
 ) -> Result<(f64, u64, gca_graphs::Labeling), GcaError> {
     let runner = HirschbergGca::new()
         .with_engine(Engine::sequential().with_domain_policy(policy))
+        .exec(ExecPath::Generic)
         .convergence(convergence);
     let start = Instant::now();
     let run = runner.run(graph)?;

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! gca-analyze [n ...] [--isa] [--schedule] [--symbolic] [--modelcheck]
-//!             [--lanes] [--partition] [--invariants] [--lint]
+//!             [--partition] [--invariants] [--lint]
 //!             [--modelcheck-max-n N] [--lint-root DIR]
 //! ```
 //!
@@ -18,14 +18,8 @@
 //!   check *is* parametric, and never executes the machine);
 //! * `--modelcheck` — bounded-exhaustive run over **all** graphs on up to
 //!   `--modelcheck-max-n` (default 6) vertices;
-//! * `--lanes`      — lane-level SWAR verification: source-coverage
-//!   closure, exhaustive per-lane formula proofs, word-level harness
-//!   runs against the scalar kernels, and the occupancy-plane abstract
-//!   interpreter over the fused phase schedule (size arguments do not
-//!   apply — the lane proofs are width-parametric and the schedule walk
-//!   enumerates its own sizes);
 //! * `--partition`  — the partition-disjointness prover: the exact
-//!   `plan_rows` planner enumerated over every kernel geometry,
+//!   `plan_rows` planner enumerated over the sweep's partitioned geometry,
 //!   `n = 2^k (k ≤ 16)` × workers `1..=64` × threshold settings,
 //!   proving chunk intervals disjoint, exactly covering, and histogram
 //!   merges alias-free;
@@ -33,8 +27,8 @@
 //!   Hoare contracts over the abstract-state domain discharged for
 //!   **every** `n = 2^k, k ≤ 16` — per-cell transfer exactness against
 //!   the shipped rule, the exhaustive hook/convergence lemma, closed-form
-//!   induction arithmetic and the lane-anchor bridge — with zero machine
-//!   executions (size arguments do not apply);
+//!   induction arithmetic — with zero machine executions (size arguments
+//!   do not apply);
 //! * `--lint`       — the `gca-lint` workspace linter over
 //!   `--lint-root` (default `.`), honoring its `lint.toml`.
 //!
@@ -218,43 +212,6 @@ fn run_modelcheck(max_n: usize, seeded: bool) {
     }
 }
 
-fn run_lanes(seeded: bool) {
-    println!("lane-level SWAR verification:");
-    if seeded {
-        match gca_analysis::lanes::verify_seeded() {
-            // Detecting the seeded sign-slip IS the expected outcome —
-            // and still a nonzero exit, which is what the CI contract
-            // test asserts.
-            Some(m) => fail(&format!("lanes: seeded fault detected: {m}")),
-            None => fail("lanes: seeded fault escaped the verifier"),
-        }
-    }
-    let coverage = match gca_analysis::lanes::check_coverage() {
-        Ok(c) => c,
-        Err(e) => fail(&format!("lanes: {e}")),
-    };
-    match gca_analysis::lanes::verify() {
-        Ok(report) => println!(
-            "  {} formulas proven over {} lane states ({} dense selects, {} occupancy \
-             masks covered); {} word-level rows compared",
-            report.formulas,
-            report.lane_states,
-            coverage.dense_sites,
-            coverage.occ_sites,
-            report.word_rows,
-        ),
-        Err(m) => fail(&format!("lanes: {m}")),
-    }
-    match gca_analysis::occupancy::verify() {
-        Ok(report) => println!(
-            "  occupancy plane exact across {} schedule steps ({} sizes, {} guided \
-             consumes proven, {} concrete windows replayed)",
-            report.steps, report.sizes, report.consumes_proven, report.concrete_windows,
-        ),
-        Err(f) => fail(&format!("lanes: {f}")),
-    }
-}
-
 fn run_partition(seeded: bool) {
     println!("partition-disjointness proof:");
     if seeded {
@@ -265,7 +222,7 @@ fn run_partition(seeded: bool) {
     }
     match gca_analysis::partition::verify() {
         Ok(report) => println!(
-            "  {} planner configurations × {} kernel geometries proven disjoint \
+            "  {} planner configurations × {} geometries proven disjoint \
              ({} parallel plans, {} histogram targets)",
             report.configs, report.geometries, report.parallel_plans, report.hist_targets,
         ),
@@ -336,8 +293,8 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--isa" | "--schedule" | "--symbolic" | "--modelcheck" | "--lanes"
-            | "--partition" | "--invariants" | "--lint" => {
+            "--isa" | "--schedule" | "--symbolic" | "--modelcheck" | "--partition"
+            | "--invariants" | "--lint" => {
                 layers.push(args[i].trim_start_matches("--").to_string());
             }
             "--modelcheck-max-n" => {
@@ -377,8 +334,7 @@ fn main() {
     let fault_for = |layer: &str| seed_fault.as_deref() == Some(layer);
     if let Some(f) = &seed_fault {
         if ![
-            "isa", "schedule", "symbolic", "modelcheck", "lanes", "partition", "invariants",
-            "lint",
+            "isa", "schedule", "symbolic", "modelcheck", "partition", "invariants", "lint",
         ]
         .contains(&f.as_str())
         {
@@ -402,9 +358,6 @@ fn main() {
     }
     if on("modelcheck") {
         run_modelcheck(modelcheck_max_n, fault_for("modelcheck"));
-    }
-    if on("lanes") {
-        run_lanes(fault_for("lanes"));
     }
     if on("partition") {
         run_partition(fault_for("partition"));

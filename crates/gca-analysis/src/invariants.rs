@@ -1,7 +1,7 @@
 //! Layer four: inductive invariant prover for the Hirschberg schedule.
 //!
-//! The lane/occupancy/partition layers (PR 7) prove the *kernels*; this
-//! layer proves the *algorithm*. It discharges, for every n = 2^k up to a
+//! The partition layer proves the sweep's parallel split; this layer
+//! proves the *algorithm*. It discharges, for every n = 2^k up to a
 //! caller-chosen k, the induction that Hirschberg/Chandra/Sarwate's
 //! correctness argument rests on — with **zero machine executions**. Four
 //! cooperating proof obligations:
@@ -35,17 +35,11 @@
 //!    supervertex count halving to ≤ 1 (hence, by the no-lone-unfinished
 //!    lemma of obligation 3, to 0) within k iterations.
 //!
-//! A fifth obligation bridges to the lane layer: every schedule phase with
-//! a dense-regime SWAR formula must have a verified anchor in
-//! [`lanes::catalog`], so the proof model and the lifted kernel formulas
-//! cannot drift apart silently.
-//!
 //! The dynamic mirror of this module lives in `gca-hirschberg::invariants`
 //! and hangs off `Instrumentation::Validate`; `gca-analyze --invariants`
 //! drives [`prove`], and the hidden `--seed-fault invariants` knob plants
 //! one broken contract per [`InvariantClass`] via [`prove_seeded`].
 
-use crate::lanes;
 use gca_engine::{Access, FieldShape, GcaRule, Reads, Word, INFINITY};
 use gca_hirschberg::complexity::{ceil_log2, total_generations};
 use gca_hirschberg::invariants::{contract_step, InvariantClass};
@@ -273,12 +267,6 @@ pub enum ProofFault {
         /// What went wrong.
         detail: String,
     },
-    /// A schedule phase with a dense SWAR formula has no verified lane
-    /// anchor (or the lane catalog lost a source anchor).
-    LaneAnchor {
-        /// What went wrong.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ProofFault {
@@ -309,9 +297,6 @@ impl fmt::Display for ProofFault {
             ProofFault::Arithmetic { k, detail } => {
                 write!(f, "induction arithmetic failed at k={k} (n=2^{k}): {detail}")
             }
-            ProofFault::LaneAnchor { detail } => {
-                write!(f, "lane-anchor bridge failed: {detail}")
-            }
         }
     }
 }
@@ -332,8 +317,6 @@ pub struct ProofReport {
     pub hook_configs: u64,
     /// Arithmetic facts checked across the induction chain.
     pub induction_steps: u64,
-    /// Schedule phases anchored to verified lane formulas.
-    pub lane_anchors: usize,
 }
 
 impl fmt::Display for ProofReport {
@@ -342,14 +325,13 @@ impl fmt::Display for ProofReport {
             f,
             "{} contracts proven for all n = 2^k, k <= {} \
              ({} transfer checks over witness sizes {:?}, {} hook configurations, \
-             {} induction steps, {} lane anchors, zero machine executions)",
+             {} induction steps, zero machine executions)",
             self.contracts,
             self.k_max,
             self.transfer_checks,
             self.witness_sizes,
             self.hook_configs,
             self.induction_steps,
-            self.lane_anchors,
         )
     }
 }
@@ -404,7 +386,6 @@ fn prove_inner(k_max: u32, seed: Option<Seed>) -> Result<ProofReport, ProofFault
     let transfer_checks = verify_transfers(&WITNESS_SIZES, seed == Some(Seed::Transfer))?;
     let hook_configs = verify_hook_lemma(MAX_HOOK_ROOTS, seed)?;
     let induction_steps = verify_induction(k_max, seed)?;
-    let lane_anchors = verify_lane_anchors()?;
     Ok(ProofReport {
         k_max,
         contracts: contracts().len(),
@@ -412,7 +393,6 @@ fn prove_inner(k_max: u32, seed: Option<Seed>) -> Result<ProofReport, ProofFault
         transfer_checks,
         hook_configs,
         induction_steps,
-        lane_anchors,
     })
 }
 
@@ -850,36 +830,6 @@ fn verify_induction(k_max: u32, seed: Option<Seed>) -> Result<u64, ProofFault> {
     Ok(steps)
 }
 
-/// Bridges the contract table to the lane layer: every phase whose fused
-/// SWAR implementation has a branch-free dense formula must be anchored by
-/// at least one verified catalog entry, and the catalog's source anchors
-/// must still resolve (via [`lanes::check_coverage`]).
-fn verify_lane_anchors() -> Result<usize, ProofFault> {
-    if let Err(e) = lanes::check_coverage() {
-        return Err(ProofFault::LaneAnchor { detail: e });
-    }
-    let catalog = lanes::catalog();
-    let expectations: [(Gen, &str); 6] = [
-        (Gen::BroadcastC, "broadcast"),
-        (Gen::FilterNeighbors, "filter"),
-        (Gen::MinReduce, "fold"),
-        (Gen::BroadcastT, "broadcast"),
-        (Gen::FilterMembers, "filter"),
-        (Gen::MinReduceMembers, "min_reduce"),
-    ];
-    let mut anchors = 0;
-    for (gen, needle) in expectations {
-        if catalog.iter().any(|f| f.kernel.contains(needle)) {
-            anchors += 1;
-        } else {
-            return Err(ProofFault::LaneAnchor {
-                detail: format!("no verified lane formula anchors {gen:?} (`{needle}`)"),
-            });
-        }
-    }
-    Ok(anchors)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,7 +838,6 @@ mod tests {
     fn prover_discharges_all_contracts() {
         let report = prove(16).unwrap();
         assert_eq!(report.contracts, 12);
-        assert_eq!(report.lane_anchors, 6);
         assert_eq!(report.hook_configs, 1 + 2 + 8 + 64 + 1024);
         assert!(report.transfer_checks > 100_000, "{}", report.transfer_checks);
         let s = report.to_string();
@@ -962,9 +911,6 @@ mod tests {
             ProofFault::Arithmetic {
                 k: 5,
                 detail: "short".into(),
-            },
-            ProofFault::LaneAnchor {
-                detail: "gone".into(),
             },
         ];
         for f in faults {

@@ -1,7 +1,7 @@
 //! Static verification of the CROW / read-snapshot / domain contracts the
 //! fast paths of this workspace depend on.
 //!
-//! The engine's hinted stepping, fused kernels and parallel backend are all
+//! The engine's hinted stepping, the fused sweep and parallel backend are all
 //! justified by the same three promises: cells write only themselves
 //! (owner-write), reads observe the previous generation only, and cells
 //! outside a rule's declared [`gca_engine::Domain`] are no-ops. The runtime
@@ -42,20 +42,12 @@
 //!   induction arithmetic — mirrored at runtime by the
 //!   [`gca_engine::InvariantCheck`] harness in
 //!   [`gca_hirschberg::invariants`];
-//! * [`lanes`] — a bitvector micro-IR that lifts every branch-free SWAR
-//!   formula in [`gca_hirschberg::swar`] into a symbolic lane expression
-//!   and verifies it exhaustively per lane against the scalar row-range
-//!   kernels, plus a word-level harness covering boundary and
-//!   partial-tail masks ([`lanes::LaneMismatch`] on first divergence);
-//! * [`mod@occupancy`] — an abstract interpreter over the fused phase
-//!   schedule proving the occupancy bit-plane stays *exact* across every
-//!   kernel, which is what justifies the
-//!   [`gca_hirschberg::swar::min_reduce_rows_occ`] dead-word skip;
 //! * [`mod@partition`] — an enumeration of the exact
-//!   [`gca_hirschberg::kernels::plan_rows`] planner over every kernel
-//!   geometry proving the `par_chunks_mut` write intervals are pairwise
-//!   disjoint, exactly cover the field, and that per-chunk histogram
-//!   merges never alias ([`partition::PartitionFault`] otherwise).
+//!   [`gca_hirschberg::kernels::plan_rows`] planner over the sweep's
+//!   partitioned neighbour-min proving the `par_chunks_mut` write
+//!   intervals are pairwise disjoint and exactly cover the vector, and
+//!   that the pointer chases' per-label read counters never alias
+//!   ([`partition::PartitionFault`] otherwise).
 //!
 //! The `gca-analyze` binary runs every layer (plus the `gca-lint`
 //! workspace linter) over every shipped program and is wired into CI.
@@ -66,9 +58,7 @@
 pub mod activity;
 pub mod invariants;
 pub mod isa;
-pub mod lanes;
 pub mod modelcheck;
-pub mod occupancy;
 pub mod partition;
 pub mod schedule;
 pub mod symbolic;
@@ -76,8 +66,6 @@ pub mod symbolic;
 pub use activity::{activity, live_subgenerations, min_reduce_folds_per_row};
 
 pub use invariants::{contracts, prove, prove_seeded, Contract, Fact, ProofFault, ProofReport};
-pub use lanes::{CoverageReport, LaneFormula, LaneMismatch, LaneReport, LaneState};
-pub use occupancy::{OccupancyFault, OccupancyReport, PlaneState};
 pub use partition::{PartitionFault, PartitionReport};
 
 pub use isa::{analyze, AnalysisError, CrossCheckMismatch, GenPrediction, IsaAnalysis, ReadPrediction, StoreProof};

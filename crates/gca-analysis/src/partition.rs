@@ -1,40 +1,30 @@
 //! Layer three, part two: the partition-disjointness prover.
 //!
-//! The fused parallel path runs every kernel as a row-range function
-//! over `par_chunks_mut` partitions planned by
+//! The fused parallel path splits one loop of the vector sweep across
+//! workers: the neighbour-min of generations 1–4, over `par_chunks_mut`
+//! row chunks of the `T` vector planned by
 //! [`gca_hirschberg::kernels::plan_rows`]. Safe Rust already makes a
 //! *data race* between chunks unrepresentable — `par_chunks_mut` hands
-//! out disjoint `&mut` slices — but three weaker failure classes remain
+//! out disjoint `&mut` slices — but two weaker failure classes remain
 //! expressible and would silently corrupt results or metrics:
 //!
-//! * **zip truncation** — `par_chunks_mut(..).zip(slots)` drops
-//!   trailing chunks if the accumulator slot count disagrees with the
-//!   chunk count: rows would silently not execute;
-//! * **companion skew** — the square plane, the occupancy plane and the
-//!   `D_N` row are chunked with *separately computed* chunk sizes
-//!   (`rows_per·n`, `rows_per·wpr`, `rows_per`); if their per-chunk row
-//!   ranges ever diverged, a chunk would pair rows of one plane with
-//!   bits of another;
-//! * **histogram aliasing** — the pointer-chase generations merge
-//!   per-chunk read histograms into one read-footprint counter per
-//!   chased label, whose slot `d` stands for cell `d·n` (generation 10)
-//!   or `d·n + 1` (generation 11); if two distinct chased labels mapped
-//!   to one cell, read accounting would be wrong even though the labels
-//!   themselves are.
+//! * **a bad plan** — chunk intervals that overlap or leave a hole, so
+//!   that some row is computed twice from the wrong base or not at all;
+//! * **histogram aliasing** — the pointer-chase generations count reads
+//!   per chased label, one counter per label, whose slot `d` stands for
+//!   cell `d·n` (generation 10) or `d·n + 1` (generation 11); if two
+//!   distinct chased labels mapped to one cell, read accounting would be
+//!   wrong even though the labels themselves are.
 //!
-//! This prover enumerates the *exact* planner over every kernel
+//! This prover enumerates the *exact* planner over the neighbour-min's
 //! geometry — all `n = 2^k` (`k ≤ 16`) × worker counts `1..=64` ×
 //! threshold settings × explicit/auto — and proves arithmetically that
-//! the planned write intervals are pairwise disjoint, exactly cover the
-//! field, stay whole-row aligned, agree across companion planes, and
-//! that the merged histogram targets never alias. The seeded-fault hook
-//! extends chunk 0's interval by one row — the same off-by-one overlap
-//! that the dynamic `dup-row` fault
-//! ([`gca_engine::faults::FaultKind::DuplicatedChunkRow`]) models as a
-//! double-counted row-0 read — and must be rejected as
-//! [`PartitionFault::Overlap`].
+//! the planned write intervals are pairwise disjoint and exactly cover
+//! the vector, and that the chase counters never alias. The seeded-fault
+//! hook extends chunk 0's interval by one row — the off-by-one overlap
+//! that the sweep's test-only `OverlapChunks` fault plants at run time —
+//! and must be rejected as [`PartitionFault::Overlap`].
 
-use gca_engine::WORD_BITS;
 use gca_hirschberg::kernels::{plan_rows, ParPolicy, MIN_PAR_CHUNK_CELLS};
 use std::fmt;
 
@@ -67,47 +57,6 @@ pub enum PartitionFault {
         covered: usize,
         /// Plane length that had to be covered.
         plane_len: usize,
-    },
-    /// Chunk count disagrees with accumulator slot count — `zip` would
-    /// silently drop trailing chunks.
-    ZipTruncation {
-        /// Kernel geometry name.
-        kernel: &'static str,
-        /// Problem size.
-        n: usize,
-        /// Chunks `par_chunks_mut` would produce.
-        chunks: usize,
-        /// Accumulator slots the kernel allocates.
-        slots: usize,
-    },
-    /// A chunk boundary cuts through a row.
-    Misalignment {
-        /// Kernel geometry name.
-        kernel: &'static str,
-        /// Problem size.
-        n: usize,
-        /// Offending chunk index.
-        chunk: usize,
-        /// The unaligned interval start (elements).
-        start: usize,
-        /// Elements per row of the chunked plane.
-        row_elems: usize,
-    },
-    /// A companion plane's chunk covers a different row range than the
-    /// square plane's chunk it is zipped with.
-    CompanionSkew {
-        /// Kernel geometry name.
-        kernel: &'static str,
-        /// Companion plane name (`"occ"` or `"dn"`).
-        plane: &'static str,
-        /// Problem size.
-        n: usize,
-        /// Offending chunk index.
-        chunk: usize,
-        /// Row range of the square plane's chunk.
-        square_rows: (usize, usize),
-        /// Row range of the companion plane's chunk.
-        companion_rows: (usize, usize),
     },
     /// Two distinct chased labels merge into one histogram target, or a
     /// target escapes the read plane.
@@ -148,40 +97,6 @@ impl fmt::Display for PartitionFault {
                 f,
                 "partition: {kernel} at n={n}: chunks cover {covered} of {plane_len} elements"
             ),
-            PartitionFault::ZipTruncation {
-                kernel,
-                n,
-                chunks,
-                slots,
-            } => write!(
-                f,
-                "partition: {kernel} at n={n}: {chunks} chunks zipped against {slots} \
-                 accumulator slots — trailing chunks would be dropped"
-            ),
-            PartitionFault::Misalignment {
-                kernel,
-                n,
-                chunk,
-                start,
-                row_elems,
-            } => write!(
-                f,
-                "partition: {kernel} at n={n}: chunk {chunk} starts mid-row \
-                 (element {start}, {row_elems} per row)"
-            ),
-            PartitionFault::CompanionSkew {
-                kernel,
-                plane,
-                n,
-                chunk,
-                square_rows,
-                companion_rows,
-            } => write!(
-                f,
-                "partition: {kernel} at n={n}: chunk {chunk} pairs square rows \
-                 [{}, {}) with {plane} rows [{}, {})",
-                square_rows.0, square_rows.1, companion_rows.0, companion_rows.1
-            ),
             PartitionFault::HistogramAlias {
                 kernel,
                 n,
@@ -216,7 +131,7 @@ pub struct PartitionReport {
     /// Planner configurations enumerated (size × workers × threshold ×
     /// explicit).
     pub configs: usize,
-    /// Kernel geometries checked per configuration.
+    /// Geometries checked per configuration.
     pub geometries: usize,
     /// Parallel plans proven (a `Some(rows_per)` planner outcome whose
     /// chunking passed every check).
@@ -245,111 +160,41 @@ impl HistMerge {
     }
 }
 
-/// One kernel's partition geometry, as the executor constructs it.
+/// One partitioned loop's geometry, as the sweep hands it to the planner.
 struct Geometry {
     kernel: &'static str,
     /// Problem size the geometry was built for.
     n: usize,
     /// Rows handed to `plan_rows`.
     rows: usize,
-    /// `row_width` handed to `plan_rows` (data-plane cells per row).
+    /// `row_width` handed to `plan_rows` (field cells per row).
     row_width: usize,
     /// `touched` handed to `plan_rows` (threshold gate).
     touched: usize,
-    /// Elements per row of the plane actually chunked (`n` for the
-    /// square plane, `1` for the label vector of the pointer chases).
-    plane_row_elems: usize,
-    /// Zipped occupancy plane (`rows · wpr` words, `rows_per · wpr` per
-    /// chunk) — the SWAR filters and reduces.
-    occ: bool,
-    /// Zipped `D_N` row (`rows` cells, `rows_per` per chunk) — resolve
-    /// and copy-save.
-    dn: bool,
-    /// Per-chunk histogram merge, if the kernel accumulates one.
-    hist: Option<HistMerge>,
-    /// `true` for the pointer-chase count formula
-    /// `n.div_ceil(rows_per.max(1)).max(1)`; `false` for the square
-    /// kernels' `rows.div_ceil(rows_per)`.
-    chase_count: bool,
 }
 
-/// The kernel geometries of `FusedExecutor`, in generation order. The
-/// reduce appears twice because its `touched` (active cells) varies
-/// with the fold stride — both extremes exercise the threshold gate.
+/// The partitioned loops of the sweep: the neighbour-min over `n` rows of
+/// the square, one `T` entry per row.
 fn geometries(n: usize) -> Vec<Geometry> {
-    let square = n * n;
-    let g = |kernel, rows, row_width, touched, plane_row_elems| Geometry {
-        kernel,
+    vec![Geometry {
+        kernel: "neighbour_min_rows",
         n,
-        rows,
-        row_width,
-        touched,
-        plane_row_elems,
-        occ: false,
-        dn: false,
-        hist: None,
-        chase_count: false,
-    };
-    vec![
-        // Generation 0: every cell (square + D_N row) seeded in one pass.
-        g("init_rows", n + 1, n, (n + 1) * n, n),
-        // Generations 1 / 5: whole-row broadcast over `d[..touched]`.
-        g("broadcast_rows(C)", n + 1, n, (n + 1) * n, n),
-        g("broadcast_rows(T)", n, n, square, n),
-        // Generations 2 / 6: square plane zipped with the occupancy plane.
-        Geometry {
-            occ: true,
-            ..g("filter_neighbor_rows", n, n, square, n)
-        },
-        Geometry {
-            occ: true,
-            ..g("filter_member_rows", n, n, square, n)
-        },
-        // The fused broadcast+filter pair chunks exactly like the filter.
-        Geometry {
-            occ: true,
-            ..g("broadcast_filter_rows", n, n, square, n)
-        },
-        // Generations 3 / 7: active cells shrink with the stride — prove
-        // both the first-stride plan and the tail where only `n` cells
-        // remain active.
-        Geometry {
-            occ: true,
-            ..g("min_reduce_rows(first stride)", n, n, square, n)
-        },
-        Geometry {
-            occ: true,
-            ..g("min_reduce_rows(last stride)", n, n, n, n)
-        },
-        // Generations 4 / 8: square zipped with read-shared D_N chunks.
-        Geometry {
-            dn: true,
-            ..g("resolve_rows", n, n, n, n)
-        },
-        // Generation 9: square zipped with writable D_N chunks.
-        Geometry {
-            dn: true,
-            ..g("copy_save_rows", n, n, square, n)
-        },
-        // Generations 10 / 11: label vector chunks with per-chunk
-        // histograms merged at `d·n` / `d·n + 1`.
-        Geometry {
-            hist: Some(HistMerge::Jump),
-            chase_count: true,
-            ..g("jump_rows", n, 1, n, 1)
-        },
-        Geometry {
-            hist: Some(HistMerge::FinalMin),
-            chase_count: true,
-            ..g("final_min_rows", n, 1, n, 1)
-        },
-    ]
+        rows: n,
+        row_width: n,
+        touched: n * n,
+    }]
 }
+
+/// The pointer chases' per-label read counters.
+const CHASES: [(HistMerge, &str); 2] = [
+    (HistMerge::Jump, "pointer_jump"),
+    (HistMerge::FinalMin, "final_min"),
+];
 
 /// The half-open element intervals `par_chunks_mut(size)` yields over a
-/// plane of `len` elements. `grow_first` is the seeded fault: chunk 0
-/// claims one extra row, the off-by-one partition the dynamic `dup-row`
-/// fault models.
+/// vector of `len` elements. `grow_first` is the seeded fault: chunk 0
+/// claims extra rows, the off-by-one partition of the sweep's test-only
+/// `OverlapChunks` fault.
 fn intervals(len: usize, size: usize, grow_first: Option<usize>) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut start = 0;
@@ -366,7 +211,9 @@ fn intervals(len: usize, size: usize, grow_first: Option<usize>) -> Vec<(usize, 
     out
 }
 
-/// Proves one geometry under one planner configuration.
+/// Proves one geometry under one planner configuration: the chunks
+/// `par_chunks_mut(rows_per)` cuts from the `rows`-long vector are
+/// pairwise disjoint and cover it exactly.
 fn check_geometry(
     geo: &Geometry,
     policy: ParPolicy,
@@ -375,42 +222,15 @@ fn check_geometry(
 ) -> Result<(), PartitionFault> {
     let n = geo.n;
     let Some(rows_per) = plan_rows(Some(policy), geo.touched, geo.rows, geo.row_width) else {
-        // Sequential: one implicit interval covering the plane — nothing
+        // Sequential: one implicit interval covering the vector — nothing
         // to prove beyond the planner's own `rows ≥ 2` / threshold gates.
         return Ok(());
     };
-    let plane_len = geo.rows * geo.plane_row_elems;
-    let chunk_elems = rows_per * geo.plane_row_elems;
-    let grow = seed_fault.then_some(geo.plane_row_elems);
-    let chunks = intervals(plane_len, chunk_elems, grow);
-    // Slot count exactly as the kernel computes it.
-    let slots = if geo.chase_count {
-        geo.rows.div_ceil(rows_per.max(1)).max(1)
-    } else {
-        geo.rows.div_ceil(rows_per)
-    };
-    if chunks.len() != slots {
-        return Err(PartitionFault::ZipTruncation {
-            kernel: geo.kernel,
-            n,
-            chunks: chunks.len(),
-            slots,
-        });
-    }
-    // Pairwise disjoint + exact cover + whole-row alignment. Intervals
-    // are produced in ascending-start order, so adjacent-pair checks
-    // decide global disjointness.
+    let chunks = intervals(geo.rows, rows_per, seed_fault.then_some(1));
+    // Intervals are produced in ascending-start order, so adjacent-pair
+    // checks decide global disjointness.
     let mut covered = 0usize;
     for (ci, &(start, end)) in chunks.iter().enumerate() {
-        if start % geo.plane_row_elems != 0 {
-            return Err(PartitionFault::Misalignment {
-                kernel: geo.kernel,
-                n,
-                chunk: ci,
-                start,
-                row_elems: geo.plane_row_elems,
-            });
-        }
         if start < covered {
             return Err(PartitionFault::Overlap {
                 kernel: geo.kernel,
@@ -422,56 +242,17 @@ fn check_geometry(
             });
         }
         if start > covered {
-            return Err(PartitionFault::CoverageHole {
-                kernel: geo.kernel,
-                n,
-                covered,
-                plane_len,
-            });
+            break;
         }
         covered = end;
     }
-    if covered != plane_len {
+    if covered != geo.rows {
         return Err(PartitionFault::CoverageHole {
             kernel: geo.kernel,
             n,
             covered,
-            plane_len,
+            plane_len: geo.rows,
         });
-    }
-    // Companion planes must pair identical row ranges chunk-for-chunk.
-    let wpr = n.div_ceil(WORD_BITS);
-    let mut companions: Vec<(&'static str, usize)> = Vec::new();
-    if geo.occ {
-        companions.push(("occ", wpr));
-    }
-    if geo.dn {
-        companions.push(("dn", 1));
-    }
-    for (plane, elems_per_row) in companions {
-        let comp = intervals(geo.rows * elems_per_row, rows_per * elems_per_row, None);
-        if comp.len() != chunks.len() {
-            return Err(PartitionFault::ZipTruncation {
-                kernel: geo.kernel,
-                n,
-                chunks: chunks.len(),
-                slots: comp.len(),
-            });
-        }
-        for (ci, (&sq, &co)) in chunks.iter().zip(&comp).enumerate() {
-            let square_rows = (sq.0 / geo.plane_row_elems, sq.1.div_ceil(geo.plane_row_elems));
-            let companion_rows = (co.0 / elems_per_row, co.1.div_ceil(elems_per_row));
-            if square_rows != companion_rows {
-                return Err(PartitionFault::CompanionSkew {
-                    kernel: geo.kernel,
-                    plane,
-                    n,
-                    chunk: ci,
-                    square_rows,
-                    companion_rows,
-                });
-            }
-        }
     }
     report.parallel_plans += 1;
     Ok(())
@@ -563,12 +344,10 @@ fn verify_inner(seed_fault: bool) -> Result<PartitionReport, PartitionFault> {
                 }
             }
         }
-        // Histogram targets are planner-independent (the merge runs
-        // sequentially on the calling thread) — prove once per size.
-        for geo in &geos {
-            if let Some(merge) = geo.hist {
-                check_histogram(merge, geo.kernel, n, &mut report)?;
-            }
+        // The chases run sequentially: their counters are
+        // planner-independent, so prove them once per size.
+        for (merge, kernel) in CHASES {
+            check_histogram(merge, kernel, n, &mut report)?;
         }
     }
     Ok(report)
@@ -580,9 +359,9 @@ pub fn verify() -> Result<PartitionReport, PartitionFault> {
 }
 
 /// Seeded-fault entry: replans every geometry with chunk 0's interval
-/// grown by one row — the off-by-one double-covered row that the
-/// dynamic `dup-row` fault models as a duplicated row-0 read. `Some` carries the fault the prover found; `None` means the
-/// seeded overlap escaped — a broken prover.
+/// grown by one row — the off-by-one double-covered row. `Some` carries
+/// the fault the prover found; `None` means the seeded overlap escaped —
+/// a broken prover.
 pub fn verify_seeded() -> Option<PartitionFault> {
     verify_inner(true).err()
 }
@@ -623,29 +402,13 @@ mod tests {
     }
 
     #[test]
-    fn truncated_zip_is_typed() {
-        // A chase-count formula fed rows that don't divide produces the
-        // same count as par_chunks_mut — force a disagreement by hand to
-        // exercise the fault constructor and display.
-        let f = PartitionFault::ZipTruncation {
-            kernel: "jump_rows",
-            n: 8,
-            chunks: 3,
-            slots: 2,
-        };
-        let s = f.to_string();
-        assert!(s.contains("jump_rows"), "{s}");
-        assert!(s.contains("dropped"), "{s}");
-    }
-
-    #[test]
     fn histogram_alias_detects_collision() {
         // An (artificial) n = 0 plane aside, the prover must reject a
         // non-increasing target sequence; simulate by checking FinalMin
         // on n = 1 where d = 1 maps to target 2 = reads_len and must be
         // filtered by the kernel-guard admissibility, not merged.
         let mut report = PartitionReport::default();
-        check_histogram(HistMerge::FinalMin, "final_min_rows", 1, &mut report)
+        check_histogram(HistMerge::FinalMin, "final_min", 1, &mut report)
             .expect("guarded n = 1 must verify");
         // Only d = 0 is admissible there (target 1 < 2).
         assert_eq!(report.hist_targets, 1);
@@ -654,7 +417,7 @@ mod tests {
     #[test]
     fn fault_displays_name_site_and_numbers() {
         let f = PartitionFault::Overlap {
-            kernel: "filter_neighbor_rows",
+            kernel: "neighbour_min_rows",
             n: 8,
             workers: 4,
             chunks: (0, 1),
@@ -662,17 +425,8 @@ mod tests {
             b: (16, 32),
         };
         let s = f.to_string();
-        assert!(s.contains("filter_neighbor_rows"), "{s}");
+        assert!(s.contains("neighbour_min_rows"), "{s}");
         assert!(s.contains("n=8"), "{s}");
         assert!(s.contains("overlap"), "{s}");
-        let g = PartitionFault::CompanionSkew {
-            kernel: "resolve_rows",
-            plane: "dn",
-            n: 8,
-            chunk: 1,
-            square_rows: (2, 4),
-            companion_rows: (2, 5),
-        };
-        assert!(g.to_string().contains("dn rows [2, 5)"), "{}", g);
     }
 }

@@ -74,9 +74,10 @@ fn modelcheck_layer_exit_codes() {
 }
 
 #[test]
-fn lanes_layer_exit_codes() {
-    assert_clean(&["--lanes"]);
-    assert_fails(&["--lanes", "--seed-fault", "lanes"], "lane mismatch");
+fn removed_lanes_layer_is_rejected() {
+    // The lane and occupancy provers went with the SWAR plane bodies.
+    assert_fails(&["--lanes"], "invalid size");
+    assert_fails(&["--partition", "--seed-fault", "lanes"], "unknown --seed-fault layer");
 }
 
 #[test]

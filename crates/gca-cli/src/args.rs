@@ -70,11 +70,12 @@ pub struct EngineOpts {
     pub domain: DomainPolicy,
     /// Pointer-jump convergence handling (`--convergence`).
     pub convergence: Convergence,
-    /// Execution path (`--exec`): generic per-cell dispatch or fused kernels.
+    /// Execution path (`--exec`): vector sweeps (the default) or generic
+    /// per-cell dispatch.
     pub exec: ExecPath,
     /// Run under the CROW/domain sanitizer (`--validate`): every generation
-    /// is replayed against the read-snapshot and domain contracts, and the
-    /// fused kernels are shadowed by the reference engine.
+    /// is replayed against the read-snapshot and domain contracts on the
+    /// engine, and the fused paths cross-check their sweep against it.
     pub validate: bool,
     /// Live invariant checking (`--invariants`): run the algorithm-level
     /// invariant mirror — every generation replayed against the prover's
@@ -293,9 +294,11 @@ OPTIONS:
   --backend <b>      seq (default) | par — engine backend (gca machine only)
   --domain <d>       hinted (default) | dense — active-domain stepping policy (gca machine only)
   --convergence <c>  fixed (default) | detect — pointer-jump convergence early exit (gca machine only)
-  --exec <e>         generic (default) | fused | fused-par — per-cell dispatch, fused
-                     word-parallel (SWAR) kernels over the bit-packed adjacency plane, or the
-                     same kernels over row-partitioned workers (gca machine only)
+  --exec <e>         fused (default) | fused-par | generic — one O(n)-state vector sweep
+                     per outer iteration over the bit-packed adjacency plane, the same sweep
+                     with row-partitioned workers, or the engine's per-cell dispatch over
+                     the whole n(n+1) field; --validate, --inject and Trace steps run the
+                     engine on every path (gca machine only)
   --workers <k>      worker count for --exec fused-par (0 or omitted = auto from the
                      machine's thread count)
   --validate         run under the CROW/domain sanitizer: replay every generation against the
@@ -306,7 +309,7 @@ OPTIONS:
   --inject <spec>    plant one deterministic fault and run under the recovery supervisor
                      (gca machine only). Spec grammar:
                        <kind>[@<gen>[.<cell>[.<bit>]]][:seed=<u64>][:sticky]
-                     with kind bitflip | torn | drop | stale-occ | dup-row | hist-merge.
+                     with kind bitflip | torn | drop.
                      Detection needs --validate; an undetected label divergence exits 4.
   --recover <p>      recovery policy when a detector fires (implies supervision):
                      fail (default with --inject) | retry[:N] | rollback[:D] | degrade —
@@ -577,7 +580,7 @@ mod tests {
         assert_eq!(a.engine.backend, Backend::Sequential);
         assert_eq!(a.engine.domain, DomainPolicy::Hinted);
         assert_eq!(a.engine.convergence, Convergence::Fixed);
-        assert_eq!(a.engine.exec, ExecPath::Generic);
+        assert_eq!(a.engine.exec, ExecPath::Fused, "the fast path is the default");
         assert!(!a.engine.validate);
 
         let a = parse(&argv(&[
@@ -632,9 +635,8 @@ mod tests {
 
     #[test]
     fn fused_swar_is_not_an_exec_path() {
-        // `fused-swar` names no exec path (the SWAR bodies run on every
-        // fused path): it is rejected like any unknown value, with or
-        // without --workers.
+        // `fused-swar` names no exec path: it is rejected like any unknown
+        // value, with or without --workers.
         for extra in [&[][..], &["--workers", "4"][..]] {
             let mut items = vec!["--exec", "fused-swar"];
             items.extend_from_slice(extra);
@@ -654,7 +656,7 @@ mod tests {
         assert!(a.engine.validate);
         assert_eq!(
             a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=generic validate=on"
+            "backend=sequential domain=hinted convergence=fixed exec=fused validate=on"
         );
     }
 
@@ -664,7 +666,7 @@ mod tests {
         assert!(a.engine.invariants && a.engine.validate);
         assert_eq!(
             a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=generic \
+            "backend=sequential domain=hinted convergence=fixed exec=fused \
              validate=on invariants=on"
         );
         // --validate alone does not advertise the invariant tier.

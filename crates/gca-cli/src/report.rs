@@ -466,12 +466,12 @@ mod tests {
     fn fused_exec_matches_generic_via_cli_path() {
         use gca_hirschberg::ExecPath;
         for g in [generators::gnp(14, 0.2, 9), generators::gnp(17, 0.2, 5)] {
-            let generic = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
-            let opts = EngineOpts {
-                exec: ExecPath::Fused,
+            let generic_opts = EngineOpts {
+                exec: ExecPath::Generic,
                 ..EngineOpts::default()
             };
-            let fused = execute(MachineKind::Gca, &g, &opts, &RecoveryOpts::default()).unwrap();
+            let generic = execute(MachineKind::Gca, &g, &generic_opts, &RecoveryOpts::default()).unwrap();
+            let fused = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
             assert_eq!(fused.labels.as_slice(), generic.labels.as_slice());
             assert_eq!(fused.steps, generic.steps);
             assert_eq!(fused.max_congestion, generic.max_congestion);
@@ -559,12 +559,13 @@ mod tests {
             validate: true,
             ..EngineOpts::default()
         };
-        // Mid-second-iteration label flip: detected by the differential
-        // replay, repaired from the iteration-boundary checkpoint.
+        // Mid-second-iteration label flip: the armed plan hands the fused
+        // path's generations to the engine, where the invariant checker
+        // catches it; repaired from the iteration-boundary checkpoint.
         let outcome = execute(MachineKind::Gca, &g, &opts, &transient_flip(27, 5)).unwrap();
         let report = outcome.recovery.as_ref().unwrap();
         assert!(matches!(report.outcome, RecoveryOutcome::Recovered), "{report}");
-        assert_eq!(report.first_detector(), Some("differential-replay"));
+        assert_eq!(report.first_detector(), Some("invariant-checker"));
         assert!(report.checkpoints_restored >= 1);
         assert_eq!(outcome.diverged, Some(false));
         assert_eq!(outcome.labels.as_slice(), reference.labels.as_slice());
@@ -628,7 +629,7 @@ mod tests {
         let json = render_json(&outcome, &g, &args);
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["recovery"]["outcome"], "recovered");
-        assert_eq!(v["recovery"]["attempts"][0]["detector"], "differential-replay");
+        assert_eq!(v["recovery"]["attempts"][0]["detector"], "invariant-checker");
         assert_eq!(v["recovery"]["initial_rung"], "fused");
         assert_eq!(v["diverged"], false);
         let text = render_text(&outcome, &g, &args);

@@ -50,6 +50,26 @@ fn json_output_parses() {
 }
 
 #[test]
+fn fused_sweep_is_the_default_exec_path() {
+    // No flags: the engine line names the fast path, and its labels and
+    // Table 1 metrics equal the generic reference's.
+    let run = |extra: &[&str]| {
+        let mut args = vec!["gnp:40:150:2", "--json", "--labels", "--metrics"];
+        args.extend_from_slice(extra);
+        let out = gca_cc().args(&args).output().expect("spawn");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        serde_json::from_slice::<serde_json::Value>(&out.stdout).expect("valid JSON")
+    };
+    let default = run(&[]);
+    let engine = default["engine"].as_str().unwrap_or_default();
+    assert!(engine.contains("exec=fused"), "{engine}");
+    let generic = run(&["--exec", "generic"]);
+    for key in ["labels", "steps", "max_congestion", "metrics"] {
+        assert_eq!(default[key], generic[key], "{key}");
+    }
+}
+
+#[test]
 fn reads_edge_list_from_stdin() {
     let mut child = gca_cc()
         .args(["-", "--labels"])
@@ -131,7 +151,8 @@ fn malformed_edge_list_fails_cleanly() {
 //       labels are wrong)
 // `bitflip@27.5.0` lands mid-second-iteration on path:24 (23 generations
 // per iteration, so generation 27 is iteration 2's filter window) — a
-// site the differential replay detects under --validate.
+// site the invariant checker detects under --validate: an armed fault plan
+// hands the fused path's generations to the engine it judges.
 
 #[test]
 fn recovered_fault_exits_zero_with_report() {
@@ -149,7 +170,7 @@ fn recovered_fault_exits_zero_with_report() {
     );
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("recovered: 1 fault(s) detected"), "{text}");
-    assert!(text.contains("differential-replay"), "{text}");
+    assert!(text.contains("invariant-checker"), "{text}");
     assert!(text.contains("fault containment: labels match"), "{text}");
     assert!(text.contains("components: 1"), "{text}");
 }
@@ -214,19 +235,23 @@ fn json_recovery_report_parses() {
     assert!(out.status.success());
     let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
     assert_eq!(v["recovery"]["outcome"], "recovered");
-    assert_eq!(v["recovery"]["attempts"][0]["detector"], "differential-replay");
+    assert_eq!(v["recovery"]["attempts"][0]["detector"], "invariant-checker");
     assert_eq!(v["diverged"], false);
 }
 
 #[test]
 fn bad_fault_spec_fails_with_usage() {
-    let out = gca_cc()
-        .args(["path:8", "--inject", "meltdown@1"])
-        .output()
-        .expect("spawn");
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("fault class"), "{err}");
+    // `stale-occ`, `dup-row` and `hist-merge` named kernel surfaces the
+    // vector sweep no longer has; they are unknown classes like any other.
+    for spec in ["meltdown@1", "stale-occ@2.1", "dup-row", "hist-merge:seed=3"] {
+        let out = gca_cc()
+            .args(["path:8", "--inject", spec])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{spec}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("fault class: bitflip | torn | drop"), "{err}");
+    }
 }
 
 #[test]

@@ -457,7 +457,7 @@ impl Engine {
 
     /// Advances the generation counter by one without executing a step.
     ///
-    /// External executors (e.g. the fused kernels in `gca-hirschberg`) that
+    /// External executors (e.g. the vector sweep in `gca-hirschberg`) that
     /// bypass [`Engine::step`] call this after each generation they execute
     /// themselves, so that [`Engine::generation`] — and the
     /// [`StepCtx::generation`] values recorded in metrics logs — stay in

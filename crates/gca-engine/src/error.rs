@@ -91,12 +91,13 @@ pub enum GcaError {
         /// Phase tag the generation ran under.
         phase: u32,
     },
-    /// A fused kernel's writes diverged from the reference engine replaying
-    /// the same generation — detected by the differential harness that
-    /// [`Instrumentation::Validate`](crate::Instrumentation::Validate)
+    /// A fused path's vector sweep diverged from the reference engine
+    /// running the same iteration — in a generation's read counts or in
+    /// the field at the iteration boundary — detected by the cross-check
+    /// that [`Instrumentation::Validate`](crate::Instrumentation::Validate)
     /// arms on fused execution paths.
     KernelDivergence {
-        /// First cell whose fused state differs from the replayed state.
+        /// First cell whose read count or state differs from the engine's.
         cell: usize,
         /// Generation counter at the time of the divergence.
         generation: u64,
@@ -195,7 +196,7 @@ impl fmt::Display for GcaError {
                 phase,
             } => write!(
                 f,
-                "fused kernel diverged from the reference engine at cell \
+                "fused sweep diverged from the reference engine at cell \
                  {cell} in generation {generation} (phase {phase})"
             ),
             GcaError::InvariantViolation {
@@ -234,10 +235,9 @@ impl GcaError {
     ///
     /// * `crow-sanitizer` — the engine's own per-generation access/domain
     ///   checks (bad pointers, torn reads, EREW/CROW and domain-hint
-    ///   violations), armed by `Instrumentation::Validate` on the generic
-    ///   path and inside the fused replay harness.
-    /// * `differential-replay` — the fused-path harness replaying every
-    ///   kernel generation through the reference engine.
+    ///   violations), armed by `Instrumentation::Validate` on every path.
+    /// * `differential-replay` — the fused-path cross-check of each
+    ///   iteration's sweep against the reference engine.
     /// * `invariant-checker` — the algorithm-level Hoare-contract mirror
     ///   running on every execution path.
     /// * `structural` — label/shape validation outside the run loop, and

@@ -3,7 +3,7 @@
 //!
 //! The paper's machine model assumes every cell computes its rule
 //! faithfully every generation. The detectors built in earlier layers
-//! (the CROW sanitizer, the fused differential replay, the invariant
+//! (the CROW sanitizer, the fused paths' sweep cross-check, the invariant
 //! checker) exist to catch violations of that assumption — a
 //! [`FaultPlan`] is the controlled way to *create* one, so the detectors
 //! and the recovery loop (see [`crate::recovery`]) can be proven closed
@@ -42,21 +42,6 @@ pub enum FaultKind {
     /// pre-generation state after the engine believes the generation
     /// committed (a dropped sub-phase of the schedule).
     DroppedGeneration,
-    /// A stale occupancy bit: one live bit of the SWAR occupancy plane is
-    /// cleared after a filter generation wrote it, so the next reduction
-    /// skips a populated lane. Meaningful only on the fused paths — the
-    /// generic path carries no occupancy plane.
-    StaleOccupancy,
-    /// Two worker row partitions overlap on one boundary cell, which is
-    /// then accounted twice in the counting broadcast — the observable
-    /// effect of a duplicated chunk row. Meaningful only on parallel
-    /// fused paths with at least two workers.
-    DuplicatedChunkRow,
-    /// A corrupted per-chunk histogram merge: one cell's read count gains
-    /// a phantom increment when worker histograms are folded into the
-    /// shared congestion plane. Meaningful only on fused paths under
-    /// counting instrumentation.
-    CorruptHistogramMerge,
 }
 
 impl FaultKind {
@@ -66,9 +51,6 @@ impl FaultKind {
             FaultKind::BitFlip { .. } => "bitflip",
             FaultKind::TornWrite => "torn",
             FaultKind::DroppedGeneration => "drop",
-            FaultKind::StaleOccupancy => "stale-occ",
-            FaultKind::DuplicatedChunkRow => "dup-row",
-            FaultKind::CorruptHistogramMerge => "hist-merge",
         }
     }
 }
@@ -246,8 +228,8 @@ impl FaultSpec {
     /// Parses a spec string.
     ///
     /// Grammar: `<kind>[@<gen>[.<cell>[.<bit>]]][:seed=<u64>][:sticky]`
-    /// with kind one of `bitflip`, `torn`, `drop`, `stale-occ`,
-    /// `dup-row`, `hist-merge`. Without `@` or `seed=`, the fault lands
+    /// with kind one of `bitflip`, `torn`, `drop`. Without `@` or `seed=`,
+    /// the fault lands
     /// on generation 1, cell 0, bit 0.
     pub fn parse(spec: &str) -> Result<Self, FaultParseError> {
         let err = |expected| FaultParseError {
@@ -264,14 +246,7 @@ impl FaultSpec {
             "bitflip" => FaultKind::BitFlip { bit: 0 },
             "torn" => FaultKind::TornWrite,
             "drop" => FaultKind::DroppedGeneration,
-            "stale-occ" => FaultKind::StaleOccupancy,
-            "dup-row" => FaultKind::DuplicatedChunkRow,
-            "hist-merge" => FaultKind::CorruptHistogramMerge,
-            _ => {
-                return Err(err(
-                    "a fault class: bitflip | torn | drop | stale-occ | dup-row | hist-merge",
-                ))
-            }
+            _ => return Err(err("a fault class: bitflip | torn | drop")),
         };
         let mut addr = None;
         if let Some(coords) = coords {
@@ -434,6 +409,11 @@ mod tests {
             "torn:seed=",
             "torn:wat",
             "bitflip@1:seed=2",
+            // Classes whose surfaces (the occupancy plane, partitioned
+            // counting broadcasts, kernel histogram merges) no longer exist.
+            "stale-occ",
+            "dup-row@3",
+            "hist-merge:seed=1",
         ] {
             assert!(FaultSpec::parse(bad).is_err(), "{bad} should not parse");
         }

@@ -2,8 +2,8 @@
 //!
 //! [`Instrumentation::Validate`](crate::Instrumentation::Validate) already
 //! arms two machine-level sanitizers: the CROW/domain replay inside the
-//! engine (stray writes, torn reads) and the differential replay harness on
-//! fused execution paths (kernel-vs-reference divergence). Both answer "did
+//! engine (stray writes, torn reads) and the differential cross-check on
+//! fused execution paths (sweep-vs-reference divergence). Both answer "did
 //! the machine execute the rule faithfully?" — neither can say whether the
 //! *rule itself* still satisfies the algorithm's inductive invariants.
 //!

@@ -18,9 +18,9 @@ pub const INFINITY: Word = Word::MAX;
 /// The machine word of the bit-packed adjacency plane.
 ///
 /// Where a cell's *data* path is a [`Word`], its *adjacency* flag is a
-/// single bit: packing 64 flags per `AdjWord` lets the SWAR kernels touch
-/// 64 cells per ALU operation (word-skip on all-zero words, set-bit walks
-/// via `trailing_zeros`). Every bit-addressing computation in the workspace
+/// single bit: packing 64 flags per `AdjWord` lets the vector sweep skip
+/// 64 non-neighbours per word and walk the set bits via
+/// `trailing_zeros`. Every bit-addressing computation in the workspace
 /// must be phrased in terms of [`WORD_BITS`] — hard-coded `64`/`63`
 /// assumptions outside this module are rejected by the `word-width` rule of
 /// `gca-lint`.

@@ -1,10 +1,11 @@
 use crate::complexity::{ceil_log2, total_generations};
 use crate::hfield::HField;
 use crate::invariants::{InvariantChecker, InvariantClass};
-use crate::kernels::{FusedExecutor, ParPolicy};
+use crate::kernels::ParPolicy;
+use crate::sweep::{static_footprint, Sweep, SweepFault};
 use crate::{iteration_schedule, ExecPath, Gen, HCell, HirschbergRule, Layout};
 use gca_engine::faults::{FaultKind, FaultPlan};
-use gca_engine::metrics::{GenerationMetrics, MetricsLog};
+use gca_engine::metrics::{GenerationMetrics, MetricsLog, ReadFootprint};
 use gca_engine::snapshot::FieldSnapshot;
 use gca_engine::{
     CellField, Engine, GcaError, Instrumentation, InvariantCheck, StepCtx, StepReport, Word,
@@ -52,12 +53,15 @@ pub enum Convergence {
 /// drive it manually to capture access patterns, while
 /// [`HirschbergGca::run`] drives it to completion.
 ///
-/// The cell state is one struct-of-arrays `HField` on every exec path: a
-/// 4-byte data plane plus the packed adjacency plane, the paper's `(d, a)`
-/// registers. The fused kernels run on it in place; an engine step (the
-/// generic path, the `Trace` fallback, the `Validate` replay) runs on a
-/// lazily allocated `CellField<HCell>` scratch that is refilled from the
-/// planes first, and the generic path copies the data words back.
+/// The cell state lives in one of two forms. On the fused paths an
+/// unobserved run keeps it as the sweep's O(n) vectors (`C`, `T′`; see
+/// [`crate::sweep`]) next to the packed adjacency plane, and never
+/// allocates the `n(n+1)` data plane. Whenever the engine ticks — the
+/// generic path, and on the fused paths [`Machine::step`],
+/// `Instrumentation::Trace`, `Instrumentation::Validate` or an armed fault
+/// plan — the data plane is materialized from the vectors and the engine
+/// runs on a lazily allocated `CellField<HCell>` scratch refilled from it.
+/// The next unobserved sweep reads column 0 and drops the plane again.
 pub struct Machine {
     layout: Layout,
     rule: HirschbergRule,
@@ -65,21 +69,23 @@ pub struct Machine {
     metrics: MetricsLog,
     convergence: Convergence,
     exec: ExecPath,
-    /// The fused kernels, and in them the machine's cell state
-    /// ([`FusedExecutor::field`]).
-    fused: FusedExecutor,
-    /// The engine scratch: allocated on the first engine step (or
-    /// validated fused step) and refilled from the cell state before each.
-    /// Under [`Instrumentation::Validate`] on the fused paths it is also
-    /// the replay shadow. Never read as state.
+    /// The adjacency plane, and the data plane while it holds the state.
+    field: HField,
+    /// The state while the data plane is empty; under
+    /// [`Instrumentation::Validate`] on the fused paths, the cross-check's
+    /// expected iteration.
+    sweep: Sweep,
+    /// The engine scratch: allocated on the first engine step and refilled
+    /// from the data plane before each. Never read as state.
     scratch: Option<CellField<HCell>>,
     initialized: bool,
-    /// The differential harness armed by [`Instrumentation::Validate`] on
-    /// the fused paths: a sequential reference engine (itself running the
-    /// CROW sanitizer) that replays every fused generation on the scratch.
-    replay: Option<Engine>,
-    /// The algorithm-level invariant checker, also armed by
-    /// [`Instrumentation::Validate`] — on *every* execution path. Replays
+    /// The generations the cross-check expects from the engine in the
+    /// current iteration: context, active cells and read footprint, as
+    /// the sweep committed them. Empty outside a validated fused
+    /// iteration.
+    expected: Vec<(StepCtx, usize, ReadFootprint)>,
+    /// The algorithm-level invariant checker, armed by
+    /// [`Instrumentation::Validate`] on *every* execution path. Replays
     /// the schedule's Hoare-contract transfers (see
     /// [`crate::invariants`]) against each committed generation and
     /// asserts the iteration-boundary invariants of the induction
@@ -100,22 +106,22 @@ pub struct Machine {
     torn_pre: Option<Word>,
 }
 
-/// Refills the engine scratch from the cell state, allocating it on first
+/// Refills the engine scratch from the data plane, allocating it on first
 /// use. A free function so that the caller can keep borrowing the engine
 /// and the rule while it holds the scratch.
 fn refill<'a>(
     scratch: &'a mut Option<CellField<HCell>>,
     layout: &Layout,
-    state: &HField,
+    field: &HField,
 ) -> &'a mut CellField<HCell> {
-    let field = scratch.get_or_insert_with(|| CellField::new(*layout.shape(), HCell::new(0)));
-    state.store(field.states_mut());
-    field
+    let cells = scratch.get_or_insert_with(|| CellField::new(*layout.shape(), HCell::new(0)));
+    field.store(cells.states_mut(), field.d.iter().copied());
+    cells
 }
 
 impl Machine {
     /// Builds a machine for `graph` with a default (sequential, counting)
-    /// engine.
+    /// engine on the default ([`ExecPath::Fused`]) path.
     pub fn new(graph: &AdjacencyMatrix) -> Result<Self, GcaError> {
         Machine::with_engine(graph, Engine::sequential())
     }
@@ -123,19 +129,20 @@ impl Machine {
     /// Builds a machine with an explicit engine configuration.
     pub fn with_engine(graph: &AdjacencyMatrix, engine: Engine) -> Result<Self, GcaError> {
         let layout = Layout::new(graph.n())?;
-        let mut fused = FusedExecutor::new(graph.n());
-        fused.field_mut().fill(graph)?;
+        let mut field = HField::new(graph.n());
+        field.fill(graph)?;
         Ok(Machine {
             layout,
             rule: HirschbergRule::new(graph.n()),
             engine,
             metrics: MetricsLog::new(),
             convergence: Convergence::Fixed,
-            exec: ExecPath::Generic,
-            fused,
+            exec: ExecPath::default(),
+            field,
+            sweep: Sweep::new(graph.n()),
             scratch: None,
             initialized: false,
-            replay: None,
+            expected: Vec::new(),
             inv: None,
             inv_fault: None,
             inject: None,
@@ -184,11 +191,19 @@ impl Machine {
     }
 
     /// An array-of-structures copy of the current field, built on each
-    /// call (the machine keeps its state in split planes).
+    /// call from the data plane or, when there is none, from the sweep's
+    /// vectors.
     pub fn to_field(&self) -> CellField<HCell> {
-        let mut field = CellField::new(*self.layout.shape(), HCell::new(0));
-        self.fused.field().store(field.states_mut());
-        field
+        let mut cells = CellField::new(*self.layout.shape(), HCell::new(0));
+        let field = &self.field;
+        if field.has_plane() {
+            field.store(cells.states_mut(), field.d.iter().copied());
+        } else {
+            let n = self.n();
+            let words = (0..=n).flat_map(|row| (0..n).map(move |col| (row, col)));
+            field.store(cells.states_mut(), words.map(|(row, col)| self.sweep.word(row, col)));
+        }
+        cells
     }
 
     /// Generations executed so far.
@@ -203,6 +218,8 @@ impl Machine {
 
     /// Executes generation 0 (initialization). Must run exactly once,
     /// before any iteration; a second call is [`GcaError::OutOfOrder`].
+    /// An unobserved fused machine initializes its vectors in O(n) and
+    /// reports no congestion histogram; otherwise the engine ticks.
     pub fn init(&mut self) -> Result<StepReport, GcaError> {
         if self.initialized {
             return Err(GcaError::OutOfOrder {
@@ -210,84 +227,97 @@ impl Machine {
                 initialized: true,
             });
         }
-        let rep = self.step(Gen::Init, 0)?;
+        let rep = if self.sweeping() {
+            self.field.d = Vec::new();
+            self.sweep.init();
+            let n = self.n();
+            let ctx = StepCtx {
+                generation: self.engine.generation(),
+                phase: Gen::Init.number(),
+                subgeneration: 0,
+            };
+            let (active, grid) = static_footprint(Gen::Init, 0, n).unwrap_or_default();
+            self.engine.advance_generation();
+            if self.counting() {
+                let mut fp = ReadFootprint::new();
+                fp.set_grid(self.layout.cells(), grid);
+                self.metrics
+                    .push(GenerationMetrics::from_footprint(ctx, active, &fp));
+            }
+            StepReport {
+                ctx,
+                active_cells: active,
+                total_reads: 0,
+                // Every cell below row 0 leaves the all-zero state.
+                changed_cells: n * n,
+                evaluated_cells: active,
+                workers: 1,
+                congestion: None,
+                accesses: None,
+            }
+        } else {
+            self.step(Gen::Init, 0)?
+        };
         self.initialized = true;
         Ok(rep)
     }
 
     /// Executes a single `(generation, sub-generation)` of the state
-    /// machine and records its metrics: one tick of the iteration driver,
-    /// plus, on the fused paths under counting, the report's congestion
-    /// histogram, expanded from the kernel's read footprint.
+    /// machine on the engine, on every exec path: single-stepping is
+    /// observation, so the data plane is materialized first. Fires the
+    /// armed fault plan, records the metrics entry and, under
+    /// [`Instrumentation::Validate`], checks the generation against the
+    /// invariant checker.
     pub fn step(&mut self, gen: Gen, subgeneration: u32) -> Result<StepReport, GcaError> {
-        let mut rep = self.tick(gen, subgeneration)?;
-        if self.fused_active() && self.counting() {
-            rep.congestion = Some(self.fused.footprint().to_histogram());
+        self.ensure_plane();
+        self.ensure_invariant_checker();
+        let generation = self.engine.generation();
+        self.arm_fault(generation);
+        let scratch = refill(&mut self.scratch, &self.layout, &self.field);
+        let rep = self
+            .engine
+            .step(scratch, &self.rule, gen.number(), subgeneration)?;
+        self.field.load_d(scratch.states());
+        self.apply_fault(generation);
+        if let Some(hist) = rep.congestion.as_ref() {
+            self.metrics
+                .push(GenerationMetrics::new(rep.ctx, rep.active_cells, hist));
         }
+        self.check_invariants(&rep.ctx)?;
         Ok(rep)
     }
 
-    /// One `(generation, sub-generation)` on the configured path: the
-    /// engine's per-cell evaluator over the scratch, or the fused kernels
-    /// over the cell state. Fires the armed fault plan, records the
-    /// metrics entry and, under [`Instrumentation::Validate`], checks the
-    /// generation. A fused tick reports no congestion histogram.
-    fn tick(&mut self, gen: Gen, subgeneration: u32) -> Result<StepReport, GcaError> {
-        self.ensure_invariant_checker();
-        let generation = self.engine.generation();
-        if !self.fused_active() {
-            self.arm_fault(generation);
-            let scratch = refill(&mut self.scratch, &self.layout, self.fused.field());
-            let rep = self
-                .engine
-                .step(scratch, &self.rule, gen.number(), subgeneration)?;
-            self.fused.field_mut().load_d(scratch.states());
-            self.apply_fault(generation);
-            if let Some(hist) = rep.congestion.as_ref() {
-                self.metrics
-                    .push(GenerationMetrics::new(rep.ctx, rep.active_cells, hist));
-            }
-            self.check_invariants(&rep.ctx)?;
-            return Ok(rep);
+    /// Materializes the data plane from the sweep's vectors unless it
+    /// already holds the state.
+    fn ensure_plane(&mut self) {
+        if !self.field.has_plane() {
+            let sweep = &self.sweep;
+            self.field.materialize(|row, col| sweep.word(row, col));
         }
-        let ctx = self.fused_ctx(gen, subgeneration);
-        let counting = self.counting();
-        let par = self.par_policy();
-        self.begin_fused_validation();
-        self.arm_fault(generation);
-        let rep = self.fused.step(gen, &ctx, counting, par)?;
-        self.apply_fault(generation);
-        if self.validating() {
-            self.check_fused_generation(&ctx)?;
-            self.check_invariants(&ctx)?;
-        }
-        self.fused_commit(ctx, rep.active);
-        Ok(StepReport {
-            ctx,
-            active_cells: rep.active,
-            total_reads: rep.reads,
-            changed_cells: rep.changed,
-            evaluated_cells: rep.evaluated,
-            workers: rep.workers,
-            congestion: None,
-            accesses: None,
-        })
     }
 
-    /// Fused kernels reproduce `Counts` metrics exactly, but per-cell
-    /// access traces exist only in the generic evaluator — `Trace` steps
-    /// fall back to it. `Validate` stays fused on purpose: that is what
-    /// arms the differential replay harness against the kernels.
-    fn fused_active(&self) -> bool {
+    /// Whether the configured path is one of the fused paths.
+    fn fused(&self) -> bool {
         matches!(self.exec, ExecPath::Fused | ExecPath::FusedParallel(_))
-            && !matches!(self.engine.instrumentation(), Instrumentation::Trace)
     }
 
-    /// Resolves [`ExecPath::FusedParallel`]'s knob into the per-step policy
-    /// the kernels consume: auto worker counts default to the hardware
-    /// thread count, an unset threshold inherits the engine's shared
-    /// tunable, and anything that resolves below two workers runs the
-    /// plain sequential fused path.
+    /// Whether iterations run as vector sweeps: a fused path that nothing
+    /// observes cell by cell — no access traces, no validation and no
+    /// armed fault plan.
+    fn sweeping(&self) -> bool {
+        self.fused()
+            && matches!(
+                self.engine.instrumentation(),
+                Instrumentation::Off | Instrumentation::Counts
+            )
+            && self.inject.is_none()
+    }
+
+    /// Resolves [`ExecPath::FusedParallel`]'s knob into the policy the
+    /// sweep's neighbour-min consumes: auto worker counts default to the
+    /// hardware thread count, an unset threshold inherits the engine's
+    /// shared tunable, and anything that resolves below two workers runs
+    /// the plain sequential sweep.
     fn par_policy(&self) -> Option<ParPolicy> {
         let ExecPath::FusedParallel(cfg) = self.exec else {
             return None;
@@ -311,7 +341,7 @@ impl Machine {
         !matches!(self.engine.instrumentation(), Instrumentation::Off)
     }
 
-    /// Whether the CROW sanitizer / fused replay harness is armed.
+    /// Whether the CROW sanitizer and the invariant checker are armed.
     fn validating(&self) -> bool {
         matches!(self.engine.instrumentation(), Instrumentation::Validate)
     }
@@ -329,14 +359,21 @@ impl Machine {
         }
     }
 
+    /// Test-only hook: plants a one-shot bug in the vector sweep (see
+    /// [`SweepFault`]), which the `Validate` cross-check must report as
+    /// [`GcaError::KernelDivergence`].
+    #[doc(hidden)]
+    pub fn seed_sweep_fault(&mut self, fault: SweepFault) {
+        self.sweep.seed_fault(fault);
+    }
+
     /// Arms (or clears) a deterministic fault plan. An armed plan injects
-    /// its fault into the addressed committed generation on whichever
-    /// execution path runs it (see [`gca_engine::faults`] for the per-kind
-    /// semantics and which paths each kind applies to). Arming also
-    /// disables the driver's broadcast+filter and pointer-jump fusions
-    /// so that every scheduled generation materializes as an injection
-    /// site; a `None` plan restores full fusion and costs nothing per
-    /// step. The plan survives [`Machine::reset_with`] and
+    /// its fault into the addressed committed generation (see
+    /// [`gca_engine::faults`] for the per-kind semantics). It is
+    /// observation: on the fused paths every generation then ticks the
+    /// engine on the materialized data plane, so that each one is an
+    /// injection site; a `None` plan restores the sweep and costs nothing
+    /// per iteration. The plan survives [`Machine::reset_with`] and
     /// [`Machine::rollback_to`] on purpose: recovery re-executes the
     /// faulted span, and whether the fault re-fires is the plan's
     /// [`gca_engine::faults::Persistence`] decision, not the machine's.
@@ -364,9 +401,9 @@ impl Machine {
 
     /// Switches the execution path in place — the degradation ladder's
     /// rung change. Unlike [`Machine::with_exec`] this is callable
-    /// mid-run; the paths share one cell state and are bit-identical in
-    /// labels and metrics, so a switch at any generation boundary is
-    /// semantically invisible.
+    /// mid-run; the paths are bit-identical in labels, metrics and
+    /// iteration-boundary fields, so a switch at any generation boundary
+    /// is semantically invisible.
     pub fn set_exec(&mut self, exec: ExecPath) {
         self.exec = exec;
     }
@@ -376,9 +413,7 @@ impl Machine {
     /// truncates the metrics log to match (under counting instrumentation
     /// the log holds exactly one entry per committed generation, so the
     /// re-executed span appends over a clean suffix and a recovered run's
-    /// log is bit-identical to an undisturbed one). The fused replay
-    /// engine is dropped and re-arms in lockstep on the next validated
-    /// generation.
+    /// log is bit-identical to an undisturbed one).
     pub fn rollback_to(
         &mut self,
         generation: u64,
@@ -387,98 +422,76 @@ impl Machine {
         self.restore(snapshot)?;
         self.engine.rewind_to(generation);
         self.metrics.truncate(generation as usize);
-        self.replay = None;
         self.torn_pre = None;
         Ok(())
     }
 
-    /// Pre-generation half of the injection hook, shared by every path:
-    /// captures whatever pre-state the armed fault needs. `generation` is
-    /// the number the generation will commit as (the pre-step counter).
-    /// Duplicated-chunk-row faults arm the fused kernels here (the overlap
-    /// fires *inside* a partitioned counting broadcast).
+    /// Pre-generation half of the injection hook: captures whatever
+    /// pre-state the armed fault needs. `generation` is the number the
+    /// generation will commit as (the pre-step counter).
     fn arm_fault(&mut self, generation: u64) {
         let Some(plan) = self.inject.as_ref() else {
             return;
         };
         match plan.peek(generation, self.exec_level()) {
             Some(FaultKind::DroppedGeneration) => {
-                self.fused.save_plane(&mut self.drop_words);
+                self.drop_words.clear();
+                self.drop_words.extend_from_slice(&self.field.d);
             }
             Some(FaultKind::TornWrite) => {
-                self.torn_pre = self.fused.word_at(plan.cell());
-            }
-            Some(FaultKind::DuplicatedChunkRow) if self.fused_active() => {
-                self.fused.seed_partition_fault();
+                self.torn_pre = self.field.d.get(plan.cell()).copied();
             }
             _ => {}
         }
     }
 
     /// Post-generation half of the injection hook: fires the plan and
-    /// corrupts the committed state *before* the differential replay and
-    /// the invariant checker look at it — exactly where a hardware fault
-    /// between compute and commit would land. Detection under
-    /// [`Instrumentation::Validate`] is the replay harness
-    /// ([`GcaError::KernelDivergence`]) on the fused paths and the
-    /// invariant checker's contract-step mirror on the generic path.
-    /// Kinds whose surface lives in the fused kernels (stale occupancy
-    /// bits, duplicated chunk rows, histogram merges) consume their charge
-    /// without effect on the generic path: an engine step leaves no
-    /// occupancy plane, no partition and no kernel histogram.
+    /// corrupts the committed data plane *before* the invariant checker
+    /// looks at it — exactly where a hardware fault between compute and
+    /// commit would land. Detection under [`Instrumentation::Validate`] is
+    /// the invariant checker's contract-step mirror, on every path.
     fn apply_fault(&mut self, generation: u64) {
         let level = self.exec_level();
-        let kernel_hist = self.fused_active() && self.counting();
         let Some(plan) = self.inject.as_mut() else {
             return;
         };
         let Some(kind) = plan.fire(generation, level) else {
             return;
         };
+        let d = &mut self.field.d;
         let cell = plan.cell();
         match kind {
             FaultKind::BitFlip { bit } => {
-                if let Some(w) = self.fused.word_at(cell) {
-                    self.fused.set_word(cell, w ^ (1 << (bit % Word::BITS)));
+                if let Some(w) = d.get_mut(cell) {
+                    *w ^= 1 << (bit % Word::BITS);
                 }
             }
             FaultKind::TornWrite => {
-                if let (Some(pre), Some(w)) = (self.torn_pre.take(), self.fused.word_at(cell)) {
-                    self.fused
-                        .set_word(cell, (w & !TORN_LO_MASK) | (pre & TORN_LO_MASK));
+                if let (Some(pre), Some(w)) = (self.torn_pre.take(), d.get_mut(cell)) {
+                    *w = (*w & !TORN_LO_MASK) | (pre & TORN_LO_MASK);
                 }
             }
             FaultKind::DroppedGeneration => {
-                self.fused.load_plane(&self.drop_words);
-            }
-            FaultKind::StaleOccupancy => {
-                self.fused.clear_occ_bit(cell);
-            }
-            FaultKind::CorruptHistogramMerge => {
-                if kernel_hist {
-                    self.fused.bump_read(cell);
+                if self.drop_words.len() == d.len() {
+                    d.copy_from_slice(&self.drop_words);
                 }
             }
-            // Armed pre-generation; the overlap already fired inside the
-            // partitioned broadcast (or expired unobserved if this
-            // generation ran sequentially).
-            FaultKind::DuplicatedChunkRow => {}
         }
     }
 
-    /// Lazily (re)builds the invariant checker from the cell state — the
+    /// Lazily (re)builds the invariant checker from the data plane — the
     /// pre-state of the next generation to run. Called before every
-    /// generation executes; a checker dropped by `reset_with`/`restore`
-    /// re-arms here (at an iteration boundary, where column 0 carries the
-    /// labels the boundary invariants need). No-op unless validating.
+    /// engine step; a checker dropped by `reset_with`/`restore` re-arms
+    /// here (at an iteration boundary, where column 0 carries the labels
+    /// the boundary invariants need). No-op unless validating.
     fn ensure_invariant_checker(&mut self) {
         if !self.validating() || self.inv.is_some() {
             return;
         }
         let n = self.n();
-        let state = self.fused.field();
-        let adj = (0..n * n).map(|i| state.adjacency(i)).collect();
-        let mut inv = InvariantChecker::new(n, adj, &state.d);
+        let field = &self.field;
+        let adj = (0..n * n).map(|i| field.adjacency(i)).collect();
+        let mut inv = InvariantChecker::new(n, adj, &field.d);
         if let Some(class) = self.inv_fault.take() {
             inv.seed_fault(class);
         }
@@ -494,84 +507,8 @@ impl Machine {
             return Ok(());
         }
         match self.inv.as_mut() {
-            Some(inv) => inv.after_generation(ctx, &self.fused.field().d),
+            Some(inv) => inv.after_generation(ctx, &self.field.d),
             None => Ok(()),
-        }
-    }
-
-    /// Refills the scratch with the pre-generation state so the replay
-    /// engine can re-run the generation the fused kernel is about to run.
-    /// No-op unless validating.
-    fn begin_fused_validation(&mut self) {
-        if !self.validating() {
-            return;
-        }
-        let engine = self.replay.get_or_insert_with(|| {
-            Engine::sequential().with_instrumentation(Instrumentation::Validate)
-        });
-        // Keep the replay engine's generation counter in lockstep (it may
-        // lag when the machine was restored from a snapshot).
-        while engine.generation() < self.engine.generation() {
-            engine.advance_generation();
-        }
-        refill(&mut self.scratch, &self.layout, self.fused.field());
-    }
-
-    /// The differential check: replays the generation the fused kernel just
-    /// executed through the reference engine (running the CROW sanitizer)
-    /// on the scratch, then compares data words and per-cell read counts
-    /// (the replay's histogram against the kernel's read footprint) cell
-    /// by cell. The first disagreeing cell is reported as
-    /// [`GcaError::KernelDivergence`]. Runs only under validation, after
-    /// [`Machine::begin_fused_validation`].
-    fn check_fused_generation(&mut self, ctx: &StepCtx) -> Result<(), GcaError> {
-        let (Some(engine), Some(shadow)) = (self.replay.as_mut(), self.scratch.as_mut()) else {
-            return Ok(());
-        };
-        let rep = engine.step(shadow, &self.rule, ctx.phase, ctx.subgeneration)?;
-        let diverged = |cell: usize| GcaError::KernelDivergence {
-            cell,
-            generation: ctx.generation,
-            phase: ctx.phase,
-        };
-        let plane = &self.fused.field().d;
-        if let Some(cell) = shadow
-            .states()
-            .iter()
-            .zip(plane)
-            .position(|(replayed, &fused)| replayed.d != fused)
-        {
-            return Err(diverged(cell));
-        }
-        if let Some(hist) = rep.congestion.as_ref() {
-            let kernel = self.fused.footprint();
-            if let Some(cell) = (0..plane.len()).find(|&i| hist.reads_of(i) != kernel.reads_of(i)) {
-                return Err(diverged(cell));
-            }
-        }
-        Ok(())
-    }
-
-    fn fused_ctx(&self, gen: Gen, subgeneration: u32) -> StepCtx {
-        StepCtx {
-            generation: self.engine.generation(),
-            phase: gen.number(),
-            subgeneration,
-        }
-    }
-
-    /// Books one successfully executed fused generation: advances the
-    /// engine's generation counter and appends the metrics entry, built
-    /// from the kernel's read footprint, exactly as an engine-executed step
-    /// would.
-    fn fused_commit(&mut self, ctx: StepCtx, active: usize) {
-        self.engine.advance_generation();
-        if self.counting() {
-            self.metrics.push(GenerationMetrics::from_footprint(
-                ctx,
-                active,
-                self.fused.footprint(),
-            ));
         }
     }
 
@@ -589,11 +526,11 @@ impl Machine {
     /// Iterating before [`Machine::init`] is [`GcaError::OutOfOrder`]. A
     /// failed generation never commits.
     ///
-    /// This is the iteration driver: it walks `iteration_schedule(n)`
-    /// `count` times with one `Machine::tick` per entry. Two fused special
-    /// cases run several entries in one call: the broadcast+filter
-    /// pair (gated by `Machine::fuse_broadcast_filter`) and the
-    /// pointer-jump ping-pong (`Machine::fused_pointer_jump`).
+    /// This is the iteration driver. An unobserved fused machine runs each
+    /// iteration as one vector sweep, entered from column 0 of whatever
+    /// state the machine is in; every other configuration ticks the
+    /// engine through the schedule, and a validated fused one also
+    /// cross-checks the engine against the sweep.
     pub fn run_iterations(&mut self, count: u64) -> Result<u64, GcaError> {
         if !self.initialized {
             return Err(GcaError::OutOfOrder {
@@ -601,112 +538,168 @@ impl Machine {
                 initialized: false,
             });
         }
-        let schedule = iteration_schedule(self.n());
-        let fuse_pair = self.fuse_broadcast_filter();
-        // The ping-pong keeps labels in private buffers between
-        // sub-generations. The replay harness needs every generation's
-        // writes in the data plane, and an armed fault plan needs every
-        // generation as an injection site, so both tick each jump instead.
-        let ping_pong = self.fused_active() && !self.validating() && self.inject.is_none();
-        let detect = self.convergence == Convergence::Detect;
-        let mut executed = 0;
+        let start = self.engine.generation();
         for _ in 0..count {
-            // A generation whose remaining entries this iteration already
-            // ran (a fused filter) or skips (converged pointer jumps).
-            let mut done = None;
-            for &(gen, sub) in &schedule {
-                if done == Some(gen) {
-                    continue;
-                }
-                match gen {
-                    Gen::BroadcastC | Gen::BroadcastT if fuse_pair => {
-                        done = Some(self.broadcast_filter_ticks(gen));
-                        executed += 2;
-                    }
-                    Gen::PointerJump if ping_pong => {
-                        executed += self.fused_pointer_jump()?;
-                        done = Some(gen);
-                    }
-                    _ => {
-                        let rep = self.tick(gen, sub)?;
-                        executed += 1;
-                        if detect && gen == Gen::PointerJump && rep.changed_cells == 0 {
-                            done = Some(gen);
-                        }
-                        self.engine.recycle(rep);
-                    }
-                }
+            if self.sweeping() {
+                self.sweep_iteration()?;
+            } else {
+                self.engine_iteration()?;
             }
         }
-        Ok(executed)
+        Ok(self.engine.generation() - start)
     }
 
-    /// Whether the driver may fuse each broadcast with the filter that
-    /// immediately follows it (generations 1+2 and 5+6). Requires a fused
-    /// path *and* an unobservable intermediate state: under
-    /// validation the replay harness compares the field after every
-    /// generation, so it must see the broadcast materialized. An armed
-    /// fault plan also disables the fusion: fault coordinates address
-    /// individual committed generations, so every generation must
-    /// materialize as an injection site. Counting does not: both halves
-    /// have static read footprints, committed one per generation.
-    fn fuse_broadcast_filter(&self) -> bool {
-        self.fused_active() && !self.validating() && self.inject.is_none()
-    }
-
-    /// Runs one fused broadcast+filter pair (generations 1+2 for
-    /// [`Gen::BroadcastC`], 5+6 for [`Gen::BroadcastT`]) and commits both
-    /// generations, each with its own read footprint, exactly as two
-    /// separate ticks would have. Returns the filter generation it ran.
-    fn broadcast_filter_ticks(&mut self, broadcast: Gen) -> Gen {
-        let members = broadcast == Gen::BroadcastT;
-        let filter = if members {
-            Gen::FilterMembers
-        } else {
-            Gen::FilterNeighbors
-        };
-        let par = self.par_policy();
-        let (bcast, filtered) = self.fused.broadcast_filter(members, par);
-        for (gen, rep) in [(broadcast, bcast), (filter, filtered)] {
-            // Each ctx is built after the previous commit so its generation
-            // number advances exactly as under separate ticks.
-            let ctx = self.fused_ctx(gen, 0);
-            self.fused.record_footprint(&rep);
-            self.fused_commit(ctx, rep.active);
+    /// One iteration as a vector sweep, committing every generation.
+    fn sweep_iteration(&mut self) -> Result<(), GcaError> {
+        if self.field.has_plane() {
+            self.sweep.load_column(&self.field.d);
+            self.field.d = Vec::new();
         }
-        filter
-    }
-
-    /// All pointer-jump sub-generations in one fused call: gather column 0
-    /// once, ping-pong the two label buffers per sub-generation, scatter
-    /// once at the end (also on error, so committed sub-generations stay
-    /// visible exactly as the generic engine leaves them).
-    fn fused_pointer_jump(&mut self) -> Result<u64, GcaError> {
+        let start = self.engine.generation();
+        let detect = self.convergence == Convergence::Detect;
         let counting = self.counting();
         let par = self.par_policy();
-        self.fused.gather_labels();
-        let mut executed = 0u64;
-        let mut failure = None;
-        for s in 0..ceil_log2(self.n()) {
-            let ctx = self.fused_ctx(Gen::PointerJump, s);
-            match self.fused.jump_once(&ctx, counting, par) {
-                Ok(rep) => {
-                    self.fused_commit(ctx, rep.active);
-                    executed += 1;
-                    if self.convergence == Convergence::Detect && rep.changed == 0 {
-                        break;
-                    }
+        let Machine {
+            sweep,
+            field,
+            engine,
+            metrics,
+            ..
+        } = self;
+        sweep.iterate(
+            &field.a,
+            field.words_per_row,
+            start,
+            detect,
+            counting,
+            par,
+            &mut |ctx, active, fp| {
+                engine.advance_generation();
+                if counting {
+                    metrics.push(GenerationMetrics::from_footprint(ctx, active, fp));
                 }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
+            },
+        )
+    }
+
+    /// One iteration ticked on the engine. On a fused path under
+    /// validation, the sweep first runs the same iteration from column 0,
+    /// and every engine generation is checked against it.
+    fn engine_iteration(&mut self) -> Result<(), GcaError> {
+        let cross_check = self.fused() && self.validating();
+        if cross_check {
+            self.expect_iteration();
+        }
+        let result = self.tick_schedule(cross_check);
+        self.expected.clear();
+        result
+    }
+
+    /// The engine half of [`Machine::engine_iteration`].
+    fn tick_schedule(&mut self, cross_check: bool) -> Result<(), GcaError> {
+        let detect = self.convergence == Convergence::Detect;
+        let mut jumping = true;
+        let mut k = 0;
+        for (gen, sub) in iteration_schedule(self.n()) {
+            if gen == Gen::PointerJump && !jumping {
+                continue;
+            }
+            let rep = self.step(gen, sub)?;
+            if cross_check {
+                self.check_expected(k, &rep)?;
+                k += 1;
+            }
+            if detect && gen == Gen::PointerJump && rep.changed_cells == 0 {
+                jumping = false;
+            }
+            self.engine.recycle(rep);
+        }
+        if cross_check {
+            self.check_boundary(k)?;
+        }
+        Ok(())
+    }
+
+    /// Runs the sweep from column 0 of the data plane and records what it
+    /// commits as the generations the engine must reproduce. A sweep that
+    /// fails records the generations before the failure only.
+    fn expect_iteration(&mut self) {
+        self.ensure_plane();
+        self.sweep.load_column(&self.field.d);
+        self.expected.clear();
+        let start = self.engine.generation();
+        let detect = self.convergence == Convergence::Detect;
+        let par = self.par_policy();
+        let Machine {
+            sweep,
+            field,
+            expected,
+            ..
+        } = self;
+        // A failing sweep is judged where the engine goes on without it.
+        let _ = sweep.iterate(
+            &field.a,
+            field.words_per_row,
+            start,
+            detect,
+            true,
+            par,
+            &mut |ctx, active, fp| expected.push((ctx, active, fp.clone())),
+        );
+    }
+
+    /// The per-generation half of the cross-check: the engine's `k`-th
+    /// generation of the iteration must be the sweep's, with the same
+    /// active cell count and the same read count on every cell. The first
+    /// differing cell is a [`GcaError::KernelDivergence`] (cell 0 when the
+    /// generation itself or its active count differs).
+    fn check_expected(&self, k: usize, rep: &StepReport) -> Result<(), GcaError> {
+        let diverged = |cell| GcaError::KernelDivergence {
+            cell,
+            generation: rep.ctx.generation,
+            phase: rep.ctx.phase,
+        };
+        let Some((ctx, active, fp)) = self.expected.get(k) else {
+            return Err(diverged(0));
+        };
+        if *ctx != rep.ctx {
+            return Err(diverged(0));
+        }
+        if let Some(hist) = rep.congestion.as_ref() {
+            if let Some(cell) = (0..hist.len()).find(|&i| hist.reads_of(i) != fp.reads_of(i)) {
+                return Err(diverged(cell));
             }
         }
-        self.fused.scatter_labels();
-        match failure {
-            None => Ok(executed),
-            Some(e) => Err(e),
+        if *active != rep.active_cells {
+            return Err(diverged(0));
+        }
+        Ok(())
+    }
+
+    /// The boundary half of the cross-check: the sweep committed no
+    /// generation the engine skipped, and its vectors stand for exactly
+    /// the engine's field. The first differing cell is a
+    /// [`GcaError::KernelDivergence`] of the iteration's last generation.
+    fn check_boundary(&self, ticked: usize) -> Result<(), GcaError> {
+        if let Some((ctx, _, _)) = self.expected.get(ticked) {
+            return Err(GcaError::KernelDivergence {
+                cell: 0,
+                generation: ctx.generation,
+                phase: ctx.phase,
+            });
+        }
+        let n = self.n();
+        let field = &self.field;
+        let cell = (0..=n)
+            .flat_map(|row| (0..n).map(move |col| (row, col)))
+            .position(|(row, col)| field.word(row, col) != self.sweep.word(row, col));
+        match cell {
+            Some(cell) => Err(GcaError::KernelDivergence {
+                cell,
+                generation: self.engine.generation().saturating_sub(1),
+                phase: Gen::FinalMin.number(),
+            }),
+            None => Ok(()),
         }
     }
 
@@ -717,9 +710,10 @@ impl Machine {
         FieldSnapshot::capture(&self.to_field())
     }
 
-    /// Restores a previously captured field state into this machine. The
-    /// snapshot must match the machine's field shape; the machine is marked
-    /// initialized (snapshots are taken after generation 0 by construction).
+    /// Restores a previously captured field state into this machine's data
+    /// plane. The snapshot must match the machine's field shape; the
+    /// machine is marked initialized (snapshots are taken after generation
+    /// 0 by construction).
     pub fn restore(&mut self, snapshot: &FieldSnapshot<HCell>) -> Result<(), GcaError> {
         let field = snapshot.restore()?;
         if field.shape() != self.layout.shape() {
@@ -728,7 +722,7 @@ impl Machine {
                 actual: field.len(),
             });
         }
-        self.fused.field_mut().load(field.states());
+        self.field.load(field.states());
         self.initialized = true;
         // The invariant checker's shadow plane no longer matches the state;
         // it re-arms lazily from the restored state (an iteration boundary).
@@ -746,25 +740,25 @@ impl Machine {
     /// Writes the current `C` vector (column 0) into `out`, reusing its
     /// allocation — the steady-state extraction path of the batched runner.
     pub fn labels_into(&self, out: &mut Vec<Word>) {
-        let d = &self.fused.field().d;
         out.clear();
-        out.extend((0..self.n()).map(|j| d[self.layout.c_index(j)]));
+        if self.field.has_plane() {
+            out.extend((0..self.n()).map(|j| self.field.word(j, 0)));
+        } else {
+            out.extend_from_slice(self.sweep.labels());
+        }
     }
 
     /// Reloads the machine with a new graph of the **same size**, reusing
-    /// every buffer (cell state, scratch, metrics log, kernel scratch) —
-    /// no allocation. The machine returns to its pre-[`Machine::init`]
+    /// its buffers. The machine returns to its pre-[`Machine::init`]
     /// state; configuration (engine, convergence, exec path) is kept. A
     /// graph of another size is [`GcaError::GraphSizeMismatch`] and leaves
     /// the machine as it was.
     pub fn reset_with(&mut self, graph: &AdjacencyMatrix) -> Result<(), GcaError> {
-        self.fused.field_mut().fill(graph)?;
+        self.field.fill(graph)?;
+        self.sweep.reset();
         self.engine.reset();
         self.metrics.clear();
         self.initialized = false;
-        if let Some(engine) = self.replay.as_mut() {
-            engine.reset();
-        }
         self.inv = None;
         self.inv_fault = None;
         Ok(())
@@ -822,14 +816,14 @@ pub struct HirschbergGca {
 
 impl HirschbergGca {
     /// Default configuration: sequential engine, congestion counting,
-    /// fixed `⌈log₂ n⌉` iterations (the paper's schedule), generic
-    /// execution path.
+    /// fixed `⌈log₂ n⌉` iterations (the paper's schedule), the default
+    /// ([`ExecPath::Fused`]) execution path.
     pub fn new() -> Self {
         HirschbergGca {
             engine: Engine::sequential(),
             early_exit: false,
             convergence: Convergence::Fixed,
-            exec: ExecPath::Generic,
+            exec: ExecPath::default(),
         }
     }
 
@@ -928,6 +922,7 @@ pub fn connected_components(graph: &AdjacencyMatrix) -> Result<Labeling, GcaErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FusedParallel;
     use gca_graphs::connectivity::union_find_components_dense;
     use gca_graphs::{generators, GraphBuilder};
 
@@ -1134,11 +1129,8 @@ mod tests {
     fn parallel_backend_matches_sequential() {
         for seed in 0..3 {
             let g = generators::gnp(19, 0.15, seed);
-            let seq = HirschbergGca::new().run(&g).unwrap();
-            let par = HirschbergGca::new()
-                .with_engine(Engine::parallel())
-                .run(&g)
-                .unwrap();
+            let seq = generic().run(&g).unwrap();
+            let par = generic().with_engine(Engine::parallel()).run(&g).unwrap();
             assert_eq!(seq.labels, par.labels);
             assert_eq!(seq.generations, par.generations);
         }
@@ -1261,10 +1253,31 @@ mod tests {
         ]
     }
 
+    /// The reference configuration: the engine ticking every cell.
+    fn generic() -> HirschbergGca {
+        HirschbergGca::new().exec(ExecPath::Generic)
+    }
+
+    /// Three row chunks even on tiny fields.
+    fn par3() -> ExecPath {
+        ExecPath::FusedParallel(FusedParallel {
+            workers: 3,
+            threshold: Some(0),
+        })
+    }
+
+    #[test]
+    fn fused_is_the_default_path() {
+        let g = generators::ring(6);
+        assert_eq!(ExecPath::default(), ExecPath::Fused);
+        assert_eq!(Machine::new(&g).unwrap().exec(), ExecPath::Fused);
+        assert_eq!(HirschbergGca::new().exec, ExecPath::Fused);
+    }
+
     #[test]
     fn fused_matches_generic_labels_and_metrics() {
         for g in &fused_test_corpus() {
-            let generic = HirschbergGca::new().run(g).unwrap();
+            let generic = generic().run(g).unwrap();
             let fused = HirschbergGca::new().exec(ExecPath::Fused).run(g).unwrap();
             assert_eq!(fused.labels, generic.labels, "labels diverge on {g:?}");
             assert_eq!(fused.generations, generic.generations);
@@ -1279,10 +1292,7 @@ mod tests {
     #[test]
     fn fused_matches_generic_under_detect() {
         for g in &fused_test_corpus() {
-            let generic = HirschbergGca::new()
-                .convergence(Convergence::Detect)
-                .run(g)
-                .unwrap();
+            let generic = generic().convergence(Convergence::Detect).run(g).unwrap();
             let fused = HirschbergGca::new()
                 .convergence(Convergence::Detect)
                 .exec(ExecPath::Fused)
@@ -1294,39 +1304,133 @@ mod tests {
         }
     }
 
+    /// Runs `g` on `exec` and on the generic path in lockstep, one
+    /// iteration at a time, and asserts identical labels, generation
+    /// counts, `Counts` logs and fields after init and at every iteration
+    /// boundary.
+    fn assert_boundaries_match_generic(g: &AdjacencyMatrix, exec: ExecPath, convergence: Convergence) {
+        let n = g.n();
+        let mut want = Machine::new(g)
+            .unwrap()
+            .with_exec(ExecPath::Generic)
+            .with_convergence(convergence);
+        let mut got = Machine::new(g)
+            .unwrap()
+            .with_exec(exec)
+            .with_convergence(convergence);
+        let at = |it: u32| format!("n = {n} {exec:?} {convergence:?} iteration {it} on {g:?}");
+        want.init().unwrap();
+        got.init().unwrap();
+        for it in 0..=ceil_log2(n) {
+            if it > 0 {
+                assert_eq!(got.run_iteration().unwrap(), want.run_iteration().unwrap(), "{}", at(it));
+            }
+            assert_eq!(got.labels_raw(), want.labels_raw(), "{}", at(it));
+            assert_eq!(got.generations(), want.generations(), "{}", at(it));
+            assert_eq!(got.metrics().entries(), want.metrics().entries(), "{}", at(it));
+            assert_eq!(got.to_field().states(), want.to_field().states(), "{}", at(it));
+        }
+    }
+
+    #[test]
+    fn sweep_matches_generic_at_every_boundary_on_corner_sizes() {
+        // n = 0 and 1 run no iteration; n = 2 has one tree partner per row;
+        // n = 63, 64, 65 and 129 put rows just inside, on, just past one
+        // and just past two adjacency word boundaries, and three row
+        // chunks leave a short last one.
+        for n in [0usize, 1, 2, 63, 64, 65, 129] {
+            let graphs = [
+                generators::empty(n),
+                generators::path(n),
+                generators::gnp(n, 0.06, n as u64 + 7),
+            ];
+            for g in &graphs {
+                for convergence in [Convergence::Fixed, Convergence::Detect] {
+                    for exec in [ExecPath::Fused, par3()] {
+                        assert_boundaries_match_generic(g, exec, convergence);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_enters_from_an_arbitrary_restored_plane() {
+        // A plane no run produces — every cell a different word, labels
+        // out of order, D_N unrelated to either — restored into a fused and
+        // a generic machine: the next iteration reads column 0 only, so
+        // both must agree on everything from there on.
+        let n = 20;
+        let g = generators::gnp(n, 0.15, 5);
+        let mut cells = Machine::new(&g).unwrap().with_exec(ExecPath::Generic).to_field();
+        for (i, c) in cells.states_mut().iter_mut().enumerate() {
+            c.d = ((i * 7 + 3) % n) as Word;
+        }
+        let snap = FieldSnapshot::capture(&cells);
+        for exec in [ExecPath::Fused, par3()] {
+            let mut fused = Machine::new(&g).unwrap().with_exec(exec);
+            let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
+            fused.restore(&snap).unwrap();
+            want.restore(&snap).unwrap();
+            assert_eq!(fused.to_field().states(), want.to_field().states());
+            for _ in 0..ceil_log2(n) {
+                fused.run_iteration().unwrap();
+                want.run_iteration().unwrap();
+                assert_eq!(fused.to_field().states(), want.to_field().states(), "{exec:?}");
+                assert_eq!(fused.metrics().entries(), want.metrics().entries(), "{exec:?}");
+            }
+            assert!(!fused.field.has_plane(), "the sweep dropped the restored plane");
+        }
+    }
+
+    #[test]
+    fn run_iterations_after_single_steps_enters_the_sweep() {
+        // Five single steps leave the machine mid-iteration on a
+        // materialized plane; the driver then starts whole iterations from
+        // its column 0, exactly as the generic path does — including when
+        // that column holds a partial minimum (∞ on gnp) that ends in a
+        // pointer out of the field.
+        let n = 24;
+        for g in [generators::complete(n), generators::gnp(n, 0.12, 3)] {
+            let mut fused = Machine::new(&g).unwrap();
+            let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
+            for m in [&mut fused, &mut want] {
+                m.init().unwrap();
+                for (gen, sub) in iteration_schedule(n).into_iter().take(5) {
+                    m.step(gen, sub).unwrap();
+                }
+            }
+            assert!(fused.field.has_plane(), "single steps materialize the plane");
+            assert_eq!(fused.to_field().states(), want.to_field().states());
+            let count = u64::from(ceil_log2(n));
+            assert_eq!(fused.run_iterations(count), want.run_iterations(count));
+            assert!(!fused.field.has_plane());
+            assert_eq!(fused.generations(), want.generations());
+            assert_eq!(fused.to_field().states(), want.to_field().states());
+            assert_eq!(fused.metrics().entries(), want.metrics().entries());
+        }
+    }
+
     #[test]
     fn step_driver_matches_run_iterations_on_every_exec_path() {
         // The single-step API over the schedule and the iteration driver are
         // two walks of the same state machine: on every exec path they must
         // agree on labels, generation count and the full `Counts` log (and
-        // both with the generic reference), and every single step's full
-        // congestion histogram must equal the generic step's. n = 70 spans
-        // two adjacency words.
-        use crate::kernels::FusedParallel;
+        // both with the generic reference), and every single step — an
+        // engine tick on every path — reports the generic step's full
+        // congestion histogram. n = 70 spans two adjacency words.
         let n = 70;
         let g = generators::gnp(n, 0.08, 21);
-        let paths = [
-            (ExecPath::Generic, 1),
-            (ExecPath::Fused, 1),
-            (
-                ExecPath::FusedParallel(FusedParallel {
-                    workers: 3,
-                    threshold: Some(0),
-                }),
-                3,
-            ),
-        ];
-        let reference = HirschbergGca::new().run(&g).unwrap();
-        for (exec, init_workers) in paths {
-            let mut generic = Machine::new(&g).unwrap();
+        let reference = generic().run(&g).unwrap();
+        for exec in [ExecPath::Generic, ExecPath::Fused, par3()] {
+            let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
             let mut stepped = Machine::new(&g).unwrap().with_exec(exec);
-            let want = generic.init().unwrap();
+            want.init().unwrap();
             let rep = stepped.init().unwrap();
-            assert_eq!(rep.workers, init_workers, "{exec:?} init chunking");
-            assert_eq!(rep.congestion, want.congestion, "{exec:?} init histogram");
+            assert_eq!(rep.active_cells, n * (n + 1), "{exec:?} init");
             for _ in 0..ceil_log2(n) {
                 for (gen, sub) in iteration_schedule(n) {
-                    let want = generic.step(gen, sub).unwrap();
+                    let want = want.step(gen, sub).unwrap();
                     let rep = stepped.step(gen, sub).unwrap();
                     assert!(rep.congestion.is_some(), "{exec:?} {gen:?}/{sub} histogram");
                     assert_eq!(rep.congestion, want.congestion, "{exec:?} {gen:?}/{sub}");
@@ -1349,92 +1453,12 @@ mod tests {
     }
 
     #[test]
-    fn counts_logs_agree_on_every_exec_path_at_corner_sizes() {
-        // n = 1 runs generation 0 alone over a two-cell field, whose D_N
-        // row is one cell; n = 2 and 3 have one tree partner per row in
-        // every sub-generation; n = 64, 65 and 70 put rows on, just past
-        // and well past an adjacency word boundary.
-        use crate::kernels::FusedParallel;
-        let par = FusedParallel {
-            workers: 3,
-            threshold: Some(0),
-        };
-        let paths = [ExecPath::Fused, ExecPath::FusedParallel(par)];
-        for n in [1usize, 2, 3, 64, 65, 70] {
-            let graphs = [
-                generators::empty(n),
-                generators::path(n),
-                generators::gnp(n, 0.1, n as u64),
-            ];
-            for g in &graphs {
-                for convergence in [Convergence::Fixed, Convergence::Detect] {
-                    let reference = HirschbergGca::new()
-                        .convergence(convergence)
-                        .run(g)
-                        .unwrap();
-                    for exec in paths {
-                        let run = HirschbergGca::new()
-                            .convergence(convergence)
-                            .exec(exec)
-                            .run(g)
-                            .unwrap();
-                        assert_eq!(run.labels, reference.labels, "n = {n} {exec:?}");
-                        assert_eq!(
-                            run.metrics.entries(),
-                            reference.metrics.entries(),
-                            "n = {n} {exec:?} {convergence:?} on {g:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ragged_parallel_broadcast_filter_sweeps_match_generic() {
-        // The broadcast+filter pair under row partitioning: three workers
-        // take ⌈n/3⌉ rows each, which leaves a shorter last chunk at
-        // n = 2, 64 and 65, and n = 63, 64, 65 and 129 put rows just
-        // inside, on, just past one and just past two adjacency word
-        // boundaries. Every pair commits two Counts entries that must
-        // equal the generic path's two ticks.
-        use crate::kernels::FusedParallel;
-        let exec = ExecPath::FusedParallel(FusedParallel {
-            workers: 3,
-            threshold: Some(0),
-        });
-        for n in [1usize, 2, 3, 63, 64, 65, 129] {
-            let g = generators::gnp(n, 0.06, n as u64 + 7);
-            let m = Machine::new(&g).unwrap().with_exec(exec);
-            assert!(m.fuse_broadcast_filter(), "n = {n}: the pair must run");
-            for convergence in [Convergence::Fixed, Convergence::Detect] {
-                let reference = HirschbergGca::new()
-                    .convergence(convergence)
-                    .run(&g)
-                    .unwrap();
-                let run = HirschbergGca::new()
-                    .convergence(convergence)
-                    .exec(exec)
-                    .run(&g)
-                    .unwrap();
-                assert_eq!(run.labels, reference.labels, "n = {n} {convergence:?}");
-                assert_eq!(
-                    run.metrics.entries(),
-                    reference.metrics.entries(),
-                    "n = {n} {convergence:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn accounting_memory_is_linear_in_n() {
-        // Counting keeps a compact footprint per generation: no buffer the
-        // executor holds for read accounting may outgrow n + 1 counters per
-        // chunk, let alone the n(n + 1)-cell field.
+    fn sweep_accounting_memory_is_linear_in_n() {
+        // Counting keeps a compact footprint per generation, and an
+        // unobserved fused run never allocates the n(n + 1) data plane.
         let n = 256;
         let g = generators::gnp(n, 0.05, 3);
-        let par = ExecPath::FusedParallel(crate::kernels::FusedParallel {
+        let par = ExecPath::FusedParallel(FusedParallel {
             workers: 2,
             threshold: Some(0),
         });
@@ -1443,14 +1467,10 @@ mod tests {
             m.init().unwrap();
             m.run_iterations(u64::from(ceil_log2(n))).unwrap();
             assert_eq!(m.metrics().generations() as u64, total_generations(n));
-            let buffers = m.fused.accounting_capacities();
-            assert!(!buffers.is_empty());
-            for held in buffers {
-                assert!(
-                    held <= n + 1,
-                    "{exec:?}: an accounting buffer holds {held} counters"
-                );
-            }
+            assert!(!m.field.has_plane(), "{exec:?} allocated the data plane");
+            assert!(m.scratch.is_none(), "{exec:?} allocated the engine scratch");
+            let held = m.sweep.accounting_capacity();
+            assert!(held <= n + 1, "{exec:?}: the footprint holds {held} counters");
         }
     }
 
@@ -1469,17 +1489,19 @@ mod tests {
     }
 
     #[test]
-    fn fused_trace_falls_back_to_generic() {
+    fn observation_routes_fused_runs_to_the_engine() {
         let g = generators::gnp(9, 0.3, 6);
+        let engine = |i| Engine::sequential().with_instrumentation(i);
         let m = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
-        assert!(m.fused_active(), "Counts instrumentation stays fused");
-        let mut traced = Machine::with_engine(
-            &g,
-            Engine::sequential().with_instrumentation(Instrumentation::Trace),
-        )
-        .unwrap()
-        .with_exec(ExecPath::Fused);
-        assert!(!traced.fused_active(), "Trace falls back to generic");
+        assert!(m.sweeping(), "Counts instrumentation sweeps");
+        for instr in [Instrumentation::Trace, Instrumentation::Validate] {
+            let m = Machine::with_engine(&g, engine(instr)).unwrap();
+            assert!(!m.sweeping(), "{instr:?} ticks the engine");
+        }
+        let mut armed = Machine::new(&g).unwrap();
+        armed.set_fault_plan(Some(FaultPlan::new(FaultKind::BitFlip { bit: 0 }, 99, 0)));
+        assert!(!armed.sweeping(), "an armed fault plan ticks the engine");
+        let mut traced = Machine::with_engine(&g, engine(Instrumentation::Trace)).unwrap();
         let rep = traced.init().unwrap();
         // The generic evaluator materialized per-cell accesses.
         assert!(rep.accesses.is_some());
@@ -1501,27 +1523,21 @@ mod tests {
     }
 
     #[test]
-    fn validate_stays_fused_and_runs_clean() {
-        // The replay harness must be armed (Validate does NOT fall back to
-        // the generic path) and a correct kernel set must pass it with
-        // labels and metrics identical to a plain Counts run.
-        for g in &fused_test_corpus() {
-            let m = Machine::with_engine(
-                g,
-                Engine::sequential().with_instrumentation(Instrumentation::Validate),
-            )
-            .unwrap()
-            .with_exec(ExecPath::Fused);
-            assert!(m.fused_active(), "Validate must stay fused");
-            let reference = HirschbergGca::new().run(g).unwrap();
-            let validated = HirschbergGca::new()
-                .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
-                .exec(ExecPath::Fused)
-                .run(g)
-                .unwrap();
-            assert_eq!(validated.labels, reference.labels, "on {g:?}");
-            assert_eq!(validated.generations, reference.generations);
-            assert_eq!(validated.metrics.entries(), reference.metrics.entries());
+    fn validated_fused_runs_cross_check_cleanly() {
+        // A correct sweep passes the cross-check on both fused paths, with
+        // labels and metrics identical to a plain Counts run on generic.
+        for exec in [ExecPath::Fused, par3()] {
+            for g in &fused_test_corpus() {
+                let reference = generic().run(g).unwrap();
+                let validated = HirschbergGca::new()
+                    .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
+                    .exec(exec)
+                    .run(g)
+                    .unwrap();
+                assert_eq!(validated.labels, reference.labels, "{exec:?} on {g:?}");
+                assert_eq!(validated.generations, reference.generations);
+                assert_eq!(validated.metrics.entries(), reference.metrics.entries());
+            }
         }
     }
 
@@ -1530,8 +1546,8 @@ mod tests {
         // The sanitizer on the generic path: HirschbergRule's domain hints
         // are honest, so a Validate run must succeed with Counts metrics.
         let g = generators::gnp(16, 0.3, 9);
-        let reference = HirschbergGca::new().run(&g).unwrap();
-        let validated = HirschbergGca::new()
+        let reference = generic().run(&g).unwrap();
+        let validated = generic()
             .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
             .run(&g)
             .unwrap();
@@ -1540,29 +1556,61 @@ mod tests {
     }
 
     #[test]
-    fn seeded_kernel_fault_is_caught_by_replay() {
+    fn seeded_sweep_fault_is_caught_by_the_cross_check() {
         let g = generators::gnp(12, 0.3, 5);
         let mut m = Machine::with_engine(
             &g,
             Engine::sequential().with_instrumentation(Instrumentation::Validate),
         )
-        .unwrap()
-        .with_exec(ExecPath::Fused);
+        .unwrap();
         m.init().unwrap();
-        let target = 3; // a square-field cell every iteration writes
-        m.set_fault_plan(Some(FaultPlan::new(FaultKind::BitFlip { bit: 0 }, 1, target)));
+        m.seed_sweep_fault(SweepFault::FlipT(0));
         let err = m.run_iteration().unwrap_err();
+        // The flipped T′(0) first shows in the reads of the pointer chases
+        // (generations 10 and 11) or, failing that, in the boundary field.
+        let last = total_generations(12) / u64::from(ceil_log2(12));
         match err {
             GcaError::KernelDivergence {
                 cell,
                 generation,
                 phase,
             } => {
+                assert!(cell < 12 * 13, "cell {cell} outside the field");
+                assert!(generation <= last, "not in the first iteration: {generation}");
+                assert!(
+                    phase == Gen::PointerJump.number() || phase == Gen::FinalMin.number(),
+                    "phase {phase}"
+                );
+            }
+            other => panic!("expected KernelDivergence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fault_plans_on_fused_paths_are_caught_by_the_invariant_checker() {
+        // An armed plan routes the fused path to the engine, whose every
+        // generation the invariant checker judges, exactly as on generic.
+        let g = generators::gnp(12, 0.3, 5);
+        let mut m = Machine::with_engine(
+            &g,
+            Engine::sequential().with_instrumentation(Instrumentation::Validate),
+        )
+        .unwrap();
+        m.init().unwrap();
+        let target = 3; // a square-field cell every iteration writes
+        m.set_fault_plan(Some(FaultPlan::new(FaultKind::BitFlip { bit: 0 }, 1, target)));
+        match m.run_iteration().unwrap_err() {
+            GcaError::InvariantViolation {
+                cell,
+                generation,
+                phase,
+                ..
+            } => {
                 assert_eq!(cell, target);
                 assert_eq!(generation, 1, "fault seeded on the first post-init generation");
                 assert_eq!(phase, Gen::BroadcastC.number());
             }
-            other => panic!("expected KernelDivergence, got {other:?}"),
+            other => panic!("expected InvariantViolation, got {other:?}"),
         }
     }
 
@@ -1570,28 +1618,24 @@ mod tests {
     fn validate_detect_convergence_matches_generic() {
         for seed in 0..3 {
             let g = generators::gnp(14, 0.25, seed);
-            let generic = HirschbergGca::new()
-                .convergence(Convergence::Detect)
-                .run(&g)
-                .unwrap();
+            let reference = generic().convergence(Convergence::Detect).run(&g).unwrap();
             let validated = HirschbergGca::new()
                 .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
                 .convergence(Convergence::Detect)
                 .exec(ExecPath::Fused)
                 .run(&g)
                 .unwrap();
-            assert_eq!(validated.labels, generic.labels);
-            assert_eq!(validated.generations, generic.generations);
-            assert_eq!(validated.metrics.entries(), generic.metrics.entries());
+            assert_eq!(validated.labels, reference.labels);
+            assert_eq!(validated.generations, reference.generations);
+            assert_eq!(validated.metrics.entries(), reference.metrics.entries());
         }
     }
 
     #[test]
     fn parallel_fused_matches_fused_labels_and_metrics() {
-        use crate::kernels::FusedParallel;
-        // Threshold 0 forces the parallel drivers even on tiny corpus
-        // graphs; workers 0 resolves to the hardware thread count (which
-        // may legitimately be 1 → sequential fallback).
+        // Threshold 0 forces the partitioned neighbour-min even on tiny
+        // corpus graphs; workers 0 resolves to the hardware thread count
+        // (which may legitimately be 1 → sequential fallback).
         for workers in [0usize, 2, 3, 7] {
             let exec = ExecPath::FusedParallel(FusedParallel {
                 workers,
@@ -1612,52 +1656,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fused_auto_threshold_falls_back_on_small_fields() {
-        // Default threshold (engine tunable, 16 Ki cells): an n=12 field
-        // never parallelizes, and the report says so.
-        let g = generators::gnp(12, 0.3, 7);
-        let expected = union_find_components_dense(&g);
-        let mut m = Machine::new(&g)
-            .unwrap()
-            .with_exec(ExecPath::fused_parallel(4));
-        let rep = m.init().unwrap();
-        assert_eq!(rep.workers, 1, "below threshold must fall back");
-        for _ in 0..ceil_log2(12) {
-            m.run_iteration().unwrap();
-        }
-        assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
-    }
-
-    #[test]
-    fn validate_stays_fused_parallel_and_runs_clean() {
-        use crate::kernels::FusedParallel;
-        let exec = ExecPath::FusedParallel(FusedParallel {
-            workers: 2,
-            threshold: Some(0),
-        });
-        for g in &fused_test_corpus() {
-            let m = Machine::with_engine(
-                g,
-                Engine::sequential().with_instrumentation(Instrumentation::Validate),
-            )
-            .unwrap()
-            .with_exec(exec);
-            assert!(m.fused_active(), "Validate must stay fused-parallel");
-            let reference = HirschbergGca::new().run(g).unwrap();
-            let validated = HirschbergGca::new()
-                .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
-                .exec(exec)
-                .run(g)
-                .unwrap();
-            assert_eq!(validated.labels, reference.labels, "on {g:?}");
-            assert_eq!(validated.generations, reference.generations);
-            assert_eq!(validated.metrics.entries(), reference.metrics.entries());
-        }
-    }
-
-    #[test]
     fn parallel_fused_composes_with_detect_and_early_exit() {
-        use crate::kernels::FusedParallel;
         let exec = ExecPath::FusedParallel(FusedParallel {
             workers: 2,
             threshold: Some(0),
@@ -1677,10 +1676,10 @@ mod tests {
 
     #[test]
     fn fused_snapshot_restore_roundtrip_agrees_with_cellfield() {
-        // A snapshot is a CellField copy of the split planes, whatever path
-        // wrote them: one taken mid-fused-run must restore into both a fresh
-        // fused machine and a generic machine, and all three must finish in
-        // the same state, adjacency included.
+        // A snapshot is a CellField copy of the state, whatever path wrote
+        // it: one taken mid-fused-run must restore into both a fresh fused
+        // machine and a generic machine, and all three must finish in the
+        // same state, adjacency included.
         let g = generators::gnp(20, 0.2, 6);
         let mut fused = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
         fused.init().unwrap();
@@ -1688,7 +1687,7 @@ mod tests {
         let snap = fused.snapshot();
         let mut resumed_fused = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
         resumed_fused.restore(&snap).unwrap();
-        let mut resumed_generic = Machine::new(&g).unwrap();
+        let mut resumed_generic = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
         resumed_generic.restore(&snap).unwrap();
         for _ in 1..ceil_log2(20) {
             fused.run_iteration().unwrap();
@@ -1704,33 +1703,28 @@ mod tests {
     }
 
     #[test]
-    fn fused_survives_generic_steps_mid_run() {
-        // Flipping the exec path between iterations: generic steps run on
-        // the engine scratch and commit their data words behind the fused
-        // kernels' back, which must drop the occupancy plane and leave the
-        // adjacency plane intact for the next fused step.
-        let g = generators::gnp(14, 0.25, 9);
+    fn exec_path_switches_between_iterations_are_invisible() {
+        // Flipping the exec path between iterations: generic iterations
+        // materialize the plane from the vectors, fused ones read its
+        // column 0 and drop it again.
+        let n = 14;
+        let g = generators::gnp(n, 0.25, 9);
         let mut m = Machine::new(&g).unwrap();
-        let mut reference = Machine::new(&g).unwrap();
-        m = m.with_exec(ExecPath::Fused);
+        let mut reference = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
         m.init().unwrap();
         reference.init().unwrap();
-        for it in 0..ceil_log2(14) {
-            m = m.with_exec(if it % 2 == 0 {
+        for it in 0..ceil_log2(n) {
+            m.set_exec(if it % 2 == 0 {
                 ExecPath::Fused
             } else {
                 ExecPath::Generic
             });
-            for (gen, sub) in iteration_schedule(14) {
-                let ra = m.step(gen, sub).unwrap();
-                let rb = reference.step(gen, sub).unwrap();
-                assert_eq!(ra.active_cells, rb.active_cells, "{gen:?}/{sub} at iter {it}");
-                assert_eq!(ra.changed_cells, rb.changed_cells, "{gen:?}/{sub} at iter {it}");
-                assert_eq!(ra.total_reads, rb.total_reads, "{gen:?}/{sub} at iter {it}");
-            }
+            m.run_iteration().unwrap();
+            reference.run_iteration().unwrap();
+            assert_eq!(m.to_field().states(), reference.to_field().states(), "iter {it}");
         }
         assert_eq!(m.labels().unwrap(), reference.labels().unwrap());
-        assert_eq!(m.to_field().states(), reference.to_field().states());
+        assert_eq!(m.metrics().entries(), reference.metrics().entries());
     }
 
     #[test]
@@ -1758,30 +1752,33 @@ mod tests {
         // A wrong-size graph is a typed error that leaves the machine as it
         // was; a matching one reproduces a freshly built machine's field.
         let g = generators::gnp(8, 0.4, 2);
-        let mut m = Machine::new(&generators::ring(8)).unwrap();
-        assert_eq!(
-            m.reset_with(&generators::ring(9)).unwrap_err(),
-            GcaError::GraphSizeMismatch {
-                graph_nodes: 9,
-                layout_nodes: 8
-            }
-        );
-        m.init().unwrap();
-        m.run_iteration().unwrap();
-        m.reset_with(&g).unwrap();
-        let fresh = Machine::new(&g).unwrap();
-        assert_eq!(m.to_field().states(), fresh.to_field().states());
-        m.init().unwrap();
-        m.run_iterations(u64::from(ceil_log2(8))).unwrap();
-        let expected = union_find_components_dense(&g);
-        assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
+        for exec in [ExecPath::Generic, ExecPath::Fused] {
+            let mut m = Machine::new(&generators::ring(8)).unwrap().with_exec(exec);
+            assert_eq!(
+                m.reset_with(&generators::ring(9)).unwrap_err(),
+                GcaError::GraphSizeMismatch {
+                    graph_nodes: 9,
+                    layout_nodes: 8
+                }
+            );
+            m.init().unwrap();
+            m.run_iteration().unwrap();
+            m.reset_with(&g).unwrap();
+            let fresh = Machine::new(&g).unwrap();
+            assert_eq!(m.to_field().states(), fresh.to_field().states(), "{exec:?}");
+            m.init().unwrap();
+            m.run_iterations(u64::from(ceil_log2(8))).unwrap();
+            let expected = union_find_components_dense(&g);
+            assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
+        }
     }
 
     #[test]
-    fn engine_scratch_is_allocated_only_by_engine_steps() {
-        // The split planes are the only state; the AoS scratch exists only
-        // once an engine step (generic path, Trace fallback, Validate
-        // replay) has needed one.
+    fn engine_scratch_and_plane_are_allocated_only_by_engine_steps() {
+        // The sweep's vectors and the adjacency plane are the whole state
+        // of an unobserved fused run; the data plane and the AoS scratch
+        // exist only once an engine step (generic path, Trace, Validate)
+        // has needed them.
         let g = generators::gnp(12, 0.3, 4);
         let engine = |i| Engine::sequential().with_instrumentation(i);
         let cases = [
@@ -1797,9 +1794,11 @@ mod tests {
         for (exec, instr, allocates) in cases {
             let mut m = Machine::with_engine(&g, engine(instr)).unwrap().with_exec(exec);
             assert!(m.scratch.is_none(), "{exec:?} {instr:?} at build");
+            assert!(!m.field.has_plane(), "{exec:?} {instr:?} at build");
             m.init().unwrap();
             m.run_iterations(u64::from(ceil_log2(12))).unwrap();
             assert_eq!(m.scratch.is_some(), allocates, "{exec:?} {instr:?}");
+            assert_eq!(m.field.has_plane(), allocates, "{exec:?} {instr:?}");
             let expected = union_find_components_dense(&g);
             assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
         }
@@ -1808,12 +1807,14 @@ mod tests {
     #[test]
     fn labels_into_matches_labels_raw() {
         let g = generators::gnp(10, 0.3, 2);
-        let mut m = Machine::new(&g).unwrap();
-        m.init().unwrap();
-        m.run_iteration().unwrap();
-        let mut out = vec![99; 3];
-        m.labels_into(&mut out);
-        assert_eq!(out, m.labels_raw());
-        assert_eq!(out.len(), 10);
+        for exec in [ExecPath::Generic, ExecPath::Fused] {
+            let mut m = Machine::new(&g).unwrap().with_exec(exec);
+            m.init().unwrap();
+            m.run_iteration().unwrap();
+            let mut out = vec![99; 3];
+            m.labels_into(&mut out);
+            assert_eq!(out, m.labels_raw());
+            assert_eq!(out.len(), 10);
+        }
     }
 }

@@ -57,7 +57,7 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
-    /// Throughput defaults: fused kernels, instrumentation off, fixed
+    /// Throughput defaults: the fused sweep, instrumentation off, fixed
     /// schedule, auto worker count.
     pub fn new() -> Self {
         BatchRunner {
@@ -598,11 +598,13 @@ mod tests {
         for (i, (graph, result)) in graphs.iter().zip(&report.results).enumerate() {
             if i == faulted {
                 let fault = result.as_ref().unwrap_err();
+                // A fault plan routes its fused machine to the engine, whose
+                // generations the invariant checker judges.
                 assert!(
-                    matches!(fault, GraphFault::Error(GcaError::KernelDivergence { .. })),
+                    matches!(fault, GraphFault::Error(GcaError::InvariantViolation { .. })),
                     "graph {i}: {fault}"
                 );
-                assert_eq!(fault.detector(), "differential-replay");
+                assert_eq!(fault.detector(), "invariant-checker");
             } else {
                 assert_eq!(
                     result.as_ref().unwrap(),

@@ -1,5 +1,5 @@
-//! Struct-of-arrays Hirschberg field — [`crate::Machine`]'s only
-//! persistent cell state, on every execution path.
+//! Struct-of-arrays Hirschberg field: the adjacency plane of every
+//! [`crate::Machine`] and, while an engine step needs one, its data plane.
 //!
 //! The paper's cell holds two registers: a data word `d` and the read-only
 //! adjacency bit `a` (the pointer is recomputed every generation). [`HField`]
@@ -7,18 +7,18 @@
 //!
 //! * a contiguous `Vec<Word>` **data plane** with the same linear indexing
 //!   as [`crate::Layout`] (`index = row · n + col`, `D_N` at
-//!   `n² .. n² + n`) — the per-generation working set; broadcasts and
-//!   copies become `memcpy`-shaped fills, and row-partitioned parallel
-//!   kernels split it with `split_at_mut`-safe disjoint chunks;
+//!   `n² .. n² + n`). It is allocated only while the cell-by-cell engine
+//!   holds the machine's state (the generic path and observed fused runs);
+//!   an unobserved fused run keeps the state in the O(n) vectors of the
+//!   sweep instead, and the plane stays empty;
 //! * a bit-packed **adjacency plane** (one bit per square cell) — filled
 //!   once per graph straight from the [`AdjacencyMatrix`] rows
 //!   ([`HField::fill`]), read-only afterwards. The plane is
 //!   **row-aligned**: row `r` occupies the [`HField::words_per_row`] words
 //!   starting at `r · words_per_row`, column `c` is bit `c % WORD_BITS` of
 //!   word `c / WORD_BITS` within the row, and the tail bits of the last
-//!   word of every row are zero. Row alignment is what makes the SWAR
-//!   kernels' zero-word skip sound: an all-zero adjacency word always
-//!   covers cells of a single row, never a wrapped row boundary.
+//!   word of every row are zero, so the sweep's set-bit walk over a row
+//!   never strays into the next one.
 //!
 //! The array-of-structures `CellField<HCell>` exists only where a consumer
 //! needs one: the machine's engine scratch (refilled by [`HField::store`]
@@ -42,7 +42,8 @@ pub(crate) fn a_bit(plane: &[AdjWord], wpr: usize, row: usize, col: usize) -> bo
 pub(crate) struct HField {
     /// Problem size `n`.
     pub n: usize,
-    /// The data plane: `d` of every cell, `n · (n+1)` words.
+    /// The data plane: `d` of every cell, `n · (n+1)` words, or empty
+    /// while the sweep's vectors hold the state.
     pub d: Vec<Word>,
     /// The adjacency plane: `A(row, col)` bit-packed row-aligned over the
     /// `n²` square cells (the `D_N` row carries no adjacency). Written only
@@ -54,22 +55,39 @@ pub(crate) struct HField {
 }
 
 impl HField {
-    /// An all-zero field for problem size `n`.
+    /// An empty adjacency plane for problem size `n`, without a data plane.
     pub fn new(n: usize) -> Self {
         let wpr = n.div_ceil(WORD_BITS);
         HField {
             n,
-            d: vec![0; n * (n + 1)],
+            d: Vec::new(),
             a: vec![0; n * wpr],
             words_per_row: wpr,
         }
     }
 
-    /// Loads `graph` in place: zeroes the data plane (generation 0
-    /// initializes it) and copies the adjacency rows, which the matrix
-    /// already packs row-aligned in `u64` words. The diagonal and row-tail
-    /// bits are masked off. Fails with [`GcaError::GraphSizeMismatch`],
-    /// leaving the field untouched, if the graph has another size.
+    /// Whether the data plane is allocated.
+    pub fn has_plane(&self) -> bool {
+        !self.d.is_empty()
+    }
+
+    /// Allocates the data plane and fills cell `(row, col)` with
+    /// `word(row, col)`.
+    pub fn materialize(&mut self, word: impl Fn(usize, usize) -> Word) {
+        let n = self.n;
+        self.d.clear();
+        self.d.reserve(n * (n + 1));
+        for row in 0..=n {
+            self.d.extend((0..n).map(|col| word(row, col)));
+        }
+    }
+
+    /// Loads `graph` in place: drops the data plane (the state returns to
+    /// the all-zero vectors before generation 0) and copies the adjacency
+    /// rows, which the matrix already packs row-aligned in `u64` words.
+    /// The diagonal and row-tail bits are masked off. Fails with
+    /// [`GcaError::GraphSizeMismatch`], leaving the field untouched, if the
+    /// graph has another size.
     pub fn fill(&mut self, graph: &AdjacencyMatrix) -> Result<(), GcaError> {
         let n = self.n;
         if graph.n() != n {
@@ -78,7 +96,7 @@ impl HField {
                 layout_nodes: n,
             });
         }
-        self.d.fill(0);
+        self.d = Vec::new();
         let wpr = self.words_per_row;
         let tail: AdjWord = match n % WORD_BITS {
             0 => !0,
@@ -95,8 +113,8 @@ impl HField {
     /// Loads both planes from array-of-structures cell states (a restored
     /// snapshot), `n · (n+1)` of them in field order.
     pub fn load(&mut self, cells: &[HCell]) {
-        debug_assert_eq!(cells.len(), self.d.len());
-        self.load_d(cells);
+        self.d.clear();
+        self.d.extend(cells.iter().map(|c| c.d));
         self.a.fill(0);
         let (n, wpr) = (self.n, self.words_per_row);
         for (row, words) in self.a.chunks_mut(wpr.max(1)).enumerate() {
@@ -108,17 +126,24 @@ impl HField {
         }
     }
 
-    /// Writes both planes into array-of-structures cell states — the
-    /// engine scratch refill and the on-demand `CellField` copies.
-    pub fn store(&self, cells: &mut [HCell]) {
-        debug_assert_eq!(cells.len(), self.d.len());
+    /// Writes the field into array-of-structures cell states, the data
+    /// words taken from `words` in field order — the engine scratch refill
+    /// and the on-demand `CellField` copies.
+    pub fn store(&self, cells: &mut [HCell], words: impl IntoIterator<Item = Word>) {
         let n = self.n.max(1);
-        for (row, (cells, d)) in cells.chunks_mut(n).zip(self.d.chunks(n)).enumerate() {
-            for (col, (c, &d)) in cells.iter_mut().zip(d).enumerate() {
+        let mut words = words.into_iter();
+        for (row, cells) in cells.chunks_mut(n).enumerate() {
+            for ((col, c), d) in cells.iter_mut().enumerate().zip(&mut words) {
                 let a = row < self.n && a_bit(&self.a, self.words_per_row, row, col);
                 *c = HCell::with_adjacency(d, a);
             }
         }
+    }
+
+    /// The data word of cell `(row, col)` of the allocated data plane.
+    #[inline]
+    pub fn word(&self, row: usize, col: usize) -> Word {
+        self.d[row * self.n + col]
     }
 
     /// Copies the data words of array-of-structures cell states back into
@@ -157,7 +182,7 @@ mod tests {
             let field = Layout::new(g.n()).unwrap().build_field(&g).unwrap();
             let h = filled(&g);
             let mut cells = vec![HCell::new(7); field.len()];
-            h.store(&mut cells);
+            h.store(&mut cells, std::iter::repeat(0));
             assert_eq!(cells, field.states(), "n = {}", g.n());
         }
     }
@@ -165,9 +190,11 @@ mod tests {
     #[test]
     fn round_trip_preserves_data_and_adjacency() {
         let g = generators::gnp(9, 0.4, 3);
-        let h = filled(&g);
+        let mut h = filled(&g);
+        assert!(!h.has_plane(), "a filled field has no data plane yet");
+        h.materialize(|row, col| (row * 9 + col) as Word);
         let mut cells = vec![HCell::new(0); h.d.len()];
-        h.store(&mut cells);
+        h.store(&mut cells, h.d.iter().copied());
 
         // Data words flow back through `load_d`; adjacency never does.
         for (i, c) in cells.iter_mut().enumerate() {
@@ -182,7 +209,7 @@ mod tests {
         assert_eq!(back.a, h.a, "adjacency must never change");
 
         // `load` takes both planes, as a snapshot restore needs.
-        h.store(&mut cells);
+        h.store(&mut cells, h.d.iter().copied());
         let mut restored = HField::new(9);
         restored.load(&cells);
         assert_eq!(restored.d, h.d);
@@ -194,13 +221,13 @@ mod tests {
         let h = filled(&generators::empty(0));
         assert!(h.d.is_empty());
         assert!(h.a.is_empty());
-        h.store(&mut []);
+        h.store(&mut [], std::iter::repeat(0));
     }
 
     #[test]
     fn row_tail_bits_stay_zero() {
-        // n = 5 leaves WORD_BITS - 5 tail bits per row word; the SWAR
-        // zero-word skip relies on them never being set.
+        // n = 5 leaves WORD_BITS - 5 tail bits per row word; the sweep's
+        // set-bit walk relies on them never being set.
         let h = filled(&generators::complete(5));
         assert_eq!(h.words_per_row, 1);
         let tail_mask: AdjWord = !((1 << 5) - 1);

@@ -10,8 +10,8 @@
 //!   plane, produce the data plane the contract promises for the next
 //!   generation. The prover verifies per cell that this transfer is
 //!   *exactly* the shipped [`HirschbergRule`](crate::HirschbergRule) (zero
-//!   machine executions); the checker replays it against live fused / SWAR
-//!   / parallel / generic runs.
+//!   machine executions); the checker replays it against every generation
+//!   the engine ticks, on every execution path.
 //! * [`InvariantClass`] — the five invariant families of the induction
 //!   argument (see DESIGN.md §16).
 //!
@@ -294,9 +294,9 @@ fn component_minima(n: usize, adj: &[bool]) -> Vec<Word> {
 /// One checker instance observes one run. It is armed by
 /// [`Machine`](crate::Machine) whenever the engine runs under
 /// [`Instrumentation::Validate`](gca_engine::Instrumentation::Validate),
-/// on *all* execution paths (generic, fused, fused-parallel, fused-SWAR) —
-/// the proof model is execution-path-agnostic, so one shadow plane checks
-/// them all.
+/// on *all* execution paths (generic, fused, fused-parallel; a validated
+/// fused machine ticks the engine) — the proof model is
+/// execution-path-agnostic, so one shadow plane checks them all.
 #[derive(Clone, Debug)]
 pub struct InvariantChecker {
     n: usize,

@@ -30,8 +30,9 @@
 //!   yourself; used by the figure/table binaries);
 //! * [`HirschbergGca`] — configurable runner (backend, instrumentation,
 //!   early exit, execution path);
-//! * [`kernels`] — fused flat-array kernels ([`ExecPath::Fused`]), metrics-
-//!   identical to the generic engine path;
+//! * [`kernels`] — the execution paths ([`ExecPath::Fused`], the default,
+//!   runs [`sweep`]'s vector sweeps; [`ExecPath::Generic`] ticks the
+//!   engine cell by cell), metrics-identical to each other;
 //! * [`batch`] — the batched multi-graph runner (aggregate graphs/sec);
 //! * [`variants`] — the design-space variants the paper discusses: an
 //!   `n`-cell machine (§3's "decide between n and n² cells") and a
@@ -53,7 +54,7 @@ mod layout;
 mod phase;
 mod rule;
 pub mod supervise;
-pub mod swar;
+pub mod sweep;
 pub mod table1;
 pub mod timing;
 pub mod variants;
@@ -65,6 +66,8 @@ pub use invariants::{contract_step, InvariantChecker, InvariantClass};
 pub use kernels::{ExecPath, FusedParallel};
 pub use layout::Layout;
 pub use supervise::SupervisedMachine;
+#[doc(hidden)]
+pub use sweep::SweepFault;
 pub use phase::{iteration_schedule, Gen};
 pub use rule::HirschbergRule;
 

@@ -202,7 +202,9 @@ mod tests {
             .set_fault_plan(Some(FaultPlan::new(FaultKind::BitFlip { bit: 0 }, target, 5)));
         let report = Supervisor::new(RecoveryPolicy::Retry { max_attempts: 3 }).run(&mut sm);
         assert!(matches!(report.outcome, RecoveryOutcome::Recovered), "{report}");
-        assert_eq!(report.first_detector(), Some("differential-replay"));
+        // The fault plan routes the fused path to the engine, whose
+        // generations the invariant checker judges.
+        assert_eq!(report.first_detector(), Some("invariant-checker"));
         assert!(report.checkpoints_restored >= 1);
         assert_eq!(sm.labels().unwrap().as_slice(), expected.as_slice());
         assert_eq!(

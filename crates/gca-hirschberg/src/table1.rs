@@ -7,12 +7,16 @@
 //! independent for the statically-addressed generations (0–9) and worst-case
 //! bounds for the data-dependent ones (10, 11). [`measure_first_iteration`]
 //! instruments an actual run so the table binary can print *claimed vs.
-//! measured*; small definitional deviations in the paper's own rows (e.g.
+//! measured*; [`static_row`] gives the statically addressed rows in closed
+//! form, from the same footprints the fused paths commit. Small
+//! definitional deviations in the paper's own rows (e.g.
 //! generation 5 listed as `n(n+1)` active although its text says the last
 //! row stays unchanged) are documented in EXPERIMENTS.md.
 
-use crate::{Gen, HirschbergGca, Machine};
-use gca_engine::{Engine, GcaError, Instrumentation};
+use crate::sweep::static_footprint;
+use crate::{ExecPath, Gen, HirschbergGca, Machine};
+use gca_engine::metrics::{GenerationMetrics, ReadFootprint};
+use gca_engine::{Engine, GcaError, Instrumentation, StepCtx};
 use gca_graphs::AdjacencyMatrix;
 use std::collections::BTreeMap;
 
@@ -163,14 +167,31 @@ fn measured_row(m: &gca_engine::metrics::GenerationMetrics) -> Result<MeasuredRo
     })
 }
 
+/// The row of a statically addressed generation (0–9) at sub-generation
+/// `sub` on an `n`-node field, without running anything; `None` for the
+/// pointer chases (10, 11), whose reads depend on the labels. Every run
+/// measures exactly this row for such a generation.
+pub fn static_row(gen: Gen, sub: u32, n: usize) -> Option<MeasuredRow> {
+    let (active, grid) = static_footprint(gen, sub, n)?;
+    let mut fp = ReadFootprint::new();
+    fp.set_grid(n * (n + 1), grid);
+    let ctx = StepCtx {
+        generation: 0,
+        phase: gen.number(),
+        subgeneration: sub,
+    };
+    measured_row(&GenerationMetrics::from_footprint(ctx, active, &fp)).ok()
+}
+
 /// Runs generation 0 plus the first outer iteration on `graph` and returns
-/// one measured row per executed `(generation, sub-generation)`.
+/// one measured row per executed `(generation, sub-generation)`, counted
+/// cell by cell by the generic engine.
 pub fn measure_first_iteration(graph: &AdjacencyMatrix) -> Result<Vec<MeasuredRow>, GcaError> {
     if graph.n() == 0 {
         return Ok(Vec::new());
     }
     let engine = Engine::sequential().with_instrumentation(Instrumentation::Counts);
-    let mut machine = Machine::with_engine(graph, engine)?;
+    let mut machine = Machine::with_engine(graph, engine)?.with_exec(ExecPath::Generic);
     machine.init()?;
     if graph.n() > 1 {
         machine.run_iteration()?;
@@ -178,11 +199,15 @@ pub fn measure_first_iteration(graph: &AdjacencyMatrix) -> Result<Vec<MeasuredRo
     machine.metrics().entries().iter().map(measured_row).collect()
 }
 
-/// Measures the whole run (all `⌈log₂ n⌉` iterations) — used by the
-/// congestion benchmarks to locate the overall hot spots.
+/// Measures the whole run (all `⌈log₂ n⌉` iterations) on the generic
+/// engine — used by the congestion benchmarks to locate the overall hot
+/// spots.
 pub fn measure_full_run(graph: &AdjacencyMatrix) -> Result<Vec<MeasuredRow>, GcaError> {
     let engine = Engine::sequential().with_instrumentation(Instrumentation::Counts);
-    let run = HirschbergGca::new().with_engine(engine).run(graph)?;
+    let run = HirschbergGca::new()
+        .with_engine(engine)
+        .exec(ExecPath::Generic)
+        .run(graph)?;
     run.metrics.entries().iter().map(measured_row).collect()
 }
 
@@ -251,6 +276,24 @@ mod tests {
     }
 
     #[test]
+    fn static_rows_equal_the_measured_rows() {
+        // n = 1, 2 and 3 are degenerate field shapes; 64, 65 and 70 put
+        // rows on, just past and well past an adjacency word.
+        for n in [1usize, 2, 3, 8, 64, 65, 70] {
+            let rows = measure_first_iteration(&generators::gnp(n, 0.2, n as u64)).unwrap();
+            let mut statics = 0;
+            for row in &rows {
+                if let Some(want) = static_row(row.generation, row.subgeneration, n) {
+                    assert_eq!(*row, want, "n = {n}");
+                    statics += 1;
+                }
+            }
+            let log = crate::complexity::ceil_log2(n) as usize;
+            assert_eq!(rows.len() - statics, if n > 1 { log + 1 } else { 0 }, "n = {n}");
+        }
+    }
+
+    #[test]
     fn pointer_jump_congestion_hits_worst_case_on_star() {
         // In a star all nodes hook onto node 0; every jump then reads C(0),
         // realizing the paper's worst-case δ = n.
@@ -289,8 +332,11 @@ mod tests {
                 &g,
                 Engine::sequential().with_domain_policy(DomainPolicy::Dense),
             )
-            .unwrap();
-            let mut hinted = Machine::with_engine(&g, Engine::sequential()).unwrap();
+            .unwrap()
+            .with_exec(ExecPath::Generic);
+            let mut hinted = Machine::with_engine(&g, Engine::sequential())
+                .unwrap()
+                .with_exec(ExecPath::Generic);
 
             let compare = |rd: &gca_engine::StepReport,
                            rh: &gca_engine::StepReport,
@@ -328,7 +374,9 @@ mod tests {
         // cells instead of n(n+1).
         let n = 8usize;
         let g = generators::ring(n);
-        let mut m = Machine::with_engine(&g, Engine::sequential()).unwrap();
+        let mut m = Machine::with_engine(&g, Engine::sequential())
+            .unwrap()
+            .with_exec(ExecPath::Generic);
         m.init().unwrap();
         let rep = m.step(Gen::BroadcastC, 0).unwrap();
         assert_eq!(rep.evaluated_cells, n * (n + 1)); // gen 1 is dense

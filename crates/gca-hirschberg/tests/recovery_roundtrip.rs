@@ -5,10 +5,10 @@
 //! restored from an iteration-boundary checkpoint and re-run is
 //! **bit-identical** — labels, field states and `Counts` metrics — to a
 //! machine that never stopped. These properties pin that claim on every
-//! execution path, including the paths with hidden state beyond the
-//! data and adjacency planes: the engine scratch (refilled before every
-//! engine step, never read as state) and the fused occupancy plane (dropped
-//! on restore, rebuilt inside the next filter → min-reduce window).
+//! execution path, including the paths whose state is not the data plane:
+//! the engine scratch (refilled before every engine step, never read as
+//! state) and the fused paths' vectors (a restore loads the data plane,
+//! and the next sweep reads its column 0 and drops it).
 
 use gca_engine::snapshot::FieldSnapshot;
 use gca_engine::{Engine, Instrumentation};
@@ -63,10 +63,9 @@ proptest! {
 
     /// Restore into a *fresh* machine continues to the reference
     /// labeling on every path: the snapshot alone (plus the generation
-    /// counter) is a complete consistent cut. The fresh machine's SoA
-    /// mirror and occupancy plane start stale by construction, so a
-    /// passing run proves `restore` invalidates and the kernels rebuild
-    /// them.
+    /// counter) is a complete consistent cut. The fresh machine's vectors
+    /// start at zero, so a passing run proves the sweep enters from the
+    /// restored plane.
     #[test]
     fn restore_into_fresh_machine_resumes(g in arb_graph(2, 14), cut in 0u32..4) {
         let n = g.n();

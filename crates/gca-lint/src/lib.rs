@@ -10,14 +10,14 @@
 //! 2. **no-unwrap** — non-test library code returns typed errors instead
 //!    of calling `.unwrap()` / `.expect(…)` (the error-vs-panic policy of
 //!    DESIGN.md).
-//! 3. **truncating-cast** — the hot-path files (`kernels.rs`,
+//! 3. **truncating-cast** — the hot-path files (`sweep.rs`,
 //!    `engine.rs`) contain no narrowing `as` casts.
 //! 4. **word-width** — outside `word.rs`, no hard-coded 64/63 word-width
 //!    arithmetic over the bit-packed adjacency plane: the packed word
 //!    width is `word.rs`'s secret, and everything else phrases lane math
 //!    through `WORD_BITS` / `AdjWord`.
-//! 5. **row-range-purity** — in the kernel files (`kernels.rs`,
-//!    `swar.rs`), `*_rows` functions never index their `&mut` plane
+//! 5. **row-range-purity** — in the kernel file (`sweep.rs`), `*_rows`
+//!    functions never index their `&mut` plane
 //!    parameters with `base_row`: the planes arrive pre-sliced to the
 //!    chunk's row range, and absolute-row addressing is the off-by-one
 //!    the partition prover (`gca-analyze --partition`) exists to rule
@@ -115,9 +115,9 @@ pub fn classify(rel_path: &str, has_lib: bool) -> FileClass {
     let library = has_lib && !rel_path.contains("/src/bin/") && file_name != "main.rs";
     FileClass {
         library,
-        hot_path: matches!(file_name, "kernels.rs" | "engine.rs"),
+        hot_path: matches!(file_name, "sweep.rs" | "engine.rs"),
         word_home: file_name == "word.rs",
-        kernel: matches!(file_name, "kernels.rs" | "swar.rs"),
+        kernel: file_name == "sweep.rs",
     }
 }
 
@@ -224,7 +224,7 @@ mod tests {
             FileClass { library: false, hot_path: false, word_home: false, kernel: false }
         );
         assert_eq!(
-            classify("crates/x/src/kernels.rs", true),
+            classify("crates/x/src/sweep.rs", true),
             FileClass { library: true, hot_path: true, word_home: false, kernel: true }
         );
         assert_eq!(
@@ -232,8 +232,8 @@ mod tests {
             FileClass { library: true, hot_path: true, word_home: false, kernel: false }
         );
         assert_eq!(
-            classify("crates/gca-hirschberg/src/swar.rs", true),
-            FileClass { library: true, hot_path: false, word_home: false, kernel: true }
+            classify("crates/gca-hirschberg/src/kernels.rs", true),
+            FileClass { library: true, hot_path: false, word_home: false, kernel: false }
         );
         assert_eq!(
             classify("crates/gca-engine/src/word.rs", true),

@@ -8,8 +8,8 @@
 //!   internal invariants). Matching whole identifier tokens keeps
 //!   `unwrap_or(…)` / `unwrap_or_else(…)` legal.
 //! * [`RuleId::TruncatingCast`] — no narrowing `as` casts in the hot-path
-//!   files (`kernels.rs`, `engine.rs`): a congestion or index counter
-//!   silently wrapping in a fused kernel is exactly the class of bug the
+//!   files (`sweep.rs`, `engine.rs`): a congestion or index counter
+//!   silently wrapping in the fused sweep is exactly the class of bug the
 //!   sanitizer exists to catch, so the lint bans the construct at the
 //!   source level.
 //! * [`RuleId::RuleFieldAccess`] — inside `impl … GcaRule for …` blocks,
@@ -26,8 +26,8 @@
 //!   future word-width change stays a one-file edit. Using `u64` as a
 //!   *type* (`Vec<u64>`, `[u64; N]`, `as u64`) is legal — the rule targets
 //!   width arithmetic, not storage declarations.
-//! * [`RuleId::RowRangePurity`] — in the kernel files (`kernels.rs`,
-//!   `swar.rs`), a row-range function (free `fn` ending in `_rows`) must
+//! * [`RuleId::RowRangePurity`] — in the kernel file (`sweep.rs`), a
+//!   row-range function (free `fn` ending in `_rows`) must
 //!   never index one of its `&mut` plane parameters with an expression
 //!   naming `base_row`: the mutable planes arrive pre-sliced to the
 //!   chunk's row range (row-relative), so absolute-row addressing on them
@@ -100,14 +100,14 @@ pub struct FileClass {
     /// `src/bin/`). [`RuleId::NoUnwrap`] only applies here — binaries may
     /// legitimately `expect` on CLI arguments.
     pub library: bool,
-    /// A hot-path file ([`RuleId::TruncatingCast`] applies): `kernels.rs`
+    /// A hot-path file ([`RuleId::TruncatingCast`] applies): `sweep.rs`
     /// or `engine.rs`.
     pub hot_path: bool,
     /// The word-definition module (`word.rs`) — the one file allowed to
     /// spell out the packed-adjacency word width, so
     /// [`RuleId::WordWidth`] does not apply.
     pub word_home: bool,
-    /// A kernel file (`kernels.rs`, `swar.rs`) whose `*_rows` functions
+    /// A kernel file (`sweep.rs`) whose `*_rows` functions
     /// carry the row-range contract [`RuleId::RowRangePurity`] checks.
     pub kernel: bool,
 }

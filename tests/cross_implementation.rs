@@ -12,7 +12,7 @@ use gca_graphs::connectivity::{bfs_components, dfs_components, union_find_compon
 use gca_graphs::verify::verify_components;
 use gca_graphs::{generators, AdjacencyMatrix};
 use gca_hirschberg::variants::{low_congestion, n_cells, two_handed};
-use gca_hirschberg::HirschbergGca;
+use gca_hirschberg::{ExecPath, HirschbergGca};
 use gca_pram::hirschberg_ref;
 
 fn check_all(graph: &AdjacencyMatrix, context: &str) {
@@ -29,6 +29,7 @@ fn check_all(graph: &AdjacencyMatrix, context: &str) {
     assert_eq!(gca.labels, expected, "GCA main deviates: {context}");
 
     let gca_par = HirschbergGca::new()
+        .exec(ExecPath::Generic)
         .with_engine(Engine::parallel())
         .run(graph)
         .expect("gca parallel run");

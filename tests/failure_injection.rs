@@ -8,7 +8,8 @@ use gca_engine::{
     Instrumentation, Reads, StepCtx,
 };
 use gca_graphs::{generators, io, GraphBuilder, GraphError};
-use gca_hirschberg::{ExecPath, FusedParallel, Gen, Machine};
+use gca_hirschberg::complexity::{ceil_log2, total_generations};
+use gca_hirschberg::{ExecPath, FusedParallel, Gen, Machine, SweepFault};
 use gca_pram::{AccessPolicy, Pram, PramError};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -365,37 +366,50 @@ fn sanitizer_reports_active_lie() {
 
 #[test]
 fn fused_replay_catches_seeded_kernel_mutation() {
-    // A correct fused run passes the differential replay...
+    // A correct fused run passes the cross-check against the reference
+    // engine...
     let g = generators::gnp(10, 0.4, 21);
-    let mut m = Machine::with_engine(
-        &g,
-        Engine::sequential().with_instrumentation(Instrumentation::Validate),
-    )
-    .unwrap()
-    .with_exec(ExecPath::Fused);
+    let validated = || {
+        Machine::with_engine(
+            &g,
+            Engine::sequential().with_instrumentation(Instrumentation::Validate),
+        )
+        .unwrap()
+        .with_exec(ExecPath::Fused)
+    };
+    let mut m = validated();
     m.init().unwrap();
     m.run_iteration().unwrap();
 
-    // ...and a single corrupted cell in a fused generation is pinpointed.
-    let mut m = Machine::with_engine(
-        &g,
-        Engine::sequential().with_instrumentation(Instrumentation::Validate),
-    )
-    .unwrap()
-    .with_exec(ExecPath::Fused);
+    // ...a mutated sweep (one flipped bit in T′(2)) is pinpointed inside
+    // the first iteration...
+    let mut m = validated();
+    m.init().unwrap();
+    m.seed_sweep_fault(SweepFault::FlipT(2));
+    let last = total_generations(10) / u64::from(ceil_log2(10));
+    match m.run_iteration().unwrap_err() {
+        GcaError::KernelDivergence { cell, generation, phase } => {
+            assert!(cell < 10 * 11, "cell {cell} outside the field");
+            assert!(generation <= last, "not in the first iteration: {generation}");
+            assert!(phase >= Gen::PointerJump.number(), "caught before the chases: {phase}");
+        }
+        other => panic!("expected KernelDivergence, got {other:?}"),
+    }
+
+    // ...and a corrupted cell in a generation the fused path hands to the
+    // engine (an armed fault plan is observation) is pinpointed by the
+    // invariant checker in the generation it lands.
+    let mut m = validated();
     m.init().unwrap();
     let target = 2;
-    // Flip bit 0 of the target's word right after generation 1 (the first
-    // post-init generation) commits, before the replay compares states.
     m.set_fault_plan(Some(FaultPlan::new(FaultKind::BitFlip { bit: 0 }, 1, target)));
-    let err = m.run_iteration().unwrap_err();
-    match err {
-        GcaError::KernelDivergence { cell, generation, phase } => {
+    match m.run_iteration().unwrap_err() {
+        GcaError::InvariantViolation { cell, generation, phase, .. } => {
             assert_eq!(cell, target);
             assert_eq!(generation, 1, "fault lands on the first post-init generation");
             assert_eq!(phase, Gen::BroadcastC.number());
         }
-        other => panic!("expected KernelDivergence, got {other:?}"),
+        other => panic!("expected InvariantViolation, got {other:?}"),
     }
 }
 
@@ -403,44 +417,38 @@ fn fused_replay_catches_seeded_kernel_mutation() {
 fn validator_catches_overlapping_parallel_partition() {
     // Safe Rust plus `par_chunks_mut`'s disjoint borrows make a genuinely
     // overlapping write partition unrepresentable — the borrow checker
-    // rejects two workers aliasing a row. So the `dup-row` fault seeds the
-    // *observable effect* of an overlap instead: one duplicated
-    // congestion-histogram contribution on the parallel counting broadcast
-    // of generation 1, exactly the residue a row double-counted by two
-    // workers would leave. The differential replay must pinpoint it.
+    // rejects two workers aliasing a row. So the seeded sweep fault plants
+    // the *observable effect* of an overlap instead: every chunk of the
+    // parallel neighbour-min after the first computes its rows from one
+    // row too early, the residue of two workers both claiming a boundary
+    // row. The cross-check against the engine must flag it.
     let g = generators::gnp(10, 0.4, 21);
-    let mut m = Machine::with_engine(
-        &g,
-        Engine::sequential().with_instrumentation(Instrumentation::Validate),
-    )
-    .unwrap()
-    .with_exec(ExecPath::FusedParallel(FusedParallel {
-        workers: 2,
-        threshold: Some(0),
-    }));
+    let validated = || {
+        Machine::with_engine(
+            &g,
+            Engine::sequential().with_instrumentation(Instrumentation::Validate),
+        )
+        .unwrap()
+        .with_exec(ExecPath::FusedParallel(FusedParallel {
+            workers: 2,
+            threshold: Some(0),
+        }))
+    };
+    let mut m = validated();
     m.init().unwrap();
-    m.set_fault_plan(Some(FaultPlan::new(FaultKind::DuplicatedChunkRow, 1, 0)));
-    let err = m.run_iteration().unwrap_err();
-    match err {
-        GcaError::KernelDivergence { cell, generation, phase } => {
-            assert_eq!(cell, 0, "the duplicated read lands on cell 0's histogram slot");
-            assert_eq!(generation, 1, "fault fires on the first post-init generation");
-            assert_eq!(phase, Gen::BroadcastC.number());
+    m.seed_sweep_fault(SweepFault::OverlapChunks);
+    match m.run_iteration().unwrap_err() {
+        GcaError::KernelDivergence { cell, generation, .. } => {
+            assert!(cell < 10 * 11, "cell {cell} outside the field");
+            let last = total_generations(10) / u64::from(ceil_log2(10));
+            assert!(generation <= last, "not in the first iteration: {generation}");
         }
         other => panic!("expected KernelDivergence, got {other:?}"),
     }
 
     // Without the seeded fault the same parallel configuration replays
     // cleanly — the detector is sensitive, not trigger-happy.
-    let mut m = Machine::with_engine(
-        &g,
-        Engine::sequential().with_instrumentation(Instrumentation::Validate),
-    )
-    .unwrap()
-    .with_exec(ExecPath::FusedParallel(FusedParallel {
-        workers: 2,
-        threshold: Some(0),
-    }));
+    let mut m = validated();
     m.init().unwrap();
     m.run_iteration().unwrap();
 }

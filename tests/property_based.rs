@@ -327,9 +327,11 @@ proptest! {
     /// generation, and metric-for-metric across every engine configuration.
     #[test]
     fn hirschberg_engine_knobs_agree(g in arb_graph(12)) {
-        let reference = HirschbergGca::new().run(&g).unwrap();
+        // The knobs steer the engine, which only the generic path ticks.
+        let generic = || HirschbergGca::new().exec(ExecPath::Generic);
+        let reference = generic().run(&g).unwrap();
         for engine in engine_configs() {
-            let run = HirschbergGca::new().with_engine(engine).run(&g).unwrap();
+            let run = generic().with_engine(engine).run(&g).unwrap();
             prop_assert_eq!(run.labels.as_slice(), reference.labels.as_slice());
             prop_assert_eq!(run.generations, reference.generations);
             if !run.metrics.entries().is_empty() {
@@ -387,20 +389,21 @@ proptest! {
     /// [`arb_fused_graph`].
     #[test]
     fn fused_equals_generic(g in arb_fused_graph()) {
-        let generic = HirschbergGca::new().run(&g).unwrap();
+        let generic = HirschbergGca::new().exec(ExecPath::Generic).run(&g).unwrap();
         let fused = HirschbergGca::new().exec(ExecPath::Fused).run(&g).unwrap();
         prop_assert_eq!(fused.labels.as_slice(), generic.labels.as_slice());
         prop_assert_eq!(fused.generations, generic.generations);
         prop_assert_eq!(fused.metrics.entries(), generic.metrics.entries());
     }
 
-    /// The same equivalence holds under convergence detection: the fused
+    /// The same equivalence holds under convergence detection: the sweep's
     /// pointer-jump sequence stops on exactly the same sub-generation, so
     /// generation counts and metrics logs still match entry for entry.
     #[test]
     fn fused_equals_generic_under_detect(g in arb_fused_graph()) {
         let generic = HirschbergGca::new()
             .convergence(Convergence::Detect)
+            .exec(ExecPath::Generic)
             .run(&g)
             .unwrap();
         let fused = HirschbergGca::new()
@@ -417,11 +420,11 @@ proptest! {
     /// sequential fused path and the generic path — labels, generation
     /// counts and `Counts` metrics entry for entry — for every worker count
     /// in a small sweep. `threshold: Some(0)` forces the partitioned
-    /// drivers even on these small fields (the auto-fallback would
+    /// neighbour-min even on these small fields (the auto-fallback would
     /// otherwise make this test vacuous below the engine tunable).
     #[test]
     fn parallel_fused_equals_fused_and_generic(g in arb_fused_graph()) {
-        let generic = HirschbergGca::new().run(&g).unwrap();
+        let generic = HirschbergGca::new().exec(ExecPath::Generic).run(&g).unwrap();
         let fused = HirschbergGca::new().exec(ExecPath::Fused).run(&g).unwrap();
         for workers in [2usize, 3, 7] {
             let par = HirschbergGca::new()
@@ -435,12 +438,13 @@ proptest! {
         }
     }
 
-    /// Same equivalence under convergence detection: the partitioned
-    /// pointer-jump must stop on exactly the same sub-generation.
+    /// Same equivalence under convergence detection: the sweep's pointer
+    /// jumping must stop on exactly the same sub-generation.
     #[test]
     fn parallel_fused_equals_generic_under_detect(g in arb_fused_graph()) {
         let generic = HirschbergGca::new()
             .convergence(Convergence::Detect)
+            .exec(ExecPath::Generic)
             .run(&g)
             .unwrap();
         let par = HirschbergGca::new()
@@ -454,9 +458,9 @@ proptest! {
     }
 }
 
-/// One larger-than-corpus case: at n = 256 the field (n·(n+1) cells)
-/// clears the engine's default amortization threshold, so the partitioned
-/// drivers engage without forcing, and the auto worker count path
+/// One larger-than-corpus case: at n = 256 the square (n² cells) clears
+/// the engine's default amortization threshold, so the partitioned
+/// neighbour-min engages without forcing, and the auto worker count path
 /// (`workers: 0`) is exercised alongside explicit counts.
 #[test]
 fn parallel_fused_bit_identical_at_n256() {
