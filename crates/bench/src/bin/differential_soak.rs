@@ -6,6 +6,7 @@
 //! their whole fields and metrics logs must match it after init and at
 //! every iteration boundary. Exits non-zero on the first divergence or
 //! machine error with a reproducer (the offending graph as an edge list).
+//! After the last round it prints each machine's cumulative wall seconds.
 //!
 //! Usage: `differential_soak [iterations] [max_n] [seed]`
 //! (defaults: 200 iterations, n ≤ 24, seed 1).
@@ -20,6 +21,7 @@ use gca_hirschberg::variants::{low_congestion, n_cells, two_handed};
 use gca_hirschberg::{ExecPath, FusedParallel, HirschbergGca, Machine};
 use gca_pram::hirschberg_ref;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 fn random_graph(round: usize, max_n: usize, seed: u64) -> AdjacencyMatrix {
     let r = round as u64;
@@ -36,6 +38,24 @@ fn random_graph(round: usize, max_n: usize, seed: u64) -> AdjacencyMatrix {
 
 /// One machine's name and result.
 type Run = (String, Result<Labeling, GcaError>);
+
+/// Each machine's cumulative wall time over the soak, in first-run order.
+#[derive(Default)]
+struct Clock(Vec<(String, Duration)>);
+
+impl Clock {
+    /// Runs `f`, adding its wall time to `name`'s total.
+    fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        let spent = start.elapsed();
+        match self.0.iter_mut().find(|(n, _)| n == name) {
+            Some((_, total)) => *total += spent,
+            None => self.0.push((name.to_string(), spent)),
+        }
+        out
+    }
+}
 
 /// The fused exec paths. `fused-par` forces its partition (threshold 0)
 /// so that even the small soak graphs split into two row chunks.
@@ -54,7 +74,7 @@ fn fused_paths() -> [(&'static str, ExecPath); 2] {
 
 /// Each fused path under the accounting levels the lockstep run leaves
 /// out: `Off` and `Validate`.
-fn fused_gca_runs(g: &AdjacencyMatrix) -> Vec<Run> {
+fn fused_gca_runs(g: &AdjacencyMatrix, clock: &mut Clock) -> Vec<Run> {
     let levels = [
         ("off", Instrumentation::Off),
         ("validate", Instrumentation::Validate),
@@ -62,11 +82,14 @@ fn fused_gca_runs(g: &AdjacencyMatrix) -> Vec<Run> {
     let mut runs = Vec::new();
     for (path, exec) in fused_paths() {
         for (level, instr) in levels {
-            let run = HirschbergGca::new()
-                .with_engine(Engine::sequential().with_instrumentation(instr))
-                .exec(exec)
-                .run(g);
-            runs.push((format!("gca/{path}/{level}"), run.map(|r| r.labels)));
+            let name = format!("gca/{path}/{level}");
+            let run = clock.time(&name, || {
+                HirschbergGca::new()
+                    .with_engine(Engine::sequential().with_instrumentation(instr))
+                    .exec(exec)
+                    .run(g)
+            });
+            runs.push((name, run.map(|r| r.labels)));
         }
     }
     runs
@@ -77,25 +100,28 @@ fn fused_gca_runs(g: &AdjacencyMatrix) -> Vec<Run> {
 /// fused machine's field and metrics log must equal the generic one's.
 /// Returns each machine's labels, or the first boundary where a fused
 /// machine diverged.
-fn lockstep_runs(g: &AdjacencyMatrix) -> Result<Vec<Run>, String> {
-    let build = |exec| Machine::new(g).map(|m| m.with_exec(exec));
-    let mut machines = vec![("gca".to_string(), build(ExecPath::Generic))];
+fn lockstep_runs(g: &AdjacencyMatrix, clock: &mut Clock) -> Result<Vec<Run>, String> {
+    let mut machines = vec![("gca".to_string(), ExecPath::Generic)];
     for (path, exec) in fused_paths() {
-        machines.push((format!("gca/{path}/counts"), build(exec)));
+        machines.push((format!("gca/{path}/counts"), exec));
     }
     let mut live: Vec<(String, Machine)> = Vec::new();
     let mut runs = Vec::new();
-    for (name, m) in machines {
-        match m.and_then(|mut m| m.init().map(|_| m)) {
+    for (name, exec) in machines {
+        let built = clock.time(&name, || {
+            let mut m = Machine::new(g)?.with_exec(exec);
+            m.init().map(|_| m)
+        });
+        match built {
             Ok(m) => live.push((name, m)),
             Err(e) => runs.push((name, Err(e))),
         }
     }
     for iteration in 0..=gca_hirschberg::complexity::ceil_log2(g.n()) {
         if iteration > 0 {
-            for (_, m) in &mut live {
+            for (name, m) in &mut live {
                 // Errors surface through `labels` below.
-                let _ = m.run_iteration();
+                let _ = clock.time(name, || m.run_iteration());
             }
         }
         let Some(((_, reference), fused)) = live.split_first() else {
@@ -123,6 +149,7 @@ fn main() -> ExitCode {
 
     println!("differential soak: {iterations} rounds, n <= {max_n}, seed {seed}");
     let mut machines = 0;
+    let mut clock = Clock::default();
     for round in 0..iterations {
         let g = random_graph(round, max_n, seed);
         let expected = union_find_components_dense(&g);
@@ -134,7 +161,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
 
-        let mut results = match lockstep_runs(&g) {
+        let mut results = match lockstep_runs(&g, &mut clock) {
             Ok(runs) => runs,
             Err(e) => {
                 eprintln!("round {round}: {e}");
@@ -142,27 +169,18 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        let mut timed = |name: &str, run: &dyn Fn() -> Labeling| -> Run {
+            (name.to_string(), Ok(clock.time(name, run)))
+        };
         results.extend([
-            ("ncells".into(), Ok(n_cells::run(&g).unwrap().labels)),
-            (
-                "lowcong".into(),
-                Ok(low_congestion::run(&g).unwrap().labels),
-            ),
-            ("twohand".into(), Ok(two_handed::run(&g).unwrap().labels)),
-            (
-                "closure".into(),
-                Ok(transitive_closure::connected_components(&g).unwrap()),
-            ),
-            (
-                "pram".into(),
-                Ok(hirschberg_ref::connected_components(&g).unwrap().labels),
-            ),
-            (
-                "emu".into(),
-                Ok(hirschberg_program::connected_components(&g).unwrap()),
-            ),
+            timed("ncells", &|| n_cells::run(&g).unwrap().labels),
+            timed("lowcong", &|| low_congestion::run(&g).unwrap().labels),
+            timed("twohand", &|| two_handed::run(&g).unwrap().labels),
+            timed("closure", &|| transitive_closure::connected_components(&g).unwrap()),
+            timed("pram", &|| hirschberg_ref::connected_components(&g).unwrap().labels),
+            timed("emu", &|| hirschberg_program::connected_components(&g).unwrap()),
         ]);
-        results.extend(fused_gca_runs(&g));
+        results.extend(fused_gca_runs(&g, &mut clock));
         machines = results.len();
         for (name, labels) in &results {
             let labels = match labels {
@@ -186,5 +204,9 @@ fn main() -> ExitCode {
         }
     }
     println!("all {iterations} rounds passed ({machines} machines x verifier)");
+    println!("cumulative seconds per machine:");
+    for (name, total) in &clock.0 {
+        println!("  {name:<22} {:>8.2}", total.as_secs_f64());
+    }
     ExitCode::SUCCESS
 }

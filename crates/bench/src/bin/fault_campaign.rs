@@ -87,7 +87,7 @@ fn supervised_run(
 ) -> (gca_engine::recovery::RecoveryReport, Option<Labeling>, Machine) {
     let mut machine = validated_machine(g, exec);
     machine.set_fault_plan(plan);
-    let mut sm = SupervisedMachine::from_machine(machine, g);
+    let mut sm = SupervisedMachine::from_machine(machine);
     let report = Supervisor::new(policy).run(&mut sm);
     let machine = sm.into_machine();
     let labels = report

@@ -2,7 +2,6 @@
 
 use gca_engine::faults::FaultSpec;
 use gca_engine::recovery::RecoveryPolicy;
-use gca_engine::{Backend, DomainPolicy};
 use gca_hirschberg::{Convergence, ExecPath, FusedParallel};
 use std::fmt;
 
@@ -64,10 +63,6 @@ impl MachineKind {
 /// other machines run their fixed reference configurations and ignore them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct EngineOpts {
-    /// Execution backend (`--backend`).
-    pub backend: Backend,
-    /// Active-domain stepping policy (`--domain`).
-    pub domain: DomainPolicy,
     /// Pointer-jump convergence handling (`--convergence`).
     pub convergence: Convergence,
     /// Execution path (`--exec`): vector sweeps (the default) or generic
@@ -87,28 +82,6 @@ pub struct EngineOpts {
 }
 
 impl EngineOpts {
-    /// Parses a `--backend` value.
-    pub fn parse_backend(s: &str) -> Result<Backend, ArgError> {
-        match s {
-            "seq" | "sequential" => Ok(Backend::Sequential),
-            "par" | "parallel" => Ok(Backend::Parallel),
-            other => Err(ArgError(format!(
-                "unknown backend '{other}' (expected seq|par)"
-            ))),
-        }
-    }
-
-    /// Parses a `--domain` value.
-    pub fn parse_domain(s: &str) -> Result<DomainPolicy, ArgError> {
-        match s {
-            "hinted" => Ok(DomainPolicy::Hinted),
-            "dense" => Ok(DomainPolicy::Dense),
-            other => Err(ArgError(format!(
-                "unknown domain policy '{other}' (expected hinted|dense)"
-            ))),
-        }
-    }
-
     /// Parses a `--convergence` value.
     pub fn parse_convergence(s: &str) -> Result<Convergence, ArgError> {
         match s {
@@ -134,19 +107,11 @@ impl EngineOpts {
         }
     }
 
-    /// `backend=… domain=… convergence=… exec=…`, as shown in reports
-    /// (plus ` validate=on` when the sanitizer is enabled).
+    /// `convergence=… exec=…`, as shown in reports (plus ` validate=on`
+    /// when the sanitizer is enabled).
     pub fn describe(&self) -> String {
         let mut s = format!(
-            "backend={} domain={} convergence={} exec={}",
-            match self.backend {
-                Backend::Sequential => "sequential",
-                Backend::Parallel => "parallel",
-            },
-            match self.domain {
-                DomainPolicy::Hinted => "hinted",
-                DomainPolicy::Dense => "dense",
-            },
+            "convergence={} exec={}",
             match self.convergence {
                 Convergence::Fixed => "fixed",
                 Convergence::Detect => "detect",
@@ -291,8 +256,6 @@ INPUT:
 
 OPTIONS:
   --machine <m>      gca (default) | ncells | lowcong | twohand | closure | emu | pram | seq
-  --backend <b>      seq (default) | par — engine backend (gca machine only)
-  --domain <d>       hinted (default) | dense — active-domain stepping policy (gca machine only)
   --convergence <c>  fixed (default) | detect — pointer-jump convergence early exit (gca machine only)
   --exec <e>         fused (default) | fused-par | generic — one O(n)-state vector sweep
                      per outer iteration over the bit-packed adjacency plane, the same sweep
@@ -386,18 +349,6 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
                     .next()
                     .ok_or_else(|| ArgError("--machine needs a value".into()))?;
                 machine = MachineKind::parse(v)?;
-            }
-            "--backend" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| ArgError("--backend needs a value".into()))?;
-                engine.backend = EngineOpts::parse_backend(v)?;
-            }
-            "--domain" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| ArgError("--domain needs a value".into()))?;
-                engine.domain = EngineOpts::parse_domain(v)?;
             }
             "--convergence" => {
                 let v = it
@@ -577,25 +528,14 @@ mod tests {
     fn engine_knobs_default_and_parse() {
         let a = parse(&argv(&["empty:3"])).unwrap();
         assert_eq!(a.engine, EngineOpts::default());
-        assert_eq!(a.engine.backend, Backend::Sequential);
-        assert_eq!(a.engine.domain, DomainPolicy::Hinted);
         assert_eq!(a.engine.convergence, Convergence::Fixed);
         assert_eq!(a.engine.exec, ExecPath::Fused, "the fast path is the default");
         assert!(!a.engine.validate);
 
-        let a = parse(&argv(&[
-            "--backend", "par", "--domain", "dense", "--convergence", "detect", "--exec",
-            "fused", "ring:5",
-        ]))
-        .unwrap();
-        assert_eq!(a.engine.backend, Backend::Parallel);
-        assert_eq!(a.engine.domain, DomainPolicy::Dense);
+        let a = parse(&argv(&["--convergence", "detect", "--exec", "fused", "ring:5"])).unwrap();
         assert_eq!(a.engine.convergence, Convergence::Detect);
         assert_eq!(a.engine.exec, ExecPath::Fused);
-        assert_eq!(
-            a.engine.describe(),
-            "backend=parallel domain=dense convergence=detect exec=fused"
-        );
+        assert_eq!(a.engine.describe(), "convergence=detect exec=fused");
     }
 
     #[test]
@@ -604,7 +544,7 @@ mod tests {
         assert_eq!(a.engine.exec, ExecPath::FusedParallel(FusedParallel::default()));
         assert_eq!(
             a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=fused-par"
+            "convergence=fixed exec=fused-par"
         );
 
         let a = parse(&argv(&["--exec", "fused-par", "--workers", "4", "ring:5"])).unwrap();
@@ -614,7 +554,7 @@ mod tests {
         );
         assert_eq!(
             a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=fused-par workers=4"
+            "convergence=fixed exec=fused-par workers=4"
         );
 
         // --workers before --exec works too: patching happens after the loop.
@@ -656,7 +596,7 @@ mod tests {
         assert!(a.engine.validate);
         assert_eq!(
             a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=fused validate=on"
+            "convergence=fixed exec=fused validate=on"
         );
     }
 
@@ -666,7 +606,7 @@ mod tests {
         assert!(a.engine.invariants && a.engine.validate);
         assert_eq!(
             a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=fused \
+            "convergence=fixed exec=fused \
              validate=on invariants=on"
         );
         // --validate alone does not advertise the invariant tier.
@@ -736,10 +676,16 @@ mod tests {
 
     #[test]
     fn engine_knobs_reject_bad_values() {
-        assert!(parse(&argv(&["--backend", "gpu", "empty:2"])).is_err());
-        assert!(parse(&argv(&["--domain", "sparse", "empty:2"])).is_err());
         assert!(parse(&argv(&["--convergence", "never", "empty:2"])).is_err());
         assert!(parse(&argv(&["--exec", "simd", "empty:2"])).is_err());
-        assert!(parse(&argv(&["--backend"])).is_err());
+        assert!(parse(&argv(&["--exec"])).is_err());
+    }
+
+    #[test]
+    fn backend_and_domain_are_not_options() {
+        for flag in ["--backend", "--domain"] {
+            let err = parse(&argv(&[flag, "seq", "empty:2"])).unwrap_err();
+            assert!(err.0.contains(flag), "{}", err.0);
+        }
     }
 }

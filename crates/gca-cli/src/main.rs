@@ -14,6 +14,14 @@ use gca_graphs::{generators, io, AdjacencyMatrix};
 use std::io::Read;
 use std::process::ExitCode;
 
+/// Checks that a generator's node count fits before generating: a matrix
+/// that cannot be held is an error naming the size, not an abort.
+fn check_size(n: usize) -> Result<(), String> {
+    AdjacencyMatrix::try_new(n)
+        .map(drop)
+        .map_err(|e| e.to_string())
+}
+
 fn load_graph(input: &InputSpec) -> Result<AdjacencyMatrix, String> {
     match input {
         InputSpec::File(path) => {
@@ -29,22 +37,27 @@ fn load_graph(input: &InputSpec) -> Result<AdjacencyMatrix, String> {
             io::from_edge_list(&text).map_err(|e| format!("parsing {path}: {e}"))
         }
         InputSpec::Gnp { n, p_milli, seed } => {
+            check_size(*n)?;
             Ok(generators::gnp(*n, f64::from(*p_milli) / 1000.0, *seed))
         }
         InputSpec::Forest { n, k, seed } => {
             if *k == 0 || *k > *n {
                 return Err(format!("forest needs 1 <= k <= n, got k={k}, n={n}"));
             }
+            check_size(*n)?;
             Ok(generators::random_forest(*n, *k, *seed))
         }
-        InputSpec::Family { family, n } => Ok(match family.as_str() {
-            "path" => generators::path(*n),
-            "ring" => generators::ring(*n),
-            "star" => generators::star(*n),
-            "complete" => generators::complete(*n),
-            "empty" => generators::empty(*n),
-            other => return Err(format!("unknown family '{other}'")),
-        }),
+        InputSpec::Family { family, n } => {
+            check_size(*n)?;
+            Ok(match family.as_str() {
+                "path" => generators::path(*n),
+                "ring" => generators::ring(*n),
+                "star" => generators::star(*n),
+                "complete" => generators::complete(*n),
+                "empty" => generators::empty(*n),
+                other => return Err(format!("unknown family '{other}'")),
+            })
+        }
     }
 }
 

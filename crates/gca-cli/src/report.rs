@@ -55,9 +55,7 @@ pub fn execute(
             supervised_gca(graph, opts, recovery)?
         }
         MachineKind::Gca => {
-            let mut engine = Engine::new()
-                .with_backend(opts.backend)
-                .with_domain_policy(opts.domain);
+            let mut engine = Engine::new();
             if opts.validate {
                 engine = engine.with_instrumentation(Instrumentation::Validate);
             }
@@ -189,7 +187,7 @@ pub fn execute(
 
 /// Runs the main GCA machine under the checkpointing supervisor,
 /// optionally with a planted fault. The machine mirrors the plain arm's
-/// configuration (backend, domain, exec path, sanitizer);
+/// configuration (convergence, exec path, sanitizer);
 /// the fault spec is resolved against the run geometry, the supervisor
 /// drives iteration-granular checkpoints per the policy, and — whenever
 /// a fault is armed — the final labels are cross-checked against the
@@ -200,9 +198,7 @@ fn supervised_gca(
     opts: &EngineOpts,
     recovery: &RecoveryOpts,
 ) -> Result<Outcome, Box<dyn std::error::Error>> {
-    let mut engine = Engine::new()
-        .with_backend(opts.backend)
-        .with_domain_policy(opts.domain);
+    let mut engine = Engine::new();
     if opts.validate {
         engine = engine.with_instrumentation(Instrumentation::Validate);
     }
@@ -218,7 +214,7 @@ fn supervised_gca(
         machine.set_fault_plan(Some(plan));
     }
 
-    let mut sm = SupervisedMachine::from_machine(machine, graph);
+    let mut sm = SupervisedMachine::from_machine(machine);
     let policy = recovery.recover.unwrap_or(RecoveryPolicy::Fail);
     let report = Supervisor::new(policy)
         .with_cadence(recovery.checkpoint_every)
@@ -442,13 +438,10 @@ mod tests {
 
     #[test]
     fn engine_knobs_do_not_change_labels() {
-        use gca_engine::{Backend, DomainPolicy};
         use gca_hirschberg::{Convergence, ExecPath};
         let g = generators::gnp(10, 0.3, 5);
         let reference = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
         let opts = EngineOpts {
-            backend: Backend::Parallel,
-            domain: DomainPolicy::Dense,
             convergence: Convergence::Detect,
             exec: ExecPath::Generic,
             ..EngineOpts::default()
@@ -458,7 +451,7 @@ mod tests {
         assert!(tuned.steps.unwrap() <= reference.steps.unwrap());
         assert_eq!(
             tuned.engine.as_deref(),
-            Some("backend=parallel domain=dense convergence=detect exec=generic")
+            Some("convergence=detect exec=generic")
         );
     }
 
@@ -481,7 +474,7 @@ mod tests {
             );
             assert_eq!(
                 fused.engine.as_deref(),
-                Some("backend=sequential domain=hinted convergence=fixed exec=fused")
+                Some("convergence=fixed exec=fused")
             );
         }
     }
@@ -530,7 +523,7 @@ mod tests {
         );
         assert_eq!(
             par.engine.as_deref(),
-            Some("backend=sequential domain=hinted convergence=fixed exec=fused-par workers=3")
+            Some("convergence=fixed exec=fused-par workers=3")
         );
     }
 
@@ -644,7 +637,7 @@ mod tests {
         let text = render_text(&outcome, &g, &args_for(MachineKind::Gca));
         assert!(text.contains("graph: 8 nodes, 8 edges"));
         assert!(text.contains("components: 1"));
-        assert!(text.contains("engine: backend=sequential domain=hinted convergence=fixed"));
+        assert!(text.contains("engine: convergence=fixed"));
         assert!(text.contains("per-generation metrics"));
         assert!(text.contains("labels:"));
     }

@@ -70,6 +70,36 @@ fn fused_sweep_is_the_default_exec_path() {
 }
 
 #[test]
+fn oversized_inputs_exit_1_naming_the_size() {
+    // Generator specs are checked before generating and edge-list headers
+    // while parsing: a matrix that cannot be held is an error, not a panic
+    // or an aborted allocation. The first count overflows the matrix's
+    // word count, the second asks for 2·10¹⁸ bytes.
+    for n in ["18446744073709551615", "4000000000"] {
+        let generated = gca_cc().arg(format!("empty:{n}")).output().expect("spawn");
+        let mut child = gca_cc()
+            .arg("-")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(format!("n {n}\n0 1\n").as_bytes())
+            .unwrap();
+        let parsed = child.wait_with_output().expect("wait");
+        for (input, out) in [("generator", generated), ("edge list", parsed)] {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{input} n = {n}: {err}");
+            assert!(err.contains(&format!("{n} nodes is too large")), "{input}: {err}");
+        }
+    }
+}
+
+#[test]
 fn reads_edge_list_from_stdin() {
     let mut child = gca_cc()
         .args(["-", "--labels"])

@@ -60,6 +60,12 @@ pub enum GcaError {
         /// Nodes the layout was dimensioned for.
         layout_nodes: usize,
     },
+    /// A snapshot offered for restore carries adjacency bits that differ
+    /// from the graph the machine was built for.
+    AdjacencyMismatch {
+        /// First cell whose adjacency bit differs.
+        cell: usize,
+    },
     /// A cell outside the rule's declared [`Domain`](crate::Domain) hint was
     /// not a no-op. Reported by
     /// [`Instrumentation::Validate`](crate::Instrumentation::Validate);
@@ -168,6 +174,10 @@ impl fmt::Display for GcaError {
                 f,
                 "graph has {graph_nodes} nodes but the layout expects {layout_nodes}"
             ),
+            GcaError::AdjacencyMismatch { cell } => write!(
+                f,
+                "snapshot cell {cell} carries an adjacency bit that differs from the machine's graph"
+            ),
             GcaError::DomainViolation {
                 rule,
                 cell,
@@ -252,6 +262,7 @@ impl GcaError {
             GcaError::FieldTooLarge { .. }
             | GcaError::ShapeMismatch { .. }
             | GcaError::GraphSizeMismatch { .. }
+            | GcaError::AdjacencyMismatch { .. }
             | GcaError::BadLabel { .. }
             | GcaError::OutOfOrder { .. } => "structural",
         }
@@ -301,6 +312,13 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("2 nodes"));
         assert!(s.contains("expects 3"));
+    }
+
+    #[test]
+    fn display_adjacency_mismatch() {
+        let e = GcaError::AdjacencyMismatch { cell: 11 };
+        assert!(e.to_string().contains("cell 11"));
+        assert_eq!(e.detector(), "structural");
     }
 
     #[test]

@@ -23,12 +23,11 @@ use crate::rule::StepCtx;
 /// algorithm-level invariants over the new field contents.
 ///
 /// `states` is the full post-generation state array in row-major field
-/// order: whole cells, or for a machine that keeps its field as split
-/// planes, the one plane generations write (the Hirschberg checker
-/// observes the data words, `S = Word`, and keeps its own copy of the
-/// read-only adjacency plane). `ctx` identifies the generation that just
-/// committed (its `generation` counter is the value *during* execution,
-/// i.e. before the post-step increment). Implementations keep whatever
+/// order (the Hirschberg checker observes `HCell`s and judges their data
+/// words, keeping its own copy of the read-only adjacency). `ctx`
+/// identifies the generation that just committed (its `generation`
+/// counter is the value *during* execution, i.e. before the post-step
+/// increment). Implementations keep whatever
 /// shadow model they need between calls and must be deterministic: the
 /// same observation sequence yields the same verdicts, so fused, parallel
 /// and generic execution paths can all be checked against one proof

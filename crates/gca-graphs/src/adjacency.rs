@@ -32,6 +32,23 @@ impl AdjacencyMatrix {
         }
     }
 
+    /// Creates an empty matrix over `n` nodes, or fails with
+    /// [`GraphError::TooLarge`] when its `n · ⌈n/64⌉` words overflow
+    /// `usize` or cannot be allocated: the constructor for node counts
+    /// that come from input.
+    pub fn try_new(n: usize) -> Result<Self, GraphError> {
+        let words_per_row = n.div_ceil(64);
+        let len = words_per_row
+            .checked_mul(n)
+            .ok_or(GraphError::TooLarge { n })?;
+        // Probe the allocation fallibly, then take the zeroed one `new`
+        // makes, whose pages stay untouched until an edge lands in them.
+        Vec::<u64>::new()
+            .try_reserve_exact(len)
+            .map_err(|_| GraphError::TooLarge { n })?;
+        Ok(AdjacencyMatrix::new(n))
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
@@ -417,6 +434,15 @@ mod tests {
     fn permute_rejects_wrong_length() {
         let m = AdjacencyMatrix::new(3);
         let _ = m.permute(&[0, 1]);
+    }
+
+    #[test]
+    fn try_new_rejects_sizes_that_cannot_be_held() {
+        assert_eq!(AdjacencyMatrix::try_new(70).unwrap(), AdjacencyMatrix::new(70));
+        // usize::MAX overflows the word count; 4·10⁹ nodes need 2·10¹⁸ bytes.
+        for n in [usize::MAX, 4_000_000_000] {
+            assert_eq!(AdjacencyMatrix::try_new(n).unwrap_err(), GraphError::TooLarge { n });
+        }
     }
 
     #[test]

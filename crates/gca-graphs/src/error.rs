@@ -24,6 +24,12 @@ pub enum GraphError {
         /// Explanation of what went wrong.
         message: String,
     },
+    /// A node count whose `n × n` adjacency matrix cannot be addressed or
+    /// allocated.
+    TooLarge {
+        /// The requested node count.
+        n: usize,
+    },
     /// Two containers that must agree on `n` did not.
     SizeMismatch {
         /// Expected node count.
@@ -44,6 +50,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
+            }
+            GraphError::TooLarge { n } => {
+                write!(f, "a graph of {n} nodes is too large for its n x n adjacency matrix")
             }
             GraphError::SizeMismatch { expected, actual } => {
                 write!(f, "size mismatch: expected {expected} nodes, got {actual}")
@@ -77,6 +86,15 @@ mod tests {
             message: "bad token".into(),
         };
         assert_eq!(e.to_string(), "parse error on line 2: bad token");
+    }
+
+    #[test]
+    fn display_too_large() {
+        let e = GraphError::TooLarge { n: 99 };
+        assert_eq!(
+            e.to_string(),
+            "a graph of 99 nodes is too large for its n x n adjacency matrix"
+        );
     }
 
     #[test]

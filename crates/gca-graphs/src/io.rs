@@ -131,7 +131,7 @@ fn entry(g: &mut Option<AdjacencyMatrix>, line_no: usize, line: &str) -> Result<
             if parts.next().is_some() {
                 return Err(err("trailing tokens after header".into()));
             }
-            *g = Some(AdjacencyMatrix::new(count));
+            *g = Some(AdjacencyMatrix::try_new(count).map_err(|e| err(e.to_string()))?);
         }
         Some(graph) => {
             let mut node = || {
@@ -196,7 +196,10 @@ mod tests {
                             message: "trailing tokens after header".into(),
                         });
                     }
-                    g = Some(AdjacencyMatrix::new(count));
+                    g = Some(AdjacencyMatrix::try_new(count).map_err(|e| GraphError::Parse {
+                        line: line_no,
+                        message: e.to_string(),
+                    })?);
                 }
                 Some(ref mut graph) => {
                     let parse = |tok: Option<&str>| -> Result<usize, GraphError> {
@@ -317,6 +320,21 @@ mod tests {
         let g = from_edge_list(text).unwrap();
         assert_eq!(g.n(), 3);
         assert!(g.has_edge(0, 2));
+    }
+
+    #[test]
+    fn oversized_headers_are_parse_errors() {
+        // The first count overflows the matrix's word count, the second
+        // asks for 2·10¹⁸ bytes: both are typed errors naming the size.
+        for n in ["18446744073709551615", "4000000000"] {
+            let text = format!("# big\nn {n}\n0 1\n");
+            let err = from_edge_list(&text).unwrap_err();
+            match &err {
+                GraphError::Parse { line: 2, message } => assert!(message.contains(n), "{message}"),
+                other => panic!("expected a parse error on line 2, got {other:?}"),
+            }
+            assert_eq!(Err(err), reference(&text));
+        }
     }
 
     #[test]

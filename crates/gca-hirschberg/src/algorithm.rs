@@ -1,5 +1,4 @@
 use crate::complexity::{ceil_log2, total_generations};
-use crate::hfield::HField;
 use crate::invariants::{InvariantChecker, InvariantClass};
 use crate::kernels::ParPolicy;
 use crate::sweep::{static_footprint, Sweep, SweepFault};
@@ -53,15 +52,16 @@ pub enum Convergence {
 /// drive it manually to capture access patterns, while
 /// [`HirschbergGca::run`] drives it to completion.
 ///
-/// The cell state lives in one of two forms. On the fused paths an
-/// unobserved run keeps it as the sweep's O(n) vectors (`C`, `T′`; see
-/// [`crate::sweep`]) next to the packed adjacency plane, and never
-/// allocates the `n(n+1)` data plane. Whenever the engine ticks — the
-/// generic path, and on the fused paths [`Machine::step`],
-/// `Instrumentation::Trace`, `Instrumentation::Validate` or an armed fault
-/// plan — the data plane is materialized from the vectors and the engine
-/// runs on a lazily allocated `CellField<HCell>` scratch refilled from it.
-/// The next unobserved sweep reads column 0 and drops the plane again.
+/// The machine keeps the [`AdjacencyMatrix`] it was built from: the
+/// paper's read-only `a` registers. The data words live in one of two
+/// places. On the fused paths an unobserved run keeps them as the sweep's
+/// O(n) vectors (`C`, `T′`; see [`crate::sweep`]), which reads the
+/// matrix's rows directly. Whenever the engine ticks — the generic path,
+/// and on the fused paths [`Machine::step`], `Instrumentation::Trace`,
+/// `Instrumentation::Validate` or an armed fault plan — the engine holds
+/// the state in its own `CellField<HCell>`, built from the vectors and the
+/// matrix when first needed and stepped in place from then on. The next
+/// unobserved sweep reads its column 0 and drops it again.
 pub struct Machine {
     layout: Layout,
     rule: HirschbergRule,
@@ -69,15 +69,14 @@ pub struct Machine {
     metrics: MetricsLog,
     convergence: Convergence,
     exec: ExecPath,
-    /// The adjacency plane, and the data plane while it holds the state.
-    field: HField,
-    /// The state while the data plane is empty; under
+    /// The graph the machine runs.
+    graph: AdjacencyMatrix,
+    /// The state while the engine does not hold it; under
     /// [`Instrumentation::Validate`] on the fused paths, the cross-check's
     /// expected iteration.
     sweep: Sweep,
-    /// The engine scratch: allocated on the first engine step and refilled
-    /// from the data plane before each. Never read as state.
-    scratch: Option<CellField<HCell>>,
+    /// The engine's field: `Some` exactly while the engine holds the state.
+    cells: Option<CellField<HCell>>,
     initialized: bool,
     /// The generations the cross-check expects from the engine in the
     /// current iteration: context, active cells and read footprint, as
@@ -99,24 +98,21 @@ pub struct Machine {
     /// runs — every hook starts with this check, keeping injection
     /// zero-cost when off.
     inject: Option<FaultPlan>,
-    /// Pre-generation capture of the data plane for dropped-generation
-    /// faults.
+    /// Pre-generation capture of the engine's data words for
+    /// dropped-generation faults.
     drop_words: Vec<Word>,
     /// Pre-generation value of a torn-write target word.
     torn_pre: Option<Word>,
 }
 
-/// Refills the engine scratch from the data plane, allocating it on first
-/// use. A free function so that the caller can keep borrowing the engine
-/// and the rule while it holds the scratch.
-fn refill<'a>(
-    scratch: &'a mut Option<CellField<HCell>>,
-    layout: &Layout,
-    field: &HField,
-) -> &'a mut CellField<HCell> {
-    let cells = scratch.get_or_insert_with(|| CellField::new(*layout.shape(), HCell::new(0)));
-    field.store(cells.states_mut(), field.d.iter().copied());
-    cells
+/// The field the sweep's vectors stand for, with `graph`'s adjacency in
+/// the square cells.
+fn sweep_field(layout: &Layout, graph: &AdjacencyMatrix, sweep: &Sweep) -> CellField<HCell> {
+    let (n, shape) = (layout.n(), *layout.shape());
+    CellField::from_fn(shape, |i| {
+        let (row, col) = (shape.row(i), shape.col(i));
+        HCell::with_adjacency(sweep.word(row, col), row < n && graph.has_edge(row, col))
+    })
 }
 
 impl Machine {
@@ -129,8 +125,6 @@ impl Machine {
     /// Builds a machine with an explicit engine configuration.
     pub fn with_engine(graph: &AdjacencyMatrix, engine: Engine) -> Result<Self, GcaError> {
         let layout = Layout::new(graph.n())?;
-        let mut field = HField::new(graph.n());
-        field.fill(graph)?;
         Ok(Machine {
             layout,
             rule: HirschbergRule::new(graph.n()),
@@ -138,9 +132,9 @@ impl Machine {
             metrics: MetricsLog::new(),
             convergence: Convergence::Fixed,
             exec: ExecPath::default(),
-            field,
+            graph: graph.clone(),
             sweep: Sweep::new(graph.n()),
-            scratch: None,
+            cells: None,
             initialized: false,
             expected: Vec::new(),
             inv: None,
@@ -190,20 +184,13 @@ impl Machine {
         &self.rule
     }
 
-    /// An array-of-structures copy of the current field, built on each
-    /// call from the data plane or, when there is none, from the sweep's
-    /// vectors.
+    /// A copy of the current field: the engine's, or the one the sweep's
+    /// vectors stand for.
     pub fn to_field(&self) -> CellField<HCell> {
-        let mut cells = CellField::new(*self.layout.shape(), HCell::new(0));
-        let field = &self.field;
-        if field.has_plane() {
-            field.store(cells.states_mut(), field.d.iter().copied());
-        } else {
-            let n = self.n();
-            let words = (0..=n).flat_map(|row| (0..n).map(move |col| (row, col)));
-            field.store(cells.states_mut(), words.map(|(row, col)| self.sweep.word(row, col)));
+        match &self.cells {
+            Some(cells) => cells.clone(),
+            None => sweep_field(&self.layout, &self.graph, &self.sweep),
         }
-        cells
     }
 
     /// Generations executed so far.
@@ -228,7 +215,7 @@ impl Machine {
             });
         }
         let rep = if self.sweeping() {
-            self.field.d = Vec::new();
+            self.cells = None;
             self.sweep.init();
             let n = self.n();
             let ctx = StepCtx {
@@ -264,36 +251,44 @@ impl Machine {
 
     /// Executes a single `(generation, sub-generation)` of the state
     /// machine on the engine, on every exec path: single-stepping is
-    /// observation, so the data plane is materialized first. Fires the
-    /// armed fault plan, records the metrics entry and, under
+    /// observation, so the engine takes the state first. Fires the armed
+    /// fault plan, records the metrics entry and, under
     /// [`Instrumentation::Validate`], checks the generation against the
     /// invariant checker.
     pub fn step(&mut self, gen: Gen, subgeneration: u32) -> Result<StepReport, GcaError> {
-        self.ensure_plane();
-        self.ensure_invariant_checker();
+        let mut cells = match self.cells.take() {
+            Some(cells) => cells,
+            None => sweep_field(&self.layout, &self.graph, &self.sweep),
+        };
+        let result = self.tick(&mut cells, gen, subgeneration);
+        self.cells = Some(cells);
+        result
+    }
+
+    /// The body of [`Machine::step`] on the engine's field, taken out of
+    /// the machine while the engine steps it in place.
+    fn tick(
+        &mut self,
+        cells: &mut CellField<HCell>,
+        gen: Gen,
+        subgeneration: u32,
+    ) -> Result<StepReport, GcaError> {
+        self.ensure_invariant_checker(cells.states());
         let generation = self.engine.generation();
-        self.arm_fault(generation);
-        let scratch = refill(&mut self.scratch, &self.layout, &self.field);
+        self.arm_fault(generation, cells.states());
         let rep = self
             .engine
-            .step(scratch, &self.rule, gen.number(), subgeneration)?;
-        self.field.load_d(scratch.states());
-        self.apply_fault(generation);
+            .step(cells, &self.rule, gen.number(), subgeneration)?;
+        self.apply_fault(generation, cells.states_mut());
         if let Some(hist) = rep.congestion.as_ref() {
             self.metrics
                 .push(GenerationMetrics::new(rep.ctx, rep.active_cells, hist));
         }
-        self.check_invariants(&rep.ctx)?;
-        Ok(rep)
-    }
-
-    /// Materializes the data plane from the sweep's vectors unless it
-    /// already holds the state.
-    fn ensure_plane(&mut self) {
-        if !self.field.has_plane() {
-            let sweep = &self.sweep;
-            self.field.materialize(|row, col| sweep.word(row, col));
+        // The checker exists only on a validating machine.
+        if let Some(inv) = self.inv.as_mut() {
+            inv.after_generation(&rep.ctx, cells.states())?;
         }
+        Ok(rep)
     }
 
     /// Whether the configured path is one of the fused paths.
@@ -371,9 +366,9 @@ impl Machine {
     /// its fault into the addressed committed generation (see
     /// [`gca_engine::faults`] for the per-kind semantics). It is
     /// observation: on the fused paths every generation then ticks the
-    /// engine on the materialized data plane, so that each one is an
-    /// injection site; a `None` plan restores the sweep and costs nothing
-    /// per iteration. The plan survives [`Machine::reset_with`] and
+    /// engine on its own field, so that each one is an injection site; a
+    /// `None` plan restores the sweep and costs nothing per iteration.
+    /// The plan survives [`Machine::reset_with`] and
     /// [`Machine::rollback_to`] on purpose: recovery re-executes the
     /// faulted span, and whether the fault re-fires is the plan's
     /// [`gca_engine::faults::Persistence`] decision, not the machine's.
@@ -429,28 +424,28 @@ impl Machine {
     /// Pre-generation half of the injection hook: captures whatever
     /// pre-state the armed fault needs. `generation` is the number the
     /// generation will commit as (the pre-step counter).
-    fn arm_fault(&mut self, generation: u64) {
+    fn arm_fault(&mut self, generation: u64, cells: &[HCell]) {
         let Some(plan) = self.inject.as_ref() else {
             return;
         };
         match plan.peek(generation, self.exec_level()) {
             Some(FaultKind::DroppedGeneration) => {
                 self.drop_words.clear();
-                self.drop_words.extend_from_slice(&self.field.d);
+                self.drop_words.extend(cells.iter().map(|c| c.d));
             }
             Some(FaultKind::TornWrite) => {
-                self.torn_pre = self.field.d.get(plan.cell()).copied();
+                self.torn_pre = cells.get(plan.cell()).map(|c| c.d);
             }
             _ => {}
         }
     }
 
     /// Post-generation half of the injection hook: fires the plan and
-    /// corrupts the committed data plane *before* the invariant checker
+    /// corrupts the committed data words *before* the invariant checker
     /// looks at it — exactly where a hardware fault between compute and
     /// commit would land. Detection under [`Instrumentation::Validate`] is
     /// the invariant checker's contract-step mirror, on every path.
-    fn apply_fault(&mut self, generation: u64) {
+    fn apply_fault(&mut self, generation: u64, cells: &mut [HCell]) {
         let level = self.exec_level();
         let Some(plan) = self.inject.as_mut() else {
             return;
@@ -458,58 +453,45 @@ impl Machine {
         let Some(kind) = plan.fire(generation, level) else {
             return;
         };
-        let d = &mut self.field.d;
-        let cell = plan.cell();
+        let cell = cells.get_mut(plan.cell());
         match kind {
             FaultKind::BitFlip { bit } => {
-                if let Some(w) = d.get_mut(cell) {
-                    *w ^= 1 << (bit % Word::BITS);
+                if let Some(c) = cell {
+                    c.d ^= 1 << (bit % Word::BITS);
                 }
             }
             FaultKind::TornWrite => {
-                if let (Some(pre), Some(w)) = (self.torn_pre.take(), d.get_mut(cell)) {
-                    *w = (*w & !TORN_LO_MASK) | (pre & TORN_LO_MASK);
+                if let (Some(pre), Some(c)) = (self.torn_pre.take(), cell) {
+                    c.d = (c.d & !TORN_LO_MASK) | (pre & TORN_LO_MASK);
                 }
             }
             FaultKind::DroppedGeneration => {
-                if self.drop_words.len() == d.len() {
-                    d.copy_from_slice(&self.drop_words);
+                if self.drop_words.len() == cells.len() {
+                    for (c, &d) in cells.iter_mut().zip(&self.drop_words) {
+                        c.d = d;
+                    }
                 }
             }
         }
     }
 
-    /// Lazily (re)builds the invariant checker from the data plane — the
-    /// pre-state of the next generation to run. Called before every
+    /// Lazily (re)builds the invariant checker from the engine's field —
+    /// the pre-state of the next generation to run. Called before every
     /// engine step; a checker dropped by `reset_with`/`restore` re-arms
     /// here (at an iteration boundary, where column 0 carries the labels
     /// the boundary invariants need). No-op unless validating.
-    fn ensure_invariant_checker(&mut self) {
+    fn ensure_invariant_checker(&mut self, cells: &[HCell]) {
         if !self.validating() || self.inv.is_some() {
             return;
         }
         let n = self.n();
-        let field = &self.field;
-        let adj = (0..n * n).map(|i| field.adjacency(i)).collect();
-        let mut inv = InvariantChecker::new(n, adj, &field.d);
+        let adj = (0..n * n).map(|i| self.graph.has_edge(i / n, i % n)).collect();
+        let d: Vec<Word> = cells.iter().map(|c| c.d).collect();
+        let mut inv = InvariantChecker::new(n, adj, &d);
         if let Some(class) = self.inv_fault.take() {
             inv.seed_fault(class);
         }
         self.inv = Some(inv);
-    }
-
-    /// Replays the committed generation through the contract transfer
-    /// functions and asserts the invariant set. No-op unless validating
-    /// (`ensure_invariant_checker` arms the checker in that case, so a
-    /// validating machine always has one here).
-    fn check_invariants(&mut self, ctx: &StepCtx) -> Result<(), GcaError> {
-        if !self.validating() {
-            return Ok(());
-        }
-        match self.inv.as_mut() {
-            Some(inv) => inv.after_generation(ctx, &self.field.d),
-            None => Ok(()),
-        }
     }
 
     /// Executes one full outer iteration — [`Machine::run_iterations`]
@@ -551,9 +533,8 @@ impl Machine {
 
     /// One iteration as a vector sweep, committing every generation.
     fn sweep_iteration(&mut self) -> Result<(), GcaError> {
-        if self.field.has_plane() {
-            self.sweep.load_column(&self.field.d);
-            self.field.d = Vec::new();
+        if let Some(cells) = self.cells.take() {
+            self.sweep.load_column(cells.states());
         }
         let start = self.engine.generation();
         let detect = self.convergence == Convergence::Detect;
@@ -561,14 +542,13 @@ impl Machine {
         let par = self.par_policy();
         let Machine {
             sweep,
-            field,
+            graph,
             engine,
             metrics,
             ..
         } = self;
         sweep.iterate(
-            &field.a,
-            field.words_per_row,
+            graph,
             start,
             detect,
             counting,
@@ -620,26 +600,26 @@ impl Machine {
         Ok(())
     }
 
-    /// Runs the sweep from column 0 of the data plane and records what it
-    /// commits as the generations the engine must reproduce. A sweep that
-    /// fails records the generations before the failure only.
+    /// Runs the sweep from column 0 of the engine's field and records what
+    /// it commits as the generations the engine must reproduce. A sweep
+    /// that fails records the generations before the failure only.
     fn expect_iteration(&mut self) {
-        self.ensure_plane();
-        self.sweep.load_column(&self.field.d);
+        if let Some(cells) = &self.cells {
+            self.sweep.load_column(cells.states());
+        }
         self.expected.clear();
         let start = self.engine.generation();
         let detect = self.convergence == Convergence::Detect;
         let par = self.par_policy();
         let Machine {
             sweep,
-            field,
+            graph,
             expected,
             ..
         } = self;
         // A failing sweep is judged where the engine goes on without it.
         let _ = sweep.iterate(
-            &field.a,
-            field.words_per_row,
+            graph,
             start,
             detect,
             true,
@@ -689,10 +669,11 @@ impl Machine {
             });
         }
         let n = self.n();
-        let field = &self.field;
-        let cell = (0..=n)
-            .flat_map(|row| (0..n).map(move |col| (row, col)))
-            .position(|(row, col)| field.word(row, col) != self.sweep.word(row, col));
+        let states = self.cells.as_ref().map_or(&[][..], |cells| cells.states());
+        let cell = states
+            .iter()
+            .enumerate()
+            .position(|(i, c)| c.d != self.sweep.word(i / n, i % n));
         match cell {
             Some(cell) => Err(GcaError::KernelDivergence {
                 cell,
@@ -710,19 +691,30 @@ impl Machine {
         FieldSnapshot::capture(&self.to_field())
     }
 
-    /// Restores a previously captured field state into this machine's data
-    /// plane. The snapshot must match the machine's field shape; the
-    /// machine is marked initialized (snapshots are taken after generation
-    /// 0 by construction).
+    /// Restores a previously captured field state: the snapshot's cells
+    /// become the engine's field. The snapshot must match the machine's
+    /// field shape ([`GcaError::ShapeMismatch`]) and carry its graph's
+    /// adjacency bits ([`GcaError::AdjacencyMismatch`]); either error
+    /// leaves the machine as it was. The machine is marked initialized
+    /// (snapshots are taken after generation 0 by construction).
     pub fn restore(&mut self, snapshot: &FieldSnapshot<HCell>) -> Result<(), GcaError> {
-        let field = snapshot.restore()?;
-        if field.shape() != self.layout.shape() {
+        let cells = snapshot.restore()?;
+        if cells.shape() != self.layout.shape() {
             return Err(GcaError::ShapeMismatch {
                 expected: self.layout.cells(),
-                actual: field.len(),
+                actual: cells.len(),
             });
         }
-        self.field.load(field.states());
+        let n = self.n();
+        let foreign = cells
+            .states()
+            .iter()
+            .enumerate()
+            .position(|(i, c)| c.a != (i < n * n && self.graph.has_edge(i / n, i % n)));
+        if let Some(cell) = foreign {
+            return Err(GcaError::AdjacencyMismatch { cell });
+        }
+        self.cells = Some(cells);
         self.initialized = true;
         // The invariant checker's shadow plane no longer matches the state;
         // it re-arms lazily from the restored state (an iteration boundary).
@@ -741,10 +733,9 @@ impl Machine {
     /// allocation — the steady-state extraction path of the batched runner.
     pub fn labels_into(&self, out: &mut Vec<Word>) {
         out.clear();
-        if self.field.has_plane() {
-            out.extend((0..self.n()).map(|j| self.field.word(j, 0)));
-        } else {
-            out.extend_from_slice(self.sweep.labels());
+        match &self.cells {
+            Some(cells) => out.extend((0..self.n()).map(|j| cells.at(j, 0).d)),
+            None => out.extend_from_slice(self.sweep.labels()),
         }
     }
 
@@ -754,14 +745,27 @@ impl Machine {
     /// graph of another size is [`GcaError::GraphSizeMismatch`] and leaves
     /// the machine as it was.
     pub fn reset_with(&mut self, graph: &AdjacencyMatrix) -> Result<(), GcaError> {
-        self.field.fill(graph)?;
+        if graph.n() != self.n() {
+            return Err(GcaError::GraphSizeMismatch {
+                graph_nodes: graph.n(),
+                layout_nodes: self.n(),
+            });
+        }
+        self.graph.clone_from(graph);
+        self.reset();
+        Ok(())
+    }
+
+    /// Returns the machine to its pre-[`Machine::init`] state on the graph
+    /// it holds, keeping its configuration.
+    pub(crate) fn reset(&mut self) {
+        self.cells = None;
         self.sweep.reset();
         self.engine.reset();
         self.metrics.clear();
         self.initialized = false;
         self.inv = None;
         self.inv_fault = None;
-        Ok(())
     }
 
     /// The current `C` vector as a [`Labeling`]. An out-of-range label —
@@ -1304,41 +1308,46 @@ mod tests {
         }
     }
 
-    /// Runs `g` on `exec` and on the generic path in lockstep, one
-    /// iteration at a time, and asserts identical labels, generation
+    /// Runs `g` on each of `execs` and on the generic path in lockstep,
+    /// one iteration at a time, and asserts identical labels, generation
     /// counts, `Counts` logs and fields after init and at every iteration
     /// boundary.
-    fn assert_boundaries_match_generic(g: &AdjacencyMatrix, exec: ExecPath, convergence: Convergence) {
+    fn assert_boundaries_match_generic(g: &AdjacencyMatrix, execs: &[ExecPath], convergence: Convergence) {
         let n = g.n();
-        let mut want = Machine::new(g)
-            .unwrap()
-            .with_exec(ExecPath::Generic)
-            .with_convergence(convergence);
-        let mut got = Machine::new(g)
-            .unwrap()
-            .with_exec(exec)
-            .with_convergence(convergence);
-        let at = |it: u32| format!("n = {n} {exec:?} {convergence:?} iteration {it} on {g:?}");
+        let machine = |exec| {
+            Machine::new(g)
+                .unwrap()
+                .with_exec(exec)
+                .with_convergence(convergence)
+        };
+        let mut want = machine(ExecPath::Generic);
+        let mut got: Vec<Machine> = execs.iter().map(|&exec| machine(exec)).collect();
         want.init().unwrap();
-        got.init().unwrap();
+        for m in &mut got {
+            m.init().unwrap();
+        }
         for it in 0..=ceil_log2(n) {
-            if it > 0 {
-                assert_eq!(got.run_iteration().unwrap(), want.run_iteration().unwrap(), "{}", at(it));
+            let ran = (it > 0).then(|| want.run_iteration().unwrap());
+            for (got, exec) in got.iter_mut().zip(execs) {
+                let at = format!("n = {n} {exec:?} {convergence:?} iteration {it} on {g:?}");
+                if let Some(ran) = ran {
+                    assert_eq!(got.run_iteration().unwrap(), ran, "{at}");
+                }
+                assert_eq!(got.labels_raw(), want.labels_raw(), "{at}");
+                assert_eq!(got.generations(), want.generations(), "{at}");
+                assert_eq!(got.metrics().entries(), want.metrics().entries(), "{at}");
+                assert_eq!(got.to_field().states(), want.to_field().states(), "{at}");
             }
-            assert_eq!(got.labels_raw(), want.labels_raw(), "{}", at(it));
-            assert_eq!(got.generations(), want.generations(), "{}", at(it));
-            assert_eq!(got.metrics().entries(), want.metrics().entries(), "{}", at(it));
-            assert_eq!(got.to_field().states(), want.to_field().states(), "{}", at(it));
         }
     }
 
     #[test]
     fn sweep_matches_generic_at_every_boundary_on_corner_sizes() {
         // n = 0 and 1 run no iteration; n = 2 has one tree partner per row;
-        // n = 63, 64, 65 and 129 put rows just inside, on, just past one
-        // and just past two adjacency word boundaries, and three row
-        // chunks leave a short last one.
-        for n in [0usize, 1, 2, 63, 64, 65, 129] {
+        // n = 63, 64, 65, 128 and 129 put rows just inside, on and just
+        // past one adjacency word boundary, and on and just past two, and
+        // three row chunks leave a short last one.
+        for n in [0usize, 1, 2, 63, 64, 65, 128, 129] {
             let graphs = [
                 generators::empty(n),
                 generators::path(n),
@@ -1346,9 +1355,27 @@ mod tests {
             ];
             for g in &graphs {
                 for convergence in [Convergence::Fixed, Convergence::Detect] {
-                    for exec in [ExecPath::Fused, par3()] {
-                        assert_boundaries_match_generic(g, exec, convergence);
-                    }
+                    assert_boundaries_match_generic(g, &[ExecPath::Fused, par3()], convergence);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_exact_rows_match_generic_at_every_boundary() {
+        // Rows of exactly one (n = 64) and exactly two (n = 128) adjacency
+        // words, no tail bits: the shapes of the benchmark's small-graph
+        // CLI and library batch workloads, gnp(64, 0.04) and
+        // gnp(128, 0.01), on the seeds of their first 30 inputs.
+        let par2 = ExecPath::FusedParallel(FusedParallel {
+            workers: 2,
+            threshold: Some(0),
+        });
+        for (n, p) in [(64, 0.04), (128, 0.01)] {
+            for i in 0..30 {
+                let g = generators::gnp(n, p, 1_000_003 + i);
+                for convergence in [Convergence::Fixed, Convergence::Detect] {
+                    assert_boundaries_match_generic(&g, &[ExecPath::Fused, par2], convergence);
                 }
             }
         }
@@ -1379,14 +1406,14 @@ mod tests {
                 assert_eq!(fused.to_field().states(), want.to_field().states(), "{exec:?}");
                 assert_eq!(fused.metrics().entries(), want.metrics().entries(), "{exec:?}");
             }
-            assert!(!fused.field.has_plane(), "the sweep dropped the restored plane");
+            assert!(fused.cells.is_none(), "the sweep dropped the restored cells");
         }
     }
 
     #[test]
     fn run_iterations_after_single_steps_enters_the_sweep() {
-        // Five single steps leave the machine mid-iteration on a
-        // materialized plane; the driver then starts whole iterations from
+        // Five single steps leave the machine mid-iteration in the engine's
+        // field; the driver then starts whole iterations from
         // its column 0, exactly as the generic path does — including when
         // that column holds a partial minimum (∞ on gnp) that ends in a
         // pointer out of the field.
@@ -1400,11 +1427,11 @@ mod tests {
                     m.step(gen, sub).unwrap();
                 }
             }
-            assert!(fused.field.has_plane(), "single steps materialize the plane");
+            assert!(fused.cells.is_some(), "single steps hand the state to the engine");
             assert_eq!(fused.to_field().states(), want.to_field().states());
             let count = u64::from(ceil_log2(n));
             assert_eq!(fused.run_iterations(count), want.run_iterations(count));
-            assert!(!fused.field.has_plane());
+            assert!(fused.cells.is_none());
             assert_eq!(fused.generations(), want.generations());
             assert_eq!(fused.to_field().states(), want.to_field().states());
             assert_eq!(fused.metrics().entries(), want.metrics().entries());
@@ -1455,7 +1482,7 @@ mod tests {
     #[test]
     fn sweep_accounting_memory_is_linear_in_n() {
         // Counting keeps a compact footprint per generation, and an
-        // unobserved fused run never allocates the n(n + 1) data plane.
+        // unobserved fused run never builds the engine's n(n + 1) field.
         let n = 256;
         let g = generators::gnp(n, 0.05, 3);
         let par = ExecPath::FusedParallel(FusedParallel {
@@ -1467,8 +1494,7 @@ mod tests {
             m.init().unwrap();
             m.run_iterations(u64::from(ceil_log2(n))).unwrap();
             assert_eq!(m.metrics().generations() as u64, total_generations(n));
-            assert!(!m.field.has_plane(), "{exec:?} allocated the data plane");
-            assert!(m.scratch.is_none(), "{exec:?} allocated the engine scratch");
+            assert!(m.cells.is_none(), "{exec:?} built the engine's field");
             let held = m.sweep.accounting_capacity();
             assert!(held <= n + 1, "{exec:?}: the footprint holds {held} counters");
         }
@@ -1503,7 +1529,7 @@ mod tests {
         assert!(!armed.sweeping(), "an armed fault plan ticks the engine");
         let mut traced = Machine::with_engine(&g, engine(Instrumentation::Trace)).unwrap();
         let rep = traced.init().unwrap();
-        // The generic evaluator materialized per-cell accesses.
+        // The generic evaluator recorded per-cell accesses.
         assert!(rep.accesses.is_some());
     }
 
@@ -1705,7 +1731,7 @@ mod tests {
     #[test]
     fn exec_path_switches_between_iterations_are_invisible() {
         // Flipping the exec path between iterations: generic iterations
-        // materialize the plane from the vectors, fused ones read its
+        // build the engine's field from the vectors, fused ones read its
         // column 0 and drop it again.
         let n = 14;
         let g = generators::gnp(n, 0.25, 9);
@@ -1725,6 +1751,72 @@ mod tests {
         }
         assert_eq!(m.labels().unwrap(), reference.labels().unwrap());
         assert_eq!(m.metrics().entries(), reference.metrics().entries());
+    }
+
+    #[test]
+    fn fields_match_the_layout_build_and_agree_after_init() {
+        // n = 70 spans two adjacency words per row.
+        for g in [generators::gnp(9, 0.4, 3), generators::gnp(70, 0.2, 5)] {
+            let built = Layout::new(g.n()).unwrap().build_field(&g).unwrap();
+            let mut generic = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
+            let mut fused = Machine::new(&g).unwrap();
+            assert_eq!(fused.to_field().states(), built.states(), "n = {}", g.n());
+            generic.init().unwrap();
+            fused.init().unwrap();
+            assert!(generic.cells.is_some() && fused.cells.is_none());
+            assert_eq!(fused.to_field().states(), generic.to_field().states(), "n = {}", g.n());
+        }
+    }
+
+    #[test]
+    fn zero_size_machine_has_an_empty_field() {
+        let g = generators::empty(0);
+        let mut m = Machine::new(&g).unwrap();
+        assert!(m.to_field().is_empty());
+        m.init().unwrap();
+        let snap = m.snapshot();
+        m.restore(&snap).unwrap();
+        assert!(m.to_field().is_empty());
+        assert!(m.labels_raw().is_empty());
+    }
+
+    #[test]
+    fn restore_takes_data_words_and_rejects_foreign_adjacency() {
+        let n = 9;
+        let g = generators::gnp(n, 0.4, 3);
+        let mut m = Machine::new(&g).unwrap();
+        m.init().unwrap();
+        m.run_iteration().unwrap();
+        let before = m.to_field();
+
+        // Any data words come back as they were captured.
+        let mut cells = before.clone();
+        for (i, c) in cells.states_mut().iter_mut().enumerate() {
+            c.d = (i % n) as Word;
+        }
+        let mut restored = Machine::new(&g).unwrap();
+        restored.restore(&FieldSnapshot::capture(&cells)).unwrap();
+        assert_eq!(restored.to_field().states(), cells.states());
+
+        // A flipped adjacency bit, in the square or in D_N, or another
+        // graph's adjacency is a typed error that leaves the machine as
+        // it was.
+        let flipped = |cell: usize| {
+            let mut cells = before.clone();
+            cells.states_mut()[cell].a ^= true;
+            (cell, cells)
+        };
+        let other = generators::ring(n);
+        let differs = |i: usize| g.has_edge(i / n, i % n) != other.has_edge(i / n, i % n);
+        let foreign = ((0..n * n).find(|&i| differs(i)).unwrap(), Machine::new(&other).unwrap().to_field());
+        for (cell, cells) in [flipped(5), flipped(n * n + 2), foreign] {
+            let err = m.restore(&FieldSnapshot::capture(&cells)).unwrap_err();
+            assert_eq!(err, GcaError::AdjacencyMismatch { cell });
+            assert_eq!(m.to_field().states(), before.states(), "cell {cell}");
+        }
+        m.run_iterations(u64::from(ceil_log2(n)) - 1).unwrap();
+        let expected = union_find_components_dense(&g);
+        assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
     }
 
     #[test]
@@ -1774,11 +1866,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_scratch_and_plane_are_allocated_only_by_engine_steps() {
-        // The sweep's vectors and the adjacency plane are the whole state
-        // of an unobserved fused run; the data plane and the AoS scratch
-        // exist only once an engine step (generic path, Trace, Validate)
-        // has needed them.
+    fn engine_cells_exist_only_while_the_engine_holds_the_state() {
+        // The sweep's vectors and the graph are the whole state of an
+        // unobserved fused run; the engine's field exists only once an
+        // engine step (generic path, Trace, Validate) has needed it, and
+        // the next unobserved sweep drops it again.
         let g = generators::gnp(12, 0.3, 4);
         let engine = |i| Engine::sequential().with_instrumentation(i);
         let cases = [
@@ -1793,12 +1885,14 @@ mod tests {
         ];
         for (exec, instr, allocates) in cases {
             let mut m = Machine::with_engine(&g, engine(instr)).unwrap().with_exec(exec);
-            assert!(m.scratch.is_none(), "{exec:?} {instr:?} at build");
-            assert!(!m.field.has_plane(), "{exec:?} {instr:?} at build");
+            assert!(m.cells.is_none(), "{exec:?} {instr:?} at build");
             m.init().unwrap();
-            m.run_iterations(u64::from(ceil_log2(12))).unwrap();
-            assert_eq!(m.scratch.is_some(), allocates, "{exec:?} {instr:?}");
-            assert_eq!(m.field.has_plane(), allocates, "{exec:?} {instr:?}");
+            m.run_iterations(u64::from(ceil_log2(12)) - 1).unwrap();
+            assert_eq!(m.cells.is_some(), allocates, "{exec:?} {instr:?}");
+            m.set_exec(ExecPath::Fused);
+            m.run_iteration().unwrap();
+            let sweeps = matches!(instr, Instrumentation::Off | Instrumentation::Counts);
+            assert_eq!(m.cells.is_none(), sweeps, "{exec:?} {instr:?} then fused");
             let expected = union_find_components_dense(&g);
             assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
         }

@@ -24,6 +24,7 @@
 //! answers "does the machine match the *algorithm*?".
 
 use crate::phase::Gen;
+use crate::HCell;
 use gca_engine::{GcaError, InvariantCheck, StepCtx, Word, INFINITY};
 use std::fmt;
 
@@ -464,11 +465,11 @@ impl InvariantChecker {
     }
 }
 
-/// The observed states are the machine's data plane: the adjacency plane
-/// never changes during a run, so the checker keeps its own copy from
-/// [`InvariantChecker::new`].
-impl InvariantCheck<Word> for InvariantChecker {
-    fn after_generation(&mut self, ctx: &StepCtx, states: &[Word]) -> Result<(), GcaError> {
+/// The observed states are the engine's cells. Only their data words are
+/// judged: no generation writes `a`, so the checker keeps its own copy of
+/// the adjacency from [`InvariantChecker::new`].
+impl InvariantCheck<HCell> for InvariantChecker {
+    fn after_generation(&mut self, ctx: &StepCtx, states: &[HCell]) -> Result<(), GcaError> {
         let n = self.n;
         let Some(gen) = Gen::from_number(ctx.phase) else {
             return Ok(()); // foreign phase tag: not ours to judge
@@ -486,8 +487,8 @@ impl InvariantCheck<Word> for InvariantChecker {
         if self.take_fault(InvariantClass::ContractStep) && !self.spec.is_empty() {
             self.spec[0] = self.spec[0].wrapping_add(1);
         }
-        for (i, &d) in states.iter().enumerate() {
-            if d != self.spec[i] {
+        for (i, c) in states.iter().enumerate() {
+            if c.d != self.spec[i] {
                 return Err(self.violation(InvariantClass::ContractStep, ctx, i));
             }
         }

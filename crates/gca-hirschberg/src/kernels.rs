@@ -8,8 +8,8 @@
 //!
 //! [`ExecPath::Fused`] and [`ExecPath::FusedParallel`] run each outer
 //! iteration as one vector sweep ([`crate::sweep`]) over `C`, `T′` and the
-//! packed adjacency plane, in O(n + m) work and O(n) state, and never
-//! allocate the data plane. They commit every generation of the schedule
+//! rows of the machine's adjacency matrix, in O(n + m) work and O(n)
+//! state, and never build the engine's field. They commit every generation of the schedule
 //! in order, with the same `Counts` entries and generation numbers as the
 //! engine, so labels, metrics logs and [`crate::Machine::to_field`] are
 //! bit-identical to the generic path.
@@ -18,7 +18,7 @@
 //! (`Instrumentation::Trace`), an armed fault plan, a
 //! [`crate::Machine::step`] call and `Instrumentation::Validate` all need
 //! every generation to happen cell by cell, so on the fused paths they
-//! materialize the plane from the vectors and tick the engine. Under
+//! hand the state to the engine's own field and tick it. Under
 //! `Validate` the sweep also runs each iteration from that iteration's
 //! column 0, and the machine compares its `Counts` footprints with the
 //! engine's per generation and its field with the engine's at the

@@ -47,7 +47,6 @@ mod algorithm;
 pub mod batch;
 mod cell;
 pub mod complexity;
-mod hfield;
 pub mod invariants;
 pub mod kernels;
 mod layout;

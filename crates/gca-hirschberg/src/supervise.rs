@@ -52,32 +52,24 @@ pub fn degraded(exec: ExecPath) -> Option<ExecPath> {
     }
 }
 
-/// A [`Machine`] plus the graph it runs, packaged as the
-/// [`Recoverable`] the engine-level supervisor drives.
-///
-/// The wrapper owns the machine; the graph is borrowed because
-/// [`Recoverable::start`] re-seeds the field from it on every (re)start.
-pub struct SupervisedMachine<'g> {
+/// A [`Machine`] packaged as the [`Recoverable`] the engine-level
+/// supervisor drives. [`Recoverable::start`] re-seeds the machine from
+/// the graph it holds on every (re)start.
+pub struct SupervisedMachine {
     machine: Machine,
-    graph: &'g AdjacencyMatrix,
 }
 
-impl<'g> SupervisedMachine<'g> {
+impl SupervisedMachine {
     /// Builds a supervised machine for `graph` with an explicit engine
     /// and execution path.
-    pub fn new(
-        graph: &'g AdjacencyMatrix,
-        engine: Engine,
-        exec: ExecPath,
-    ) -> Result<Self, GcaError> {
+    pub fn new(graph: &AdjacencyMatrix, engine: Engine, exec: ExecPath) -> Result<Self, GcaError> {
         let machine = Machine::with_engine(graph, engine)?.with_exec(exec);
-        Ok(SupervisedMachine { machine, graph })
+        Ok(SupervisedMachine { machine })
     }
 
     /// Wraps an already-configured machine (fault plan, schedule, …).
-    /// The machine must have been built for `graph`'s size.
-    pub fn from_machine(machine: Machine, graph: &'g AdjacencyMatrix) -> Self {
-        SupervisedMachine { machine, graph }
+    pub fn from_machine(machine: Machine) -> Self {
+        SupervisedMachine { machine }
     }
 
     /// The wrapped machine.
@@ -102,7 +94,7 @@ impl<'g> SupervisedMachine<'g> {
     }
 }
 
-impl Recoverable for SupervisedMachine<'_> {
+impl Recoverable for SupervisedMachine {
     type Cell = HCell;
 
     fn total_units(&self) -> u64 {
@@ -110,7 +102,7 @@ impl Recoverable for SupervisedMachine<'_> {
     }
 
     fn start(&mut self) -> Result<(), GcaError> {
-        self.machine.reset_with(self.graph)?;
+        self.machine.reset();
         self.machine.init()?;
         Ok(())
     }
@@ -212,6 +204,32 @@ mod tests {
             clean.machine().metrics().entries(),
             "recovered metrics must be bit-identical to a clean run"
         );
+    }
+
+    #[test]
+    fn from_machine_recovers_bit_identically() {
+        // The wrapper holds nothing but the machine: every (re)start
+        // re-seeds it from its own graph, so a recovered run ends exactly
+        // where a clean one does.
+        let g = generators::gnp(20, 0.15, 4);
+        let machine = || {
+            Machine::with_engine(&g, validate_engine())
+                .unwrap()
+                .with_exec(ExecPath::Fused)
+        };
+        let mut clean = SupervisedMachine::from_machine(machine());
+        let clean_report = Supervisor::default().run(&mut clean);
+        assert!(matches!(clean_report.outcome, RecoveryOutcome::Clean));
+        let mut faulted = machine();
+        faulted.set_fault_plan(Some(FaultPlan::new(FaultKind::BitFlip { bit: 0 }, 9, 4)));
+        let mut sm = SupervisedMachine::from_machine(faulted);
+        let report = Supervisor::new(RecoveryPolicy::Retry { max_attempts: 3 }).run(&mut sm);
+        assert!(matches!(report.outcome, RecoveryOutcome::Recovered), "{report}");
+        let (got, want) = (sm.into_machine(), clean.into_machine());
+        assert_eq!(got.labels(), want.labels());
+        assert_eq!(got.generations(), want.generations());
+        assert_eq!(got.metrics().entries(), want.metrics().entries());
+        assert_eq!(got.to_field().states(), want.to_field().states());
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! iteration boundary square row `r` is `[C(r), T′(r), …, T′(r)]` and
 //! `D_N = T′`. Generation 1 of the next iteration overwrites every cell
 //! from column 0, so an iteration's result, and its `Counts` entries,
-//! depend only on `C` at its start and on the adjacency plane. The sweep
-//! runs the iteration on those vectors, read from `rule.rs`:
+//! depend only on `C` at its start and on the graph. The sweep runs the
+//! iteration on those vectors, read from `rule.rs`:
 //!
 //! * generations 1–4: `T(i) = min{C(j) : A(i,j), C(j) ≠ C(i)}`, or `C(i)`
-//!   if that set is empty — a set-bit walk over the packed adjacency row;
+//!   if that set is empty — a set-bit walk over the graph's own packed
+//!   [`AdjacencyMatrix`] row (its diagonal and row-tail bits are zero);
 //! * generations 5–8: `T′(r) = min{T(c) : C(c) = r, T(c) ≠ r}`, or `C(r)`
 //!   if that set is empty — an O(n) scatter-min;
 //! * generation 9: column 0 and `D_N` take `T′`;
@@ -29,18 +30,19 @@
 //!
 //! **State.** `Sweep` holds `C`, `T′` and whether `D_N` still holds the
 //! `n` that generation 0 writes there (`Sweep::word` is the field those
-//! vectors stand for). It also enters from any plane through
+//! vectors stand for). It also enters from the engine's field through
 //! `Sweep::load_column`, since an iteration reads nothing but column 0.
 //!
 //! **Parallel.** Under [`crate::ExecPath::FusedParallel`] the
 //! neighbour-min is split into row chunks by [`plan_rows`], with one join
 //! per iteration. Each chunk writes its own rows of `T` and reads only the
-//! shared `C` and adjacency plane, so the result is the sequential one.
+//! shared `C` and matrix, so the result is the sequential one.
 
 use crate::kernels::{plan_rows, ParPolicy};
-use crate::Gen;
+use crate::{Gen, HCell};
 use gca_engine::metrics::{ReadFootprint, TargetGrid};
 use gca_engine::{AdjWord, GcaError, StepCtx, Word, INFINITY, WORD_BITS};
+use gca_graphs::AdjacencyMatrix;
 use rayon::prelude::*;
 
 /// Column 0 (`C`/`T`) of an `n`-node field, every cell read `delta` times.
@@ -181,12 +183,12 @@ impl Sweep {
         &self.c
     }
 
-    /// Takes `C` from column 0 of a data plane: the only input of the next
-    /// iteration.
-    pub fn load_column(&mut self, d: &[Word]) {
+    /// Takes `C` from column 0 of the engine's cells: the only input of
+    /// the next iteration.
+    pub fn load_column(&mut self, cells: &[HCell]) {
         let n = self.n;
         for (r, c) in self.c.iter_mut().enumerate() {
-            *c = d[r * n];
+            *c = cells[r * n].d;
         }
     }
 
@@ -215,11 +217,9 @@ impl Sweep {
     /// changed no label. A pointer out of the field fails that generation
     /// without committing it and leaves the state the committed ones
     /// produced, as the engine does.
-    #[allow(clippy::too_many_arguments)]
     pub fn iterate(
         &mut self,
-        a: &[AdjWord],
-        wpr: usize,
+        graph: &AdjacencyMatrix,
         start: u64,
         detect: bool,
         counting: bool,
@@ -240,7 +240,7 @@ impl Sweep {
         };
 
         // Generations 1–9 cannot fail: compute T and T′, then commit them.
-        self.neighbour_min(a, wpr, par);
+        self.neighbour_min(graph, par);
         self.member_min();
         if let Some(SweepFault::FlipT(row)) = self.fault {
             if let Some(t) = self.t.get_mut(row) {
@@ -301,7 +301,7 @@ impl Sweep {
 
     /// Generations 1–4 into `next`: every node's smallest neighbouring
     /// label outside its own, or its own label.
-    fn neighbour_min(&mut self, a: &[AdjWord], wpr: usize, par: Option<ParPolicy>) {
+    fn neighbour_min(&mut self, graph: &AdjacencyMatrix, par: Option<ParPolicy>) {
         let n = self.n;
         let c = &self.c;
         let out = &mut self.next;
@@ -311,7 +311,7 @@ impl Sweep {
             return;
         }
         match plan_rows(par, n * n, n, n) {
-            None => neighbour_min_rows(out, 0, c, a, wpr),
+            None => neighbour_min_rows(out, 0, c, graph),
             Some(rows_per) => {
                 let overlap = self.fault == Some(SweepFault::OverlapChunks);
                 if overlap {
@@ -321,7 +321,7 @@ impl Sweep {
                     .enumerate()
                     .for_each(|(ci, seg)| {
                         let base_row = ci * rows_per - usize::from(overlap && ci > 0);
-                        neighbour_min_rows(seg, base_row, c, a, wpr);
+                        neighbour_min_rows(seg, base_row, c, graph);
                     });
             }
         }
@@ -366,14 +366,15 @@ fn field_word(c: &[Word], t: &[Word], fresh: bool, row: usize, col: usize) -> Wo
 }
 
 /// The neighbour-min of the rows `base_row..base_row + seg.len()`: a
-/// set-bit walk over each row of the row-aligned adjacency plane.
-fn neighbour_min_rows(seg: &mut [Word], base_row: usize, c: &[Word], a: &[AdjWord], wpr: usize) {
+/// set-bit walk over each of the matrix's rows.
+fn neighbour_min_rows(seg: &mut [Word], base_row: usize, c: &[Word], graph: &AdjacencyMatrix) {
     for (k, slot) in seg.iter_mut().enumerate() {
         let i = base_row + k;
         let own = c[i];
         let mut best = INFINITY;
-        for (w, &word) in a[i * wpr..(i + 1) * wpr].iter().enumerate() {
-            let mut bits = word;
+        for (w, &word) in graph.row_words(i).iter().enumerate() {
+            // The matrix packs rows in the engine's adjacency words.
+            let mut bits: AdjWord = word;
             while bits != 0 {
                 let l = c[w * WORD_BITS + bits.trailing_zeros() as usize];
                 bits &= bits - 1;
@@ -424,7 +425,6 @@ fn jump(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hfield::HField;
     use gca_graphs::generators;
 
     #[test]
@@ -433,8 +433,6 @@ mod tests {
         // two adjacency words.
         let n = 70;
         let g = generators::gnp(n, 0.1, 4);
-        let mut h = HField::new(n);
-        h.fill(&g).unwrap();
         let par = Some(ParPolicy {
             workers: 3,
             threshold: 0,
@@ -446,10 +444,21 @@ mod tests {
             s.init();
             s.c.iter_mut().for_each(|c| *c %= 7);
         }
-        seq.neighbour_min(&h.a, h.words_per_row, None);
-        split.neighbour_min(&h.a, h.words_per_row, par);
+        seq.neighbour_min(&g, None);
+        split.neighbour_min(&g, par);
         assert_eq!(seq.next, split.next);
         assert!(seq.next.iter().zip(&seq.c).any(|(t, c)| t != c));
+    }
+
+    #[test]
+    fn row_words_carry_no_diagonal_or_tail_bits() {
+        // n = 5 leaves WORD_BITS - 5 tail bits per row word. The set-bit
+        // walk indexes `C` at every set bit, so it relies on the matrix
+        // keeping the tails and the diagonal zero.
+        let g = generators::complete(5);
+        for row in 0..5 {
+            assert_eq!(g.row_words(row), [0b11111 & !(1 << row)], "row {row}");
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! restored from an iteration-boundary checkpoint and re-run is
 //! **bit-identical** — labels, field states and `Counts` metrics — to a
 //! machine that never stopped. These properties pin that claim on every
-//! execution path, including the paths whose state is not the data plane:
-//! the engine scratch (refilled before every engine step, never read as
-//! state) and the fused paths' vectors (a restore loads the data plane,
-//! and the next sweep reads its column 0 and drops it).
+//! execution path, whichever form holds the state: the engine's field
+//! (stepped in place by the generic path) and the fused paths' vectors (a
+//! restore puts the snapshot's cells in as the engine's field, and the
+//! next sweep reads its column 0 and drops it).
 
 use gca_engine::snapshot::FieldSnapshot;
 use gca_engine::{Engine, Instrumentation};
