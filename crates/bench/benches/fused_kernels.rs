@@ -25,13 +25,13 @@ fn bench_iteration(c: &mut Criterion) {
     let mut group = c.benchmark_group("fused_kernels/iteration");
     for n in [16usize, 64, 256] {
         // Bit-identity gate before timing anything.
-        let probe = fused::time_iteration(n, 1);
+        let probe = fused::time_iteration(n, 1).expect("iteration probe");
         assert!(
             probe.metrics_identical,
             "fused field or metrics diverge from generic at n={n}"
         );
         for (exec, name) in [(ExecPath::Generic, "generic"), (ExecPath::Fused, "fused")] {
-            let mut m = fused::machine(n, exec, Instrumentation::Counts);
+            let mut m = fused::machine(n, exec, Instrumentation::Counts).expect("machine");
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
                 b.iter(|| black_box(m.run_iteration().expect("iteration")));
             });
@@ -45,7 +45,7 @@ fn bench_full_run(c: &mut Criterion) {
     for n in [16usize, 64] {
         for instr in [Instrumentation::Counts, Instrumentation::Off] {
             // Label/metrics agreement gate before timing anything.
-            let probe = fused::time_full_runs(n, instr);
+            let probe = fused::time_full_runs(n, instr).expect("full-run probe");
             assert!(probe.labels_match_union_find && probe.metrics_identical);
             let instr_name = probe.instrumentation;
             for (exec, name) in [(ExecPath::Generic, "generic"), (ExecPath::Fused, "fused")] {

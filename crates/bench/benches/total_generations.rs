@@ -29,29 +29,6 @@ fn bench_total(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_backend(c: &mut Criterion) {
-    let mut group = c.benchmark_group("total_generations/parallel_backend");
-    group.sample_size(10);
-    for n in [64usize, 128, 256] {
-        let g = generators::gnp(n, 0.5, 42 + n as u64);
-        for (name, engine) in [("seq", Engine::sequential()), ("par", Engine::parallel())] {
-            let engine = engine.with_instrumentation(Instrumentation::Off);
-            group.bench_with_input(
-                BenchmarkId::new(name, n),
-                &(g.clone(), engine),
-                |b, (g, engine)| {
-                    let runner = HirschbergGca::new()
-                        .with_engine(engine.clone())
-                        .exec(ExecPath::Generic);
-                    b.iter(|| black_box(runner.run(g).unwrap().labels));
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-
 /// Short measurement windows: the full suite has many benchmark ids and the
 /// quantities of interest (counts, shapes) are asserted, not estimated.
 fn quick_config() -> Criterion {
@@ -64,6 +41,6 @@ fn quick_config() -> Criterion {
 criterion_group!{
     name = benches;
     config = quick_config();
-    targets = bench_total, bench_parallel_backend
+    targets = bench_total
 }
 criterion_main!(benches);

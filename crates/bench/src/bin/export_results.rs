@@ -70,7 +70,7 @@ fn fused_kernels_doc() -> serde_json::Value {
     for &n in &fused::SIZES {
         // Enough repetitions for stable medians at small n, few at large n.
         let reps = (1 << 16 >> (n.ilog2())).clamp(2, 64) as u32;
-        let t = fused::time_iteration(n, reps);
+        let t = fused::time_iteration(n, reps).expect("fused iteration timing");
         iteration_rows.push(json!({
             "n": t.n,
             "generic_ns_per_iteration": t.generic_ns_per_iter.json(),
@@ -83,7 +83,7 @@ fn fused_kernels_doc() -> serde_json::Value {
     let mut full_rows = Vec::new();
     for &n in &[16usize, 64, 256] {
         for instr in [Instrumentation::Counts, Instrumentation::Off] {
-            let t = fused::time_full_runs(n, instr);
+            let t = fused::time_full_runs(n, instr).expect("fused full-run timing");
             if n == 256 && matches!(instr, Instrumentation::Off) {
                 speedup_n256_off = t.speedup();
             }
@@ -102,7 +102,7 @@ fn fused_kernels_doc() -> serde_json::Value {
     let batch_rows: Vec<serde_json::Value> = [1usize, max_workers]
         .iter()
         .map(|&workers| {
-            let t = fused::batch_throughput(64, 32, workers);
+            let t = fused::batch_throughput(64, 32, workers).expect("batch throughput");
             json!({
                 "n": t.n,
                 "batch": t.batch,

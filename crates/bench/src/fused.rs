@@ -13,7 +13,7 @@
 //! engine on every path.
 
 use crate::NsPerStep;
-use gca_engine::{DomainPolicy, Engine, Instrumentation};
+use gca_engine::{DomainPolicy, Engine, GcaError, Instrumentation};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::generators;
 use gca_hirschberg::{BatchRunner, ExecPath, HirschbergGca, Machine};
@@ -25,17 +25,24 @@ pub const SEED: u64 = 2007;
 /// Problem sizes the export tracks.
 pub const SIZES: [usize; 4] = [16, 64, 256, 1024];
 
-/// An initialized machine on the standard workload under the given path.
-pub fn machine(n: usize, exec: ExecPath, instrumentation: Instrumentation) -> Machine {
-    let graph = generators::gnp(n, 0.3, SEED);
-    let engine = Engine::sequential()
+/// The engine every timing helper here runs under: the generic path's
+/// tuned configuration (hinted domains).
+fn engine(instrumentation: Instrumentation) -> Engine {
+    Engine::sequential()
         .with_domain_policy(DomainPolicy::Hinted)
-        .with_instrumentation(instrumentation);
-    let mut m = Machine::with_engine(&graph, engine)
-        .expect("machine")
-        .with_exec(exec);
-    m.init().expect("init");
-    m
+        .with_instrumentation(instrumentation)
+}
+
+/// An initialized machine on the standard workload under the given path.
+pub fn machine(
+    n: usize,
+    exec: ExecPath,
+    instrumentation: Instrumentation,
+) -> Result<Machine, GcaError> {
+    let graph = generators::gnp(n, 0.3, SEED);
+    let mut m = Machine::with_engine(&graph, engine(instrumentation))?.with_exec(exec);
+    m.init()?;
+    Ok(m)
 }
 
 /// One outer iteration timed under the generic (hinted) and fused paths.
@@ -59,32 +66,42 @@ impl FusedIterTiming {
     }
 }
 
-fn time_iterations(m: &mut Machine, reps: u32) -> NsPerStep {
-    NsPerStep::measure(
+/// Times `reps` outer iterations of `m`.
+pub(crate) fn time_iterations(m: &mut Machine, reps: u32) -> Result<NsPerStep, GcaError> {
+    // The measurement closure is infallible by signature, so any error
+    // inside it is captured and surfaced afterwards.
+    let mut failed = None;
+    let ns = NsPerStep::measure(
         || {
-            std::hint::black_box(m.run_iteration().expect("iteration"));
+            if let Err(e) = m.run_iteration() {
+                failed = Some(e);
+            }
         },
         reps,
-    )
+    );
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(ns),
+    }
 }
 
 /// Times `reps` outer iterations under both paths on the same workload,
 /// asserting identical fields and metrics after the first.
-pub fn time_iteration(n: usize, reps: u32) -> FusedIterTiming {
-    let mut generic = machine(n, ExecPath::Generic, Instrumentation::Counts);
-    let mut fused = machine(n, ExecPath::Fused, Instrumentation::Counts);
-    generic.run_iteration().expect("generic iteration");
-    fused.run_iteration().expect("fused iteration");
+pub fn time_iteration(n: usize, reps: u32) -> Result<FusedIterTiming, GcaError> {
+    let mut generic = machine(n, ExecPath::Generic, Instrumentation::Counts)?;
+    let mut fused = machine(n, ExecPath::Fused, Instrumentation::Counts)?;
+    generic.run_iteration()?;
+    fused.run_iteration()?;
     let metrics_identical = generic.metrics().entries() == fused.metrics().entries()
         && generic.to_field().states() == fused.to_field().states();
-    let generic_ns = time_iterations(&mut generic, reps);
-    let fused_ns = time_iterations(&mut fused, reps);
-    FusedIterTiming {
+    let generic_ns = time_iterations(&mut generic, reps)?;
+    let fused_ns = time_iterations(&mut fused, reps)?;
+    Ok(FusedIterTiming {
         n,
         generic_ns_per_iter: generic_ns,
         fused_ns_per_iter: fused_ns,
         metrics_identical,
-    }
+    })
 }
 
 /// Full connected-components runs, generic hinted vs. fused, under one
@@ -113,35 +130,36 @@ impl FusedRunTiming {
     }
 }
 
-fn timed_run(
+/// One full run of `graph` under `exec`, with its wall time in
+/// milliseconds.
+pub(crate) fn timed_run(
     graph: &gca_graphs::AdjacencyMatrix,
     exec: ExecPath,
     instrumentation: Instrumentation,
-) -> (f64, gca_hirschberg::GcaRun) {
+) -> Result<(f64, gca_hirschberg::GcaRun), GcaError> {
     let runner = HirschbergGca::new()
-        .with_engine(
-            Engine::sequential()
-                .with_domain_policy(DomainPolicy::Hinted)
-                .with_instrumentation(instrumentation),
-        )
+        .with_engine(engine(instrumentation))
         .exec(exec);
     let start = Instant::now();
-    let run = runner.run(graph).expect("run");
+    let run = runner.run(graph)?;
     let ms = start.elapsed().as_secs_f64() * 1e3;
-    (ms, run)
+    Ok((ms, run))
 }
 
 /// Times full runs on the standard workload at size `n` under
 /// `instrumentation`.
-pub fn time_full_runs(n: usize, instrumentation: Instrumentation) -> FusedRunTiming {
+pub fn time_full_runs(
+    n: usize,
+    instrumentation: Instrumentation,
+) -> Result<FusedRunTiming, GcaError> {
     let graph = generators::gnp(n, 0.3, SEED);
     let expected = union_find_components_dense(&graph);
-    let (generic_ms, generic) = timed_run(&graph, ExecPath::Generic, instrumentation);
-    let (fused_ms, fused) = timed_run(&graph, ExecPath::Fused, instrumentation);
+    let (generic_ms, generic) = timed_run(&graph, ExecPath::Generic, instrumentation)?;
+    let (fused_ms, fused) = timed_run(&graph, ExecPath::Fused, instrumentation)?;
     let labels_match_union_find = [&generic.labels, &fused.labels]
         .iter()
         .all(|l| l.as_slice() == expected.as_slice());
-    FusedRunTiming {
+    Ok(FusedRunTiming {
         n,
         instrumentation: match instrumentation {
             Instrumentation::Off => "off",
@@ -153,7 +171,7 @@ pub fn time_full_runs(n: usize, instrumentation: Instrumentation) -> FusedRunTim
         fused_ms,
         labels_match_union_find,
         metrics_identical: generic.metrics.entries() == fused.metrics.entries(),
-    }
+    })
 }
 
 /// One batched-runner measurement.
@@ -173,12 +191,16 @@ pub struct ThroughputTiming {
 
 /// Runs a batch of `batch` size-`n` graphs on `workers` workers (0 = auto)
 /// and reports aggregate graphs/sec, verifying every labeling.
-pub fn batch_throughput(n: usize, batch: usize, workers: usize) -> ThroughputTiming {
+pub fn batch_throughput(
+    n: usize,
+    batch: usize,
+    workers: usize,
+) -> Result<ThroughputTiming, GcaError> {
     let graphs: Vec<_> = (0..batch)
         .map(|i| generators::gnp(n, 0.3, SEED + i as u64))
         .collect();
     let runner = BatchRunner::new().workers(workers);
-    let report = runner.run(&graphs).expect("batch run");
+    let report = runner.run(&graphs)?;
     let labels_match_union_find = graphs.iter().zip(&report.labels).all(|(g, labels)| {
         let expected = union_find_components_dense(g);
         labels.len() == expected.n()
@@ -187,13 +209,13 @@ pub fn batch_throughput(n: usize, batch: usize, workers: usize) -> ThroughputTim
                 .zip(expected.as_slice())
                 .all(|(&l, &e)| l as usize == e)
     });
-    ThroughputTiming {
+    Ok(ThroughputTiming {
         n,
         batch,
         workers: report.stats.workers,
         graphs_per_sec: report.stats.graphs_per_sec(),
         labels_match_union_find,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -202,7 +224,7 @@ mod tests {
 
     #[test]
     fn iteration_timings_report_identical_metrics() {
-        let t = time_iteration(16, 2);
+        let t = time_iteration(16, 2).unwrap();
         assert!(t.metrics_identical);
         assert!(t.generic_ns_per_iter.median > 0.0 && t.fused_ns_per_iter.median > 0.0);
         assert!(t.fused_ns_per_iter.min <= t.fused_ns_per_iter.max);
@@ -211,7 +233,7 @@ mod tests {
     #[test]
     fn full_runs_agree_under_both_instrumentations() {
         for instr in [Instrumentation::Off, Instrumentation::Counts] {
-            let t = time_full_runs(16, instr);
+            let t = time_full_runs(16, instr).unwrap();
             assert!(t.labels_match_union_find);
             assert!(t.metrics_identical);
         }
@@ -219,7 +241,7 @@ mod tests {
 
     #[test]
     fn batch_throughput_verifies_labels() {
-        let t = batch_throughput(16, 8, 2);
+        let t = batch_throughput(16, 8, 2).unwrap();
         assert!(t.labels_match_union_find);
         assert_eq!(t.batch, 8);
         assert!(t.workers >= 1 && t.workers <= 2);

@@ -11,17 +11,17 @@
 //! row diverges.
 //!
 //! Thresholding: the per-iteration helper forces `threshold = Some(0)` so
-//! the partitioned neighbour-min runs even below the engine's amortization
-//! cutoff — the point is to measure (and verify) the parallel code itself,
-//! not the auto-fallback. Full-run timings are taken both ways; see
-//! [`time_full_runs`].
+//! the partitioned neighbour-min runs even below the amortization cutoff
+//! ([`gca_hirschberg::kernels::MIN_PAR_CELLS`]) — the point is to measure
+//! (and verify) the parallel code itself, not the auto-fallback. Full-run
+//! timings are taken both ways; see [`time_full_runs`].
 
-use crate::{fused, NsPerStep};
-use gca_engine::{DomainPolicy, Engine, GcaError, Instrumentation};
+use crate::fused::{self, machine, time_iterations, timed_run};
+use crate::NsPerStep;
+use gca_engine::{GcaError, Instrumentation};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::generators;
-use gca_hirschberg::{ExecPath, FusedParallel, HirschbergGca, Machine};
-use std::time::Instant;
+use gca_hirschberg::{ExecPath, FusedParallel};
 
 /// Problem sizes the export tracks (the fused bench's upper range — the
 /// partitioned drivers only matter where rows are plentiful).
@@ -36,18 +36,6 @@ pub fn forced(workers: usize) -> ExecPath {
         workers,
         threshold: Some(0),
     })
-}
-
-/// An initialized machine on the standard fused workload under `exec`,
-/// without the `fused` module's panicking conveniences.
-fn machine(n: usize, exec: ExecPath) -> Result<Machine, GcaError> {
-    let graph = generators::gnp(n, 0.3, fused::SEED);
-    let engine = Engine::sequential()
-        .with_domain_policy(DomainPolicy::Hinted)
-        .with_instrumentation(Instrumentation::Counts);
-    let mut m = Machine::with_engine(&graph, engine)?.with_exec(exec);
-    m.init()?;
-    Ok(m)
 }
 
 /// One outer iteration timed under sequential fused and parallel fused.
@@ -73,30 +61,12 @@ impl ParIterTiming {
     }
 }
 
-fn time_iterations(m: &mut Machine, reps: u32) -> Result<NsPerStep, GcaError> {
-    // The measurement closure is infallible by signature, so any error
-    // inside it is captured and surfaced afterwards.
-    let mut failed = None;
-    let ns = NsPerStep::measure(
-        || {
-            if let Err(e) = m.run_iteration() {
-                failed = Some(e);
-            }
-        },
-        reps,
-    );
-    match failed {
-        Some(e) => Err(e),
-        None => Ok(ns),
-    }
-}
-
 /// Times `reps` outer iterations under sequential fused and
 /// forced-parallel fused on the same workload, asserting identical fields
 /// and metrics after the first.
 pub fn time_iteration(n: usize, workers: usize, reps: u32) -> Result<ParIterTiming, GcaError> {
-    let mut seq = machine(n, ExecPath::Fused)?;
-    let mut par = machine(n, forced(workers))?;
+    let mut seq = machine(n, ExecPath::Fused, Instrumentation::Counts)?;
+    let mut par = machine(n, forced(workers), Instrumentation::Counts)?;
     seq.run_iteration()?;
     par.run_iteration()?;
     let metrics_identical = seq.metrics().entries() == par.metrics().entries()
@@ -120,7 +90,7 @@ pub struct ParRunTiming {
     /// Worker count of the parallel path.
     pub workers: usize,
     /// Whether the amortization threshold was forced to zero (`true`) or
-    /// left at the engine tunable (`false`, the honest deployment setting).
+    /// left at its default (`false`, the honest deployment setting).
     pub forced_threshold: bool,
     /// Milliseconds for the sequential fused run.
     pub fused_ms: f64,
@@ -139,26 +109,9 @@ impl ParRunTiming {
     }
 }
 
-fn timed_run(
-    graph: &gca_graphs::AdjacencyMatrix,
-    exec: ExecPath,
-) -> Result<(f64, gca_hirschberg::GcaRun), GcaError> {
-    let runner = HirschbergGca::new()
-        .with_engine(
-            Engine::sequential()
-                .with_domain_policy(DomainPolicy::Hinted)
-                .with_instrumentation(Instrumentation::Counts),
-        )
-        .exec(exec);
-    let start = Instant::now();
-    let run = runner.run(graph)?;
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    Ok((ms, run))
-}
-
 /// Times full runs on the standard workload at size `n` with `workers`
 /// parallel workers. With `force_threshold` the neighbour-min is always
-/// partitioned; without it the engine's amortization tunable decides (the
+/// partitioned; without it the default amortization threshold decides (the
 /// deployment configuration).
 pub fn time_full_runs(
     n: usize,
@@ -175,8 +128,8 @@ pub fn time_full_runs(
             threshold: None,
         })
     };
-    let (fused_ms, seq) = timed_run(&graph, ExecPath::Fused)?;
-    let (parallel_ms, par) = timed_run(&graph, exec)?;
+    let (fused_ms, seq) = timed_run(&graph, ExecPath::Fused, Instrumentation::Counts)?;
+    let (parallel_ms, par) = timed_run(&graph, exec, Instrumentation::Counts)?;
     let labels_match_union_find = [&seq.labels, &par.labels]
         .iter()
         .all(|l| l.as_slice() == expected.as_slice());

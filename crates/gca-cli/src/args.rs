@@ -299,12 +299,12 @@ fn parse_generator(spec: &str) -> Result<InputSpec, ArgError> {
                 return Err(ArgError(format!("expected gnp:<n>:<permille>[:seed], got '{spec}'")));
             }
             let n = int(parts[1], "n")?;
-            let p_milli = int(parts[2], "permille")? as u32;
+            let p_milli = int(parts[2], "permille")?;
             if p_milli > 1000 {
                 return Err(ArgError(format!("permille {p_milli} exceeds 1000")));
             }
             let seed = if parts.len() == 4 { int(parts[3], "seed")? as u64 } else { 1 };
-            Ok(InputSpec::Gnp { n, p_milli, seed })
+            Ok(InputSpec::Gnp { n, p_milli: p_milli as u32, seed })
         }
         "forest" => {
             if parts.len() < 3 || parts.len() > 4 {
@@ -506,6 +506,11 @@ mod tests {
     fn rejects_malformed_generators() {
         assert!(parse(&argv(&["gnp:64"])).is_err());
         assert!(parse(&argv(&["gnp:64:1500"])).is_err());
+        // Permilles that wrap to 100 and to 0 in a `u32` are still rejected.
+        for permille in ["4294967396", "4294967296"] {
+            let err = parse(&argv(&[&format!("gnp:64:{permille}")])).unwrap_err();
+            assert_eq!(err, ArgError(format!("permille {permille} exceeds 1000")));
+        }
         assert!(parse(&argv(&["forest:x:3"])).is_err());
         assert!(parse(&argv(&["ring:9:9"])).is_err());
     }

@@ -1,25 +1,5 @@
 use crate::metrics::CongestionHistogram;
 use crate::{Access, CellField, Domain, FieldShape, GcaError, GcaRule, Reads, StepCtx};
-use rayon::prelude::*;
-
-/// How cells are evaluated within one generation.
-///
-/// Both backends implement identical semantics (reads observe the previous
-/// generation only), so the choice is purely a throughput knob. The GCA is
-/// "inherently massively parallel"; the parallel backend splits the active
-/// region into coarse chunks evaluated on scoped threads, which pays off once
-/// the region reaches tens of thousands of cells. Small regions (and
-/// [`Instrumentation::Trace`] steps) automatically fall back to the
-/// sequential evaluator, so `Backend::Parallel` never pays thread-spawn cost
-/// on tiny generations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Evaluate cells one by one on the calling thread.
-    #[default]
-    Sequential,
-    /// Evaluate large active regions chunk-wise on parallel threads.
-    Parallel,
-}
 
 /// How much accounting a step performs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -50,7 +30,7 @@ pub enum Instrumentation {
     ///   domain contract ([`GcaError::DomainViolation`]) that hinted
     ///   stepping and the fused kernels depend on.
     ///
-    /// Validation always runs sequentially and densely; reports carry the
+    /// Validation always runs densely; reports carry the
     /// same congestion histograms as `Counts` (and no access trace), so
     /// downstream metrics consumers see a `Counts`-shaped report.
     Validate,
@@ -88,11 +68,6 @@ pub struct StepReport {
     /// [`DomainPolicy::Hinted`], the whole field under
     /// [`DomainPolicy::Dense`].
     pub evaluated_cells: usize,
-    /// Worker chunks that evaluated the generation: `1` whenever the step
-    /// ran on the calling thread — including [`Backend::Parallel`]'s
-    /// automatic below-threshold fallback — and the parallel chunk count
-    /// otherwise. Benches assert on this to prove which path actually ran.
-    pub workers: usize,
     /// Per-target read counts; present under
     /// [`Instrumentation::Counts`] and [`Instrumentation::Trace`].
     pub congestion: Option<CongestionHistogram>,
@@ -127,35 +102,6 @@ impl Tally {
         self.reads += acc.arity() as u64;
         self.changed += usize::from(changed);
     }
-
-    fn merge(&mut self, other: &Tally) {
-        self.active += other.active;
-        self.reads += other.reads;
-        self.changed += other.changed;
-        self.evaluated += other.evaluated;
-    }
-}
-
-/// One parallel chunk's accumulator: counters, a private congestion
-/// histogram (merged into the engine scratch after the join) and an error
-/// slot. Owned by the [`Engine`] so the histogram buffers stay warm across
-/// steps.
-#[derive(Clone, Debug, Default)]
-struct ChunkAcc {
-    tally: Tally,
-    hist: Vec<u32>,
-    error: Option<GcaError>,
-}
-
-impl ChunkAcc {
-    fn reset(&mut self, counting: bool, len: usize) {
-        self.tally = Tally::default();
-        self.error = None;
-        self.hist.clear();
-        if counting {
-            self.hist.resize(len, 0);
-        }
-    }
 }
 
 /// Reusable per-step buffers, owned by the engine so steady-state stepping
@@ -163,36 +109,27 @@ impl ChunkAcc {
 /// `Counts`/`Trace` is the report's owned copy of the result).
 #[derive(Clone, Debug, Default)]
 struct StepScratch {
-    /// Histogram accumulation target (sequential) / merge target (parallel).
+    /// Per-target read counts of the current step.
     reads: Vec<u32>,
     /// Full-field access trace, reused across [`Instrumentation::Trace`]
     /// steps.
     accesses: Vec<Access>,
-    /// Per-chunk accumulators for the parallel backend.
-    chunks: Vec<ChunkAcc>,
 }
-
-/// Below this many evaluated cells a parallel step runs on the calling
-/// thread: the scoped-thread spawn cost of the vendored rayon work-alike
-/// would otherwise dominate.
-const MIN_PAR_CELLS: usize = 16 * 1024;
-
-/// Minimum cells per parallel evaluation chunk (amortizes one thread spawn).
-const MIN_PAR_CHUNK: usize = 8 * 1024;
-
-/// Chunk size for bulk parallel copies of untouched regions.
-const COPY_CHUNK: usize = 64 * 1024;
 
 /// Executes GCA generations over a [`CellField`].
 ///
 /// The engine owns a global generation counter, the execution configuration
-/// ([`Backend`], [`Instrumentation`], [`DomainPolicy`]) and reusable
+/// ([`Instrumentation`], [`DomainPolicy`]) and reusable
 /// accounting scratch, and exposes a single operation — [`Engine::step`] —
 /// that advances a field by exactly one synchronous generation under a
 /// caller-supplied rule and phase tag. Algorithm structure (which rule runs
 /// when, how many sub-generations, when to stop) lives in the algorithm
 /// crates, mirroring the paper's split between the per-cell data path and
 /// the central state machine.
+///
+/// Cells are evaluated one by one on the calling thread. The paper's
+/// cell-level parallelism is simulated, not exploited: the reference engine
+/// is kept simple, and the throughput paths live in the algorithm crates.
 ///
 /// ```
 /// use gca_engine::combinators::FnRule;
@@ -220,44 +157,21 @@ const COPY_CHUNK: usize = 64 * 1024;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Engine {
-    backend: Backend,
     instrumentation: Instrumentation,
     domain_policy: DomainPolicy,
-    /// Override of the [`MIN_PAR_CELLS`] parallel-fallback threshold
-    /// (`None` = default). Shared knob: `gca-hirschberg`'s `FusedParallel`
-    /// path consults the same value via [`Engine::min_parallel_cells`].
-    min_par_cells: Option<usize>,
     generation: u64,
     scratch: StepScratch,
 }
 
 impl Engine {
-    /// A sequential engine with congestion counting (the default).
+    /// An engine with congestion counting (the default).
     pub fn new() -> Self {
         Engine::default()
     }
 
-    /// A sequential engine.
+    /// The same engine as [`Engine::new`].
     pub fn sequential() -> Self {
-        Engine {
-            backend: Backend::Sequential,
-            ..Engine::default()
-        }
-    }
-
-    /// A parallel engine.
-    pub fn parallel() -> Self {
-        Engine {
-            backend: Backend::Parallel,
-            ..Engine::default()
-        }
-    }
-
-    /// Sets the backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
+        Engine::default()
     }
 
     /// Sets the instrumentation level.
@@ -274,23 +188,6 @@ impl Engine {
         self
     }
 
-    /// Overrides the minimum evaluated-cell count below which a
-    /// [`Backend::Parallel`] step falls back to the sequential evaluator
-    /// (default: 16 Ki cells). The fused data-parallel path
-    /// (`gca-hirschberg`'s `FusedParallel`) inherits the same threshold, so
-    /// one knob governs both auto-fallback decisions. `0` disables the
-    /// fallback entirely (useful in tests exercising tiny fields).
-    #[must_use]
-    pub fn with_min_parallel_cells(mut self, cells: usize) -> Self {
-        self.min_par_cells = Some(cells);
-        self
-    }
-
-    /// The configured backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// The configured instrumentation level.
     pub fn instrumentation(&self) -> Instrumentation {
         self.instrumentation
@@ -299,12 +196,6 @@ impl Engine {
     /// The configured domain policy.
     pub fn domain_policy(&self) -> DomainPolicy {
         self.domain_policy
-    }
-
-    /// The effective parallel-fallback threshold in cells (see
-    /// [`Engine::with_min_parallel_cells`]).
-    pub fn min_parallel_cells(&self) -> usize {
-        self.min_par_cells.unwrap_or(MIN_PAR_CELLS)
     }
 
     /// Number of generations executed so far.
@@ -354,11 +245,7 @@ impl Engine {
 
         let (prev, next) = field.buffers();
         let len = prev.len();
-        let StepScratch {
-            reads,
-            accesses,
-            chunks,
-        } = &mut self.scratch;
+        let StepScratch { reads, accesses } = &mut self.scratch;
         if counting {
             reads.clear();
             reads.resize(len, 0);
@@ -371,37 +258,16 @@ impl Engine {
             accesses.resize(len, Access::None);
         }
 
-        // Trace and Validate steps always run sequentially (both exist for
-        // diagnosis, and per-cell trace writes parallelize poorly); so do
-        // small active regions, where thread-spawn cost dominates.
-        let parallel = matches!(self.backend, Backend::Parallel)
-            && !recording
-            && domain.cell_count(&shape) >= self.min_par_cells.unwrap_or(MIN_PAR_CELLS);
-
-        let (tally, workers) = if parallel {
-            step_parallel(
-                rule,
-                &ctx,
-                &shape,
-                &domain,
-                prev,
-                next,
-                chunks,
-                counting.then_some(reads),
-            )?
-        } else {
-            let tally = step_sequential(
-                rule,
-                &ctx,
-                &shape,
-                &domain,
-                prev,
-                next,
-                counting.then_some(reads.as_mut_slice()),
-                recording.then_some(accesses.as_mut_slice()),
-            )?;
-            (tally, 1)
-        };
+        let tally = step_sequential(
+            rule,
+            &ctx,
+            &shape,
+            &domain,
+            prev,
+            next,
+            counting.then_some(reads.as_mut_slice()),
+            recording.then_some(accesses.as_mut_slice()),
+        )?;
 
         if validating {
             let hint = rule.domain(&ctx, &shape).clamped(&shape);
@@ -416,7 +282,6 @@ impl Engine {
             total_reads: tally.reads,
             changed_cells: tally.changed,
             evaluated_cells: tally.evaluated,
-            workers,
             // Swap the accumulation buffers into the report instead of
             // cloning them; [`Engine::recycle`] hands them back.
             congestion: counting
@@ -607,9 +472,8 @@ fn eval_segment<R: GcaRule>(
     Ok(())
 }
 
-/// Sequential evaluator: walks only the domain, copying the untouched
-/// remainder with bulk `clone_from_slice`. Also the fallback path for small
-/// or traced parallel steps.
+/// The evaluator: walks only the domain, copying the untouched remainder
+/// with bulk `clone_from_slice`.
 #[allow(clippy::too_many_arguments)]
 fn step_sequential<R: GcaRule>(
     rule: &R,
@@ -689,152 +553,6 @@ fn step_sequential<R: GcaRule>(
         }
     }
     Ok(tally)
-}
-
-/// Copies `src` into `dst`, chunk-parallel when the region is large enough
-/// to amortize thread spawns.
-fn par_copy<S: Clone + Send + Sync>(dst: &mut [S], src: &[S]) {
-    if dst.len() <= COPY_CHUNK {
-        dst.clone_from_slice(src);
-    } else {
-        dst.par_chunks_mut(COPY_CHUNK)
-            .zip(src.par_chunks(COPY_CHUNK))
-            .for_each(|(d, s)| d.clone_from_slice(s));
-    }
-}
-
-/// Parallel evaluator: splits the active region into coarse chunks, each
-/// folding into its own [`ChunkAcc`] (counters + private histogram), then
-/// merges the accumulators into the engine scratch after the join. No
-/// per-cell intermediate collection is materialized. Returns the tally and
-/// the number of chunks the region was split into (for
-/// [`StepReport::workers`]).
-#[allow(clippy::too_many_arguments)]
-fn step_parallel<R: GcaRule>(
-    rule: &R,
-    ctx: &StepCtx,
-    shape: &FieldShape,
-    domain: &Domain,
-    prev: &[R::State],
-    next: &mut [R::State],
-    chunks: &mut Vec<ChunkAcc>,
-    mut merge: Option<&mut Vec<u32>>,
-) -> Result<(Tally, usize), GcaError> {
-    let len = prev.len();
-    let cols = shape.cols();
-    let counting = merge.is_some();
-
-    // A sparse list is scattered: copy the whole field in parallel, then
-    // evaluate the listed cells on the calling thread (the list is tiny
-    // relative to the field by construction).
-    if let Domain::Sparse(indices) = domain {
-        par_copy(next, prev);
-        let mut tally = Tally::default();
-        for &i in indices {
-            let (acc, active, changed) = eval_cell(rule, ctx, shape, prev, &mut next[i], i)?;
-            tally.bump(&acc, active, changed);
-            if let Some(h) = merge.as_deref_mut() {
-                for t in acc.targets() {
-                    h[t] += 1;
-                }
-            }
-        }
-        return Ok((tally, 1));
-    }
-
-    // Rows and All evaluate one contiguous region; Cols evaluates one short
-    // segment per row, chunked by whole rows.
-    let (region, per_row) = match domain {
-        Domain::All => (0..len, None),
-        Domain::Rows(r) => (r.start * cols..r.end * cols, None),
-        Domain::Cols(c) => (0..len, Some(c.clone())),
-        Domain::Sparse(_) => unreachable!("handled above"),
-    };
-    par_copy(&mut next[..region.start], &prev[..region.start]);
-    par_copy(&mut next[region.end..], &prev[region.end..]);
-
-    let threads = rayon::current_num_threads();
-    let chunk_size = match &per_row {
-        // Contiguous region: chunk by cells.
-        None => (region.end - region.start)
-            .div_ceil(threads)
-            .max(MIN_PAR_CHUNK),
-        // Per-row segments: chunk by whole rows so the in-chunk complement
-        // copies and segment evaluations stay row-aligned.
-        Some(c) => {
-            let rows_per = shape
-                .rows()
-                .div_ceil(threads)
-                .max(MIN_PAR_CHUNK.div_ceil(c.len().max(1)));
-            rows_per * cols
-        }
-    };
-    let region_len = region.end - region.start;
-    let n_chunks = region_len.div_ceil(chunk_size);
-    if chunks.len() < n_chunks {
-        chunks.resize_with(n_chunks, ChunkAcc::default);
-    }
-
-    next[region.clone()]
-        .par_chunks_mut(chunk_size)
-        .zip(chunks[..n_chunks].par_iter_mut())
-        .enumerate()
-        .for_each(|(ci, (seg, acc))| {
-            acc.reset(counting, len);
-            let chunk_start = region.start + ci * chunk_size;
-            match &per_row {
-                None => {
-                    if let Err(e) = eval_segment(
-                        rule,
-                        ctx,
-                        shape,
-                        prev,
-                        seg,
-                        chunk_start,
-                        counting.then_some(acc.hist.as_mut_slice()),
-                        None,
-                        &mut acc.tally,
-                    ) {
-                        acc.error = Some(e);
-                    }
-                }
-                Some(c) => {
-                    for (r_local, row_slice) in seg.chunks_mut(cols).enumerate() {
-                        let base = chunk_start + r_local * cols;
-                        row_slice[..c.start].clone_from_slice(&prev[base..base + c.start]);
-                        row_slice[c.end..].clone_from_slice(&prev[base + c.end..base + cols]);
-                        if let Err(e) = eval_segment(
-                            rule,
-                            ctx,
-                            shape,
-                            prev,
-                            &mut row_slice[c.start..c.end],
-                            base + c.start,
-                            counting.then_some(acc.hist.as_mut_slice()),
-                            None,
-                            &mut acc.tally,
-                        ) {
-                            acc.error = Some(e);
-                            break;
-                        }
-                    }
-                }
-            }
-        });
-
-    let mut tally = Tally::default();
-    for acc in &mut chunks[..n_chunks] {
-        if let Some(e) = acc.error.take() {
-            return Err(e);
-        }
-        tally.merge(&acc.tally);
-        if let Some(target) = merge.as_deref_mut() {
-            for (dst, src) in target.iter_mut().zip(&acc.hist) {
-                *dst += *src;
-            }
-        }
-    }
-    Ok((tally, n_chunks))
 }
 
 #[cfg(test)]
@@ -1057,64 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_pointer_parallel() {
-        let mut f = field(&[0, 0, 0, 0]);
-        let mut e = Engine::parallel();
-        assert!(e.step(&mut f, &Broken, 0, 0).is_err());
-    }
-
-    #[test]
-    fn out_of_range_pointer_parallel_large_field() {
-        // Large enough to take the chunked path: the error surfaces after
-        // the join, collected from the per-chunk error slots.
-        let shape = FieldShape::new(1, 40_000).unwrap();
-        let mut f = CellField::from_states(shape, vec![0u32; 40_000]).unwrap();
-        let mut e = Engine::parallel();
-        let err = e.step(&mut f, &Broken, 0, 0).unwrap_err();
-        assert!(matches!(err, GcaError::PointerOutOfRange { cell: 2, .. }));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let init: Vec<u32> = (0..257).map(|i| i * 3 + 1).collect();
-        let mut fs = field(&init);
-        let mut fp = field(&init);
-        let mut es = Engine::sequential();
-        let mut ep = Engine::parallel();
-        for gen in 0..10 {
-            let rs = es.step(&mut fs, &Rotate, gen, 0).unwrap();
-            let rp = ep.step(&mut fp, &Rotate, gen, 0).unwrap();
-            assert_eq!(fs.states(), fp.states());
-            assert_eq!(rs.active_cells, rp.active_cells);
-            assert_eq!(rs.total_reads, rp.total_reads);
-            assert_eq!(rs.changed_cells, rp.changed_cells);
-            assert_eq!(
-                rs.congestion.as_ref().unwrap(),
-                rp.congestion.as_ref().unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_above_threshold() {
-        // 70_000 cells exceeds MIN_PAR_CELLS, exercising the real chunked
-        // path with per-chunk histogram merging.
-        let init: Vec<u32> = (0..70_000u32).map(|i| i.wrapping_mul(7) + 1).collect();
-        let shape = FieldShape::new(1, init.len()).unwrap();
-        let mut fs = CellField::from_states(shape, init.clone()).unwrap();
-        let mut fp = CellField::from_states(shape, init).unwrap();
-        let mut es = Engine::sequential();
-        let mut ep = Engine::parallel();
-        let rs = es.step(&mut fs, &Rotate, 0, 0).unwrap();
-        let rp = ep.step(&mut fp, &Rotate, 0, 0).unwrap();
-        assert_eq!(fs.states(), fp.states());
-        assert_eq!(rs.active_cells, rp.active_cells);
-        assert_eq!(rs.total_reads, rp.total_reads);
-        assert_eq!(rs.changed_cells, rp.changed_cells);
-        assert_eq!(rs.congestion, rp.congestion);
-    }
-
-    #[test]
     fn instrumentation_off_skips_histogram() {
         let mut f = field(&[1, 2, 3]);
         let mut e = Engine::sequential().with_instrumentation(Instrumentation::Off);
@@ -1123,15 +783,6 @@ mod tests {
         assert!(r.accesses.is_none());
         assert_eq!(r.total_reads, 3);
         assert_eq!(r.max_congestion(), 0);
-    }
-
-    #[test]
-    fn instrumentation_off_parallel_counts() {
-        let mut f = field(&[1, 2, 3, 4]);
-        let mut e = Engine::parallel().with_instrumentation(Instrumentation::Off);
-        let r = e.step(&mut f, &Rotate, 0, 0).unwrap();
-        assert_eq!(r.active_cells, 4);
-        assert_eq!(r.total_reads, 4);
     }
 
     #[test]
@@ -1212,23 +863,16 @@ mod tests {
         rule: &R,
         shape: FieldShape,
         init: impl Fn(usize) -> u32,
-        backend: Backend,
         instrumentation: Instrumentation,
     ) -> (StepReport, StepReport) {
         let mut dense_field = CellField::from_fn(shape, &init);
         let mut hinted_field = CellField::from_fn(shape, &init);
-        let mut dense = Engine {
-            backend,
-            ..Engine::default()
-        }
-        .with_instrumentation(instrumentation)
-        .with_domain_policy(DomainPolicy::Dense);
-        let mut hinted = Engine {
-            backend,
-            ..Engine::default()
-        }
-        .with_instrumentation(instrumentation)
-        .with_domain_policy(DomainPolicy::Hinted);
+        let mut dense = Engine::new()
+            .with_instrumentation(instrumentation)
+            .with_domain_policy(DomainPolicy::Dense);
+        let mut hinted = Engine::new()
+            .with_instrumentation(instrumentation)
+            .with_domain_policy(DomainPolicy::Hinted);
         let rd = dense.step(&mut dense_field, rule, 0, 0).unwrap();
         let rh = hinted.step(&mut hinted_field, rule, 0, 0).unwrap();
         assert_eq!(dense_field.states(), hinted_field.states());
@@ -1252,27 +896,12 @@ mod tests {
                 &BandIncrement { rows: 2..5 },
                 shape,
                 |i| i as u32,
-                Backend::Sequential,
                 instr,
             );
             assert_eq!(rd.evaluated_cells, 48);
             assert_eq!(rh.evaluated_cells, 18); // 3 rows × 6 cols
             assert_eq!(rh.changed_cells, 18);
         }
-    }
-
-    #[test]
-    fn hinted_rows_parallel_bit_identical() {
-        // Large enough for the parallel chunked path on both policies.
-        let shape = FieldShape::new(300, 300).unwrap();
-        let (_, rh) = assert_hinted_equals_dense(
-            &BandIncrement { rows: 10..290 },
-            shape,
-            |i| (i % 97) as u32,
-            Backend::Parallel,
-            Instrumentation::Counts,
-        );
-        assert_eq!(rh.evaluated_cells, 280 * 300);
     }
 
     /// Doubles column 0 only; exercises the `Cols` domain.
@@ -1320,27 +949,11 @@ mod tests {
             &FirstColDouble,
             shape,
             |i| i as u32 + 1,
-            Backend::Sequential,
             Instrumentation::Counts,
         );
         assert_eq!(rd.evaluated_cells, 45);
         assert_eq!(rh.evaluated_cells, 9);
         assert_eq!(rh.active_cells, 9);
-    }
-
-    #[test]
-    fn hinted_cols_parallel_bit_identical() {
-        // Dense runs the parallel Cols path; hinted (600 cells) falls back
-        // to the sequential evaluator — results must still agree.
-        let shape = FieldShape::new(600, 64).unwrap();
-        let (_, rh) = assert_hinted_equals_dense(
-            &FirstColDouble,
-            shape,
-            |i| (i % 13) as u32 + 1,
-            Backend::Parallel,
-            Instrumentation::Counts,
-        );
-        assert_eq!(rh.evaluated_cells, 600);
     }
 
     /// Rotates every eighth cell toward its successor.
@@ -1395,7 +1008,6 @@ mod tests {
                 &SparseStride,
                 shape,
                 |i| i as u32 * 3,
-                Backend::Sequential,
                 instr,
             );
             assert_eq!(rd.evaluated_cells, 64);
@@ -1604,68 +1216,20 @@ mod tests {
     }
 
     #[test]
-    fn validate_forces_sequential_dense() {
-        // A parallel engine under Validate must still take the sequential
-        // dense path (and agree with the sequential dense reference).
-        let shape = FieldShape::new(300, 300).unwrap();
-        let rule = BandIncrement { rows: 10..290 };
-        let mut fp = CellField::from_fn(shape, |i| (i % 97) as u32);
-        let mut fs = CellField::from_fn(shape, |i| (i % 97) as u32);
-        let mut ep = Engine::parallel().with_instrumentation(Instrumentation::Validate);
-        let mut es = Engine::sequential().with_domain_policy(DomainPolicy::Dense);
-        let rp = ep.step(&mut fp, &rule, 0, 0).unwrap();
-        let rs = es.step(&mut fs, &rule, 0, 0).unwrap();
-        assert_eq!(fp.states(), fs.states());
-        assert_eq!(rp.evaluated_cells, 300 * 300);
-        assert_eq!(rp.congestion, rs.congestion);
-    }
-
-    #[test]
-    fn min_parallel_cells_default_and_override() {
-        let e = Engine::parallel();
-        assert_eq!(e.min_parallel_cells(), MIN_PAR_CELLS);
-        let e = Engine::parallel().with_min_parallel_cells(42);
-        assert_eq!(e.min_parallel_cells(), 42);
-    }
-
-    #[test]
-    fn workers_reports_sequential_and_fallback_paths() {
-        // Sequential engines always report one worker.
-        let mut f = field(&[1, 2, 3, 4]);
-        let mut e = Engine::sequential();
-        assert_eq!(e.step(&mut f, &Rotate, 0, 0).unwrap().workers, 1);
-        // A parallel engine below the threshold falls back — and says so.
-        let mut e = Engine::parallel();
-        assert_eq!(e.step(&mut f, &Rotate, 0, 0).unwrap().workers, 1);
-    }
-
-    #[test]
-    fn zero_threshold_forces_parallel_path_and_stays_correct() {
-        // With the fallback disabled even a tiny field takes the chunked
-        // path; results and metrics must match the sequential reference.
-        let init = [10u32, 20, 30, 40, 50];
-        let mut fs = field(&init);
-        let mut fp = field(&init);
-        let mut es = Engine::sequential();
-        let mut ep = Engine::parallel().with_min_parallel_cells(0);
-        let rs = es.step(&mut fs, &Rotate, 0, 0).unwrap();
-        let rp = ep.step(&mut fp, &Rotate, 0, 0).unwrap();
-        assert_eq!(fs.states(), fp.states());
-        assert_eq!(rs.congestion, rp.congestion);
-        assert!(rp.workers >= 1);
-    }
-
-    #[test]
-    fn workers_reports_chunk_count_above_threshold() {
-        // 70_000 cells clears the default threshold; the chunk count is
-        // bounded by available threads, so on a single-core host this still
-        // legitimately reports 1.
-        let shape = FieldShape::new(1, 70_000).unwrap();
-        let mut f = CellField::from_states(shape, vec![0u32; 70_000]).unwrap();
-        let mut e = Engine::parallel();
-        let r = e.step(&mut f, &EvenActive, 0, 0).unwrap();
-        let expect = 70_000usize.div_ceil(70_000usize.div_ceil(rayon::current_num_threads()).max(MIN_PAR_CHUNK));
-        assert_eq!(r.workers, expect);
+    fn validate_forces_dense() {
+        // A hinted engine under Validate must still evaluate the whole field
+        // (and agree with the dense reference).
+        let shape = FieldShape::new(30, 30).unwrap();
+        let rule = BandIncrement { rows: 10..20 };
+        let mut fv = CellField::from_fn(shape, |i| (i % 97) as u32);
+        let mut fd = CellField::from_fn(shape, |i| (i % 97) as u32);
+        let mut ev = Engine::new().with_instrumentation(Instrumentation::Validate);
+        let mut ed = Engine::new().with_domain_policy(DomainPolicy::Dense);
+        let rv = ev.step(&mut fv, &rule, 0, 0).unwrap();
+        let rd = ed.step(&mut fd, &rule, 0, 0).unwrap();
+        assert_eq!(fv.states(), fd.states());
+        assert_eq!(rv.evaluated_cells, 30 * 30);
+        assert_eq!(rv.congestion, rd.congestion);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!    values) and computes its next state ([`GcaRule::evolve`]).
 //!
 //! Because reads always see the previous generation, the result is
-//! independent of evaluation order — the engine exploits this to offer a
-//! sequential and a [rayon]-parallel backend with identical semantics (a
-//! property the test-suite checks).
+//! independent of evaluation order. The engine evaluates cells one by one on
+//! the calling thread: it is the reference semantics, kept simple rather
+//! than fast.
 //!
 //! Instrumentation is a first-class citizen: the paper's evaluation (Table 1)
 //! is about *activity* (cells that compute per generation) and *congestion*
@@ -28,16 +28,10 @@
 //!
 //! # Choosing the knobs
 //!
-//! * **[`Backend`]** — `Sequential` is the default and fastest below a few
-//!   tens of thousands of evaluated cells per generation; `Parallel` splits
-//!   large active regions into coarse chunks on scoped threads and wins once
-//!   a generation evaluates ≳ 16 k cells (it falls back to the sequential
-//!   evaluator below that, so it is safe to enable unconditionally).
 //! * **[`Instrumentation`]** — `Off` for pure timing (allocation-free steady
 //!   state), `Counts` (default) for Table-1 congestion histograms built
 //!   incrementally in engine-owned scratch, `Trace` to additionally retain
-//!   every cell's [`Access`] (runs sequentially; meant for small diagnostic
-//!   fields).
+//!   every cell's [`Access`] (meant for small diagnostic fields).
 //! * **[`DomainPolicy`]** — `Hinted` (default) evaluates only the cells of
 //!   the rule's [`GcaRule::domain`] hint and bulk-copies the rest, which is
 //!   bit-identical to `Dense` whenever the rule honours the [`Domain`]
@@ -77,7 +71,7 @@ mod word;
 
 pub use access::{Access, Reads};
 pub use domain::Domain;
-pub use engine::{Backend, DomainPolicy, Engine, Instrumentation, StepReport};
+pub use engine::{DomainPolicy, Engine, Instrumentation, StepReport};
 pub use error::{DomainViolationKind, GcaError};
 pub use field::CellField;
 pub use geometry::FieldShape;

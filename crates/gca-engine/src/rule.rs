@@ -44,15 +44,15 @@ impl StepCtx {
 ///   cells' **previous-generation** states.
 ///
 /// Rules must be pure functions of their inputs: the engine may evaluate
-/// cells in any order and in parallel. All cells execute the *same* rule
+/// cells in any order. All cells execute the *same* rule
 /// (the paper's "uniform" GCA); position-dependent behaviour is expressed by
 /// branching on `index` (the paper distinguishes the first column, the last
 /// row and the square field exactly this way).
-pub trait GcaRule: Sync {
+pub trait GcaRule {
     /// The cell state type. `PartialEq` lets the engine count changed cells
     /// during the write-back (the basis of convergence detection) without a
     /// second pass over the field.
-    type State: Clone + PartialEq + Send + Sync;
+    type State: Clone + PartialEq;
 
     /// Computes which global cells `index` reads this generation.
     fn access(&self, ctx: &StepCtx, shape: &FieldShape, index: usize, own: &Self::State)

@@ -238,7 +238,6 @@ impl Machine {
                 // Every cell below row 0 leaves the all-zero state.
                 changed_cells: n * n,
                 evaluated_cells: active,
-                workers: 1,
                 congestion: None,
                 accesses: None,
             }
@@ -308,27 +307,13 @@ impl Machine {
             && self.inject.is_none()
     }
 
-    /// Resolves [`ExecPath::FusedParallel`]'s knob into the policy the
-    /// sweep's neighbour-min consumes: auto worker counts default to the
-    /// hardware thread count, an unset threshold inherits the engine's
-    /// shared tunable, and anything that resolves below two workers runs
-    /// the plain sequential sweep.
+    /// The sweep's parallel policy: [`ExecPath::FusedParallel`]'s
+    /// resolved knob, `None` on every other path.
     fn par_policy(&self) -> Option<ParPolicy> {
-        let ExecPath::FusedParallel(cfg) = self.exec else {
-            return None;
-        };
-        let workers = if cfg.workers == 0 {
-            rayon::current_num_threads()
-        } else {
-            cfg.workers
-        };
-        (workers >= 2).then(|| ParPolicy {
-            workers,
-            threshold: cfg
-                .threshold
-                .unwrap_or_else(|| self.engine.min_parallel_cells()),
-            explicit: cfg.workers != 0,
-        })
+        match self.exec {
+            ExecPath::FusedParallel(cfg) => cfg.policy(),
+            _ => None,
+        }
     }
 
     /// Whether a step should account reads (mirrors the engine's `counting`).
@@ -1127,17 +1112,6 @@ mod tests {
             .unwrap();
         // Every executed generation still records exactly one metrics entry.
         assert_eq!(run.metrics.generations() as u64, run.generations);
-    }
-
-    #[test]
-    fn parallel_backend_matches_sequential() {
-        for seed in 0..3 {
-            let g = generators::gnp(19, 0.15, seed);
-            let seq = generic().run(&g).unwrap();
-            let par = generic().with_engine(Engine::parallel()).run(&g).unwrap();
-            assert_eq!(seq.labels, par.labels);
-            assert_eq!(seq.generations, par.generations);
-        }
     }
 
     #[test]

@@ -112,8 +112,8 @@ impl BatchRunner {
     /// is *smaller* than the configured worker count — so `workers / batch`
     /// hardware threads per graph would sit idle — and the configured exec
     /// path is the plain [`ExecPath::Fused`], each machine is upgraded to
-    /// [`ExecPath::FusedParallel`] over the idle share (threshold inherited
-    /// from the engine tunable, so tiny graphs still fall back to
+    /// [`ExecPath::FusedParallel`] over the idle share (default threshold
+    /// [`crate::kernels::MIN_PAR_CELLS`], so tiny graphs still fall back to
     /// sequential kernels). Explicitly configured [`ExecPath::Generic`] or
     /// [`ExecPath::FusedParallel`] paths are never overridden. Labels are
     /// bit-identical either way; only throughput changes.

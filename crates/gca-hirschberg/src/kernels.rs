@@ -4,7 +4,7 @@
 //! [`ExecPath::Generic`] ticks the engine's per-cell
 //! [`gca_engine::GcaRule`] dispatch over the whole `n(n+1)` field, one
 //! generation at a time: the reference semantics, with every
-//! [`gca_engine::Instrumentation`] level and [`gca_engine::Backend`].
+//! [`gca_engine::Instrumentation`] level.
 //!
 //! [`ExecPath::Fused`] and [`ExecPath::FusedParallel`] run each outer
 //! iteration as one vector sweep ([`crate::sweep`]) over `C`, `T′` and the
@@ -36,7 +36,7 @@
 pub enum ExecPath {
     /// The engine's generic per-cell `access`/`evolve` dispatch over the
     /// whole field — the reference semantics, supporting every
-    /// [`gca_engine::Instrumentation`] level and [`gca_engine::Backend`].
+    /// [`gca_engine::Instrumentation`] level.
     Generic,
     /// One vector sweep per outer iteration ([`crate::sweep`]), sequential,
     /// in O(n) state: the default. Bit-identical labelings, `Counts`
@@ -47,9 +47,8 @@ pub enum ExecPath {
     Fused,
     /// The sweep with its neighbour-min split into row chunks *within* one
     /// graph (see [`FusedParallel`]). Runs sequentially when the square is
-    /// below the threshold, exactly like [`gca_engine::Backend::Parallel`]
-    /// does for the generic path. Labels and `Counts` metrics stay
-    /// bit-identical to [`ExecPath::Fused`].
+    /// below the threshold. Labels and `Counts` metrics stay bit-identical
+    /// to [`ExecPath::Fused`].
     FusedParallel(FusedParallel),
 }
 
@@ -63,14 +62,17 @@ pub struct FusedParallel {
     /// be exercised deterministically.
     pub workers: usize,
     /// Minimum square cells (`n²`) before the neighbour-min goes parallel;
-    /// `None` inherits the engine's tunable
-    /// ([`gca_engine::Engine::min_parallel_cells`]), sharing one fallback
-    /// knob with [`gca_engine::Backend::Parallel`].
+    /// `None` means [`MIN_PAR_CELLS`].
     pub threshold: Option<usize>,
 }
 
+/// The default [`FusedParallel::threshold`]: below this many square cells
+/// the neighbour-min runs on the calling thread, because the scoped-thread
+/// spawn cost of the vendored rayon work-alike would otherwise dominate.
+pub const MIN_PAR_CELLS: usize = 16 * 1024;
+
 impl FusedParallel {
-    /// A configuration with an explicit worker count and the shared engine
+    /// A configuration with an explicit worker count and the default
     /// threshold.
     pub fn with_workers(workers: usize) -> Self {
         FusedParallel {
@@ -78,11 +80,28 @@ impl FusedParallel {
             threshold: None,
         }
     }
+
+    /// Resolves the knob into the policy the sweep's neighbour-min
+    /// consumes: an auto worker count defaults to the hardware thread
+    /// count, an unset threshold to [`MIN_PAR_CELLS`], and anything that
+    /// resolves below two workers runs the plain sequential sweep.
+    pub(crate) fn policy(self) -> Option<ParPolicy> {
+        let workers = if self.workers == 0 {
+            rayon::current_num_threads()
+        } else {
+            self.workers
+        };
+        (workers >= 2).then(|| ParPolicy {
+            workers,
+            threshold: self.threshold.unwrap_or(MIN_PAR_CELLS),
+            explicit: self.workers != 0,
+        })
+    }
 }
 
 impl ExecPath {
     /// Shorthand for [`ExecPath::FusedParallel`] with `workers` workers
-    /// (`0` = auto) and the engine-shared threshold.
+    /// (`0` = auto) and the default threshold.
     pub fn fused_parallel(workers: usize) -> Self {
         ExecPath::FusedParallel(FusedParallel::with_workers(workers))
     }
@@ -90,7 +109,7 @@ impl ExecPath {
 
 /// The resolved parallel policy [`crate::Machine`] hands the sweep: worker
 /// count already defaulted (≥ 2, or the machine would not pass a policy at
-/// all) and threshold resolved against the engine tunable.
+/// all) and threshold resolved (see [`FusedParallel::threshold`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ParPolicy {
     /// Target chunk count.
@@ -99,13 +118,12 @@ pub struct ParPolicy {
     pub threshold: usize,
     /// `true` when the worker count was configured explicitly (honor it
     /// exactly); `false` for auto counts (clamp chunks to a minimum size so
-    /// scoped-thread spawns stay amortized, mirroring the engine backend).
+    /// scoped-thread spawns stay amortized).
     pub explicit: bool,
 }
 
 /// Minimum data-plane cells per parallel chunk under an *auto* worker
-/// count (mirrors `gca-engine`'s `MIN_PAR_CHUNK`); explicit worker counts
-/// bypass it.
+/// count; explicit worker counts bypass it.
 pub const MIN_PAR_CHUNK_CELLS: usize = 8 * 1024;
 
 /// Decides the row partitioning of one loop: `None` → run sequentially,
@@ -156,6 +174,19 @@ mod tests {
         assert_eq!(plan_rows(None, 1 << 30, 1 << 10, 1 << 10), None);
         // One row can never split.
         assert_eq!(plan_rows(Some(explicit), 64, 1, 64), None);
+    }
+
+    #[test]
+    fn default_threshold_is_16_ki_square_cells() {
+        let policy = FusedParallel::with_workers(2).policy().unwrap();
+        assert_eq!(policy.threshold, 16_384);
+        // `cli-forest-1024-par`'s square still splits …
+        assert_eq!(plan_rows(Some(policy), 1024 * 1024, 1024, 1024), Some(512));
+        // … and so does n = 128's, exactly at the threshold.
+        assert_eq!(plan_rows(Some(policy), 128 * 128, 128, 128), Some(64));
+        assert_eq!(plan_rows(Some(policy), 127 * 127, 127, 127), None);
+        // Fewer than two workers never yields a policy.
+        assert!(FusedParallel::with_workers(1).policy().is_none());
     }
 
     #[test]

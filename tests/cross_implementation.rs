@@ -1,18 +1,17 @@
 //! Cross-implementation equivalence: every machine in the workspace — the
-//! GCA main machine (sequential and parallel backends, fixed and
-//! early-exit schedules), the n-cell, low-congestion and two-handed
+//! GCA main machine (fused and generic paths, fixed and early-exit
+//! schedules), the n-cell, low-congestion and two-handed
 //! variants, the transitive-closure machine, and the PRAM reference — must
 //! produce the exact canonical labeling of the sequential baselines, over
 //! the whole workload generator zoo. The baseline itself is first checked
 //! by the oracle-free verifier.
 
 use gca_algorithms::transitive_closure;
-use gca_engine::Engine;
 use gca_graphs::connectivity::{bfs_components, dfs_components, union_find_components_dense};
 use gca_graphs::verify::verify_components;
 use gca_graphs::{generators, AdjacencyMatrix};
 use gca_hirschberg::variants::{low_congestion, n_cells, two_handed};
-use gca_hirschberg::{ExecPath, HirschbergGca};
+use gca_hirschberg::HirschbergGca;
 use gca_pram::hirschberg_ref;
 
 fn check_all(graph: &AdjacencyMatrix, context: &str) {
@@ -27,13 +26,6 @@ fn check_all(graph: &AdjacencyMatrix, context: &str) {
 
     let gca = HirschbergGca::new().run(graph).expect("gca run");
     assert_eq!(gca.labels, expected, "GCA main deviates: {context}");
-
-    let gca_par = HirschbergGca::new()
-        .exec(ExecPath::Generic)
-        .with_engine(Engine::parallel())
-        .run(graph)
-        .expect("gca parallel run");
-    assert_eq!(gca_par.labels, expected, "GCA parallel deviates: {context}");
 
     let gca_early = HirschbergGca::new()
         .early_exit(true)

@@ -3,7 +3,7 @@
 //! and against structural invariants of component labelings.
 
 use gca_engine::{
-    Access, Backend, CellField, Domain, DomainPolicy, Engine, FieldShape, GcaRule,
+    Access, CellField, Domain, DomainPolicy, Engine, FieldShape, GcaRule,
     Instrumentation, Reads, StepCtx,
 };
 use gca_graphs::connectivity::union_find_components_dense;
@@ -246,23 +246,20 @@ fn make_domain(kind: usize, a: usize, b: usize, seed: u64, shape: &FieldShape) -
     }
 }
 
-/// Every (backend, policy, instrumentation) combination the engine offers.
+/// Every (policy, instrumentation) combination the engine offers.
 fn engine_configs() -> Vec<Engine> {
     let mut configs = Vec::new();
-    for backend in [Backend::Sequential, Backend::Parallel] {
-        for policy in [DomainPolicy::Dense, DomainPolicy::Hinted] {
-            for instr in [
-                Instrumentation::Off,
-                Instrumentation::Counts,
-                Instrumentation::Trace,
-            ] {
-                configs.push(
-                    Engine::new()
-                        .with_backend(backend)
-                        .with_domain_policy(policy)
-                        .with_instrumentation(instr),
-                );
-            }
+    for policy in [DomainPolicy::Dense, DomainPolicy::Hinted] {
+        for instr in [
+            Instrumentation::Off,
+            Instrumentation::Counts,
+            Instrumentation::Trace,
+        ] {
+            configs.push(
+                Engine::new()
+                    .with_domain_policy(policy)
+                    .with_instrumentation(instr),
+            );
         }
     }
     configs
@@ -272,7 +269,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Stepping any random domain-confined rule under every
-    /// backend/policy/instrumentation combination produces bit-identical
+    /// policy/instrumentation combination produces bit-identical
     /// fields, active-cell counts, read totals, changed-cell counts and
     /// congestion histograms; hinted stepping never evaluates more cells
     /// than dense stepping.
@@ -421,7 +418,7 @@ proptest! {
     /// counts and `Counts` metrics entry for entry — for every worker count
     /// in a small sweep. `threshold: Some(0)` forces the partitioned
     /// neighbour-min even on these small fields (the auto-fallback would
-    /// otherwise make this test vacuous below the engine tunable).
+    /// otherwise make this test vacuous below `kernels::MIN_PAR_CELLS`).
     #[test]
     fn parallel_fused_equals_fused_and_generic(g in arb_fused_graph()) {
         let generic = HirschbergGca::new().exec(ExecPath::Generic).run(&g).unwrap();
