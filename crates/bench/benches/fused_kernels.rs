@@ -1,7 +1,6 @@
 //! Fused-path benchmark: the generic per-cell engine path (hinted
-//! domains — its tuned configuration) vs. the vector sweep of
-//! `ExecPath::Fused`, plus the batched multi-graph runner's throughput
-//! scaling.
+//! domains) vs. the vector sweep of `ExecPath::Fused`, plus the batched
+//! multi-graph runner's throughput scaling.
 //!
 //! The interesting comparisons, per problem size `n`:
 //!
@@ -51,11 +50,7 @@ fn bench_full_run(c: &mut Criterion) {
             for (exec, name) in [(ExecPath::Generic, "generic"), (ExecPath::Fused, "fused")] {
                 let graph = generators::gnp(n, 0.3, fused::SEED);
                 let runner = gca_hirschberg::HirschbergGca::new()
-                    .with_engine(
-                        gca_engine::Engine::sequential()
-                            .with_domain_policy(gca_engine::DomainPolicy::Hinted)
-                            .with_instrumentation(instr),
-                    )
+                    .with_engine(gca_engine::Engine::sequential().with_instrumentation(instr))
                     .exec(exec);
                 group.bench_with_input(
                     BenchmarkId::new(format!("{name}_{instr_name}"), n),

@@ -2,15 +2,13 @@
 //! document — the companion artifact to EXPERIMENTS.md, so reported values
 //! can be diffed against a fresh run in CI or during review.
 //!
-//! Usage: `export_results [n] [--sparse-out <path>] [--fused-out <path>]
-//! [> results.json]` (default n = 16, the paper's synthesized size). With
-//! `--sparse-out` the sparse-stepping measurements are additionally written
-//! to `<path>` (conventionally `BENCH_sparse_stepping.json` at the repo
-//! root, so the perf trajectory is tracked across PRs); `--fused-out` does
-//! the same for the fused-kernel measurements
-//! (conventionally `BENCH_fused_kernels.json`).
+//! Usage: `export_results [n] [--fused-out <path>] [> results.json]`
+//! (default n = 16, the paper's synthesized size). With `--fused-out` the
+//! fused-kernel measurements are additionally written to `<path>`
+//! (conventionally `BENCH_fused_kernels.json` at the repo root, so the perf
+//! trajectory is tracked across changes).
 
-use gca_bench::{fused, sparse};
+use gca_bench::fused;
 use gca_emu::hirschberg_program;
 use gca_engine::{Engine, Instrumentation};
 use gca_graphs::{generators, properties};
@@ -19,48 +17,6 @@ use gca_hirschberg::{complexity, table1, timing, HirschbergGca};
 use gca_hw_model::{analysis, estimate_variant, paper_reference, CostParams, Variant, EP2C70};
 use gca_pram::hirschberg_ref;
 use serde_json::json;
-
-/// Measures dense-vs-hinted stepping and fixed-vs-detected convergence
-/// (the `sparse_stepping` bench's quantities, one sample each).
-fn sparse_stepping_doc() -> serde_json::Value {
-    let mut generation_rows = Vec::new();
-    for &n in &sparse::SIZES {
-        // Enough repetitions for stable medians at small n, few at large n.
-        let reps = (1 << 20 >> (n.ilog2())).clamp(2, 64) as u32;
-        for (gen, sub) in sparse::restricted_generations() {
-            let t = sparse::time_generation(n, gen, sub, reps).expect("sparse generation timing");
-            generation_rows.push(json!({
-                "n": t.n,
-                "generation": t.generation.number(),
-                "subgeneration": t.subgeneration,
-                "dense_ns_per_step": t.dense_ns_per_step.json(),
-                "hinted_ns_per_step": t.hinted_ns_per_step.json(),
-                "speedup": t.speedup(),
-                "metrics_identical": t.metrics_identical,
-            }));
-        }
-    }
-    let full_rows: Vec<serde_json::Value> = [16usize, 64, 256]
-        .iter()
-        .map(|&n| {
-            let t = sparse::time_full_runs(n).expect("sparse full-run timing");
-            json!({
-                "n": t.n,
-                "dense_fixed_ms": t.dense_fixed_ms,
-                "hinted_fixed_ms": t.hinted_fixed_ms,
-                "hinted_detect_ms": t.hinted_detect_ms,
-                "fixed_generations": t.fixed_generations,
-                "detect_generations": t.detect_generations,
-                "labels_match_union_find": t.labels_match_union_find,
-            })
-        })
-        .collect();
-    json!({
-        "workload": format!("gnp(n, 0.3, seed {})", sparse::SEED),
-        "restricted_generations": generation_rows,
-        "full_runs": full_rows,
-    })
-}
 
 /// Measures generic-vs-fused outer iterations, full runs under both
 /// `Counts` and `Off` instrumentation, and the batched runner's throughput
@@ -124,10 +80,6 @@ fn fused_kernels_doc() -> serde_json::Value {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let sparse_out = args
-        .iter()
-        .position(|a| a == "--sparse-out")
-        .map(|i| args.get(i + 1).expect("--sparse-out needs a path").clone());
     let fused_out = args
         .iter()
         .position(|a| a == "--fused-out")
@@ -184,26 +136,11 @@ fn main() {
         .map(|&v| serde_json::to_value(analysis::area_time(v, n, &params)).expect("serialize"))
         .collect();
 
-    // --- Sparse active-domain stepping --------------------------------------
+    // --- Fused kernels and batched throughput --------------------------------
     // Every exported document carries the provenance stamp (worker budget,
     // CPU count, commit SHA): checked-in speedup numbers are only
     // interpretable together with the machine that produced them.
     let stamp = gca_bench::stamp();
-    let mut sparse_doc = sparse_stepping_doc();
-    sparse_doc["stamp"] = stamp.clone();
-    if let Some(path) = &sparse_out {
-        std::fs::write(
-            path,
-            format!(
-                "{}\n",
-                serde_json::to_string_pretty(&sparse_doc).expect("serializable")
-            ),
-        )
-        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("sparse-stepping results written to {path}");
-    }
-
-    // --- Fused kernels and batched throughput --------------------------------
     let mut fused_doc = fused_kernels_doc();
     fused_doc["stamp"] = stamp.clone();
     if let Some(path) = &fused_out {
@@ -270,7 +207,6 @@ fn main() {
             },
         },
         "area_time": at,
-        "sparse_stepping": sparse_doc,
         "fused_kernels": fused_doc,
     });
 

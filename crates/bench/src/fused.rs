@@ -7,30 +7,27 @@
 //! is *bit-identical* labelings, `Counts` metrics and iteration-boundary
 //! fields versus the generic path — every timing helper here asserts that
 //! equivalence on the workload before publishing a number. The comparison
-//! baseline is the generic path under [`DomainPolicy::Hinted`] (the tuned
-//! engine configuration of the `sparse_stepping` bench). Single generations
+//! baseline is the generic path, which evaluates only each generation's
+//! hinted domain. Single generations
 //! are no longer compared: [`Machine::step`] is observation and ticks the
 //! engine on every path.
 
 use crate::NsPerStep;
-use gca_engine::{DomainPolicy, Engine, GcaError, Instrumentation};
+use gca_engine::{Engine, GcaError, Instrumentation};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::generators;
 use gca_hirschberg::{BatchRunner, ExecPath, HirschbergGca, Machine};
 use std::time::Instant;
 
-/// Seed shared by all fused-kernel workloads (same as `sparse`).
+/// Seed shared by all fused-kernel workloads.
 pub const SEED: u64 = 2007;
 
 /// Problem sizes the export tracks.
 pub const SIZES: [usize; 4] = [16, 64, 256, 1024];
 
-/// The engine every timing helper here runs under: the generic path's
-/// tuned configuration (hinted domains).
+/// The engine every timing helper here runs under.
 fn engine(instrumentation: Instrumentation) -> Engine {
-    Engine::sequential()
-        .with_domain_policy(DomainPolicy::Hinted)
-        .with_instrumentation(instrumentation)
+    Engine::sequential().with_instrumentation(instrumentation)
 }
 
 /// An initialized machine on the standard workload under the given path.
@@ -112,7 +109,7 @@ pub struct FusedRunTiming {
     pub n: usize,
     /// Instrumentation the two runs executed under (`"off"` / `"counts"`).
     pub instrumentation: &'static str,
-    /// Milliseconds for the generic hinted-policy run.
+    /// Milliseconds for the generic (hinted) run.
     pub generic_ms: f64,
     /// Milliseconds for the fused run.
     pub fused_ms: f64,

@@ -9,7 +9,6 @@
 
 pub mod fused;
 pub mod parallel;
-pub mod sparse;
 pub mod tables;
 pub mod workloads;
 

@@ -119,7 +119,8 @@ fn run_isa(n: usize, seeded: bool) {
 
     // ISA layer: Listing 1 compiled for a random graph.
     let graph = generators::gnp(n, 0.3, 2007);
-    let compiled = hirschberg_program::compile(&graph);
+    let compiled = hirschberg_program::compile(&graph)
+        .unwrap_or_else(|e| fail(&format!("hirschberg-listing1: {e}")));
     check_isa_program(
         "hirschberg-listing1",
         &compiled.program,

@@ -272,7 +272,9 @@ OPTIONS:
   --inject <spec>    plant one deterministic fault and run under the recovery supervisor
                      (gca machine only). Spec grammar:
                        <kind>[@<gen>[.<cell>[.<bit>]]][:seed=<u64>][:sticky]
-                     with kind bitflip | torn | drop.
+                     with kind bitflip | torn | drop. An explicit <gen> must lie in 1..G,
+                     G the fixed schedule's generation count (also under --convergence
+                     detect), and <cell> below the n(n+1) field cells; otherwise exit 1.
                      Detection needs --validate; an undetected label divergence exits 4.
   --recover <p>      recovery policy when a detector fires (implies supervision):
                      fail (default with --inject) | retry[:N] | rollback[:D] | degrade —

@@ -210,7 +210,7 @@ fn supervised_gca(
             machine.layout().cells(),
             total_generations(graph.n()),
             machine.exec_level(),
-        );
+        )?;
         machine.set_fault_plan(Some(plan));
     }
 

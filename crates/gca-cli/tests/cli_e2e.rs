@@ -285,6 +285,24 @@ fn bad_fault_spec_fails_with_usage() {
 }
 
 #[test]
+fn unreachable_fault_site_fails_before_the_run() {
+    // path:3 runs 29 generations over a 12-cell field: generation
+    // 99999999 and cell 99999 are past the run, and generation 0 is the
+    // init generation, which a fault never hits.
+    for args in [
+        &["path:3", "--inject", "bitflip@99999999"][..],
+        &["path:3", "--inject", "bitflip@5.99999"][..],
+        &["path:3", "--inject", "bitflip@0", "--validate", "--recover", "retry:2"][..],
+    ] {
+        let out = gca_cc().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.starts_with("error: fault ") && err.contains("never fire"), "{err}");
+    }
+}
+
+#[test]
 fn help_prints_usage_and_succeeds() {
     let out = gca_cc().args(["--help"]).output().expect("spawn");
     assert!(out.status.success());

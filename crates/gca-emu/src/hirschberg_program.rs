@@ -65,10 +65,12 @@ fn always_if_col0() -> Cond {
     }
 }
 
-/// Compiles Listing 1 for `graph`.
-pub fn compile(graph: &AdjacencyMatrix) -> CompiledHirschberg {
+/// Compiles Listing 1 for `graph`, which needs at least one node.
+pub fn compile(graph: &AdjacencyMatrix) -> Result<CompiledHirschberg, EmuError> {
     let n = graph.n();
-    assert!(n >= 1, "need at least one node");
+    if n == 0 {
+        return Err(EmuError::EmptyGraph);
+    }
     let procs = n * n;
     let t_base = n;
     let temp_base = 2 * n;
@@ -222,13 +224,13 @@ pub fn compile(graph: &AdjacencyMatrix) -> CompiledHirschberg {
         });
     }
 
-    CompiledHirschberg {
+    Ok(CompiledHirschberg {
         program: prog,
         procs,
         memory,
         owners,
         n,
-    }
+    })
 }
 
 /// The `⌈log₂ n⌉` tree-reduction rounds over the temp rows.
@@ -296,7 +298,7 @@ pub fn connected_components(graph: &AdjacencyMatrix) -> Result<Labeling, EmuErro
     if n == 0 {
         return Ok(Labeling::empty());
     }
-    let compiled = compile(graph);
+    let compiled = compile(graph)?;
     let mut machine = PramOnGca::new(compiled.procs, &compiled.memory, &compiled.owners)?;
     let run = machine.run_program(&compiled.program)?;
     Labeling::new(run.memory[..n].iter().map(|&v| v as usize).collect()).map_err(|e| {
@@ -351,10 +353,15 @@ mod tests {
     }
 
     #[test]
+    fn compile_rejects_the_empty_graph() {
+        assert_eq!(compile(&generators::empty(0)).err(), Some(EmuError::EmptyGraph));
+    }
+
+    #[test]
     fn generation_formula_matches_execution() {
         for n in [2usize, 4, 8, 11] {
             let g = generators::gnp(n, 0.3, 3);
-            let compiled = compile(&g);
+            let compiled = compile(&g).unwrap();
             let mut m = PramOnGca::new(compiled.procs, &compiled.memory, &compiled.owners)
                 .unwrap();
             let run = m.run_program(&compiled.program).unwrap();

@@ -66,6 +66,26 @@ pub enum EmuError {
         /// Processor count.
         procs: usize,
     },
+    /// The owner map does not have one entry per memory cell.
+    OwnerMapSize {
+        /// Owner-map length.
+        owners: usize,
+        /// Memory size.
+        memory: usize,
+    },
+    /// A machine needs at least one processor.
+    NoProcessors,
+    /// An owner-map entry names a processor the machine does not have.
+    OwnerOutOfRange {
+        /// The memory address.
+        addr: usize,
+        /// Its registered owner.
+        owner: usize,
+        /// Processor count.
+        procs: usize,
+    },
+    /// Listing 1 needs a graph with at least one node.
+    EmptyGraph,
 }
 
 impl fmt::Display for EmuError {
@@ -79,6 +99,15 @@ impl fmt::Display for EmuError {
             EmuError::ConstTableSize { table, procs } => {
                 write!(f, "const table has {table} entries for {procs} processors")
             }
+            EmuError::OwnerMapSize { owners, memory } => {
+                write!(f, "owner map has {owners} entries for {memory} memory cells")
+            }
+            EmuError::NoProcessors => write!(f, "the machine needs at least one processor"),
+            EmuError::OwnerOutOfRange { addr, owner, procs } => write!(
+                f,
+                "address {addr} is owned by processor {owner}, but there are {procs} processors"
+            ),
+            EmuError::EmptyGraph => write!(f, "the program needs a graph with at least one node"),
         }
     }
 }
@@ -274,15 +303,18 @@ pub struct PramOnGca {
 impl PramOnGca {
     /// Builds a machine with `procs` processors, initial memory contents
     /// and the owner map (`owners[a]` = processor allowed to write `a`).
-    ///
-    /// # Panics
-    /// Panics if the owner map length differs from the memory size or an
-    /// owner index is out of range.
     pub fn new(procs: usize, memory: &[Value], owners: &[usize]) -> Result<Self, EmuError> {
-        assert_eq!(memory.len(), owners.len(), "owner map must cover memory");
-        assert!(procs > 0, "need at least one processor");
-        for (a, &o) in owners.iter().enumerate() {
-            assert!(o < procs, "owner {o} of address {a} out of range");
+        if memory.len() != owners.len() {
+            return Err(EmuError::OwnerMapSize {
+                owners: owners.len(),
+                memory: memory.len(),
+            });
+        }
+        if procs == 0 {
+            return Err(EmuError::NoProcessors);
+        }
+        if let Some((addr, &owner)) = owners.iter().enumerate().find(|&(_, &o)| o >= procs) {
+            return Err(EmuError::OwnerOutOfRange { addr, owner, procs });
         }
         let shape = FieldShape::new(1, procs + memory.len())?;
         let field = CellField::from_fn(shape, |i| {
@@ -541,6 +573,27 @@ mod tests {
         assert_eq!(
             m.run_program(&p).unwrap_err(),
             EmuError::ConstTableSize { table: 2, procs: 3 }
+        );
+    }
+
+    #[test]
+    fn owner_map_must_cover_memory() {
+        assert_eq!(
+            PramOnGca::new(2, &[0, 0, 0], &[0, 1]).err(),
+            Some(EmuError::OwnerMapSize { owners: 2, memory: 3 })
+        );
+    }
+
+    #[test]
+    fn zero_processors_rejected() {
+        assert_eq!(PramOnGca::new(0, &[], &[]).err(), Some(EmuError::NoProcessors));
+    }
+
+    #[test]
+    fn owner_out_of_range_rejected() {
+        assert_eq!(
+            PramOnGca::new(2, &[0, 0, 0], &[0, 1, 2]).err(),
+            Some(EmuError::OwnerOutOfRange { addr: 2, owner: 2, procs: 2 })
         );
     }
 

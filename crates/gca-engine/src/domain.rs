@@ -7,8 +7,7 @@
 //! that "perform a calculation", and for most generations that is `n` or
 //! fewer out of `n(n+1)`. A [`Domain`] lets the rule tell the engine where
 //! that region is, so the engine can evaluate only the hinted cells and bulk
-//! copy the untouched remainder (see
-//! [`DomainPolicy`](crate::DomainPolicy)).
+//! copy the untouched remainder.
 
 use crate::FieldShape;
 use std::ops::Range;
@@ -26,10 +25,10 @@ use std::ops::Range;
 ///
 /// Under that contract, hinted stepping is **bit-identical** to dense
 /// stepping — same next field, same active/read/congestion metrics — because
-/// the skipped cells would have contributed nothing. The engine does not
+/// the skipped cells would have contributed nothing. A hinted step does not
 /// verify the contract (that would cost the evaluation being skipped);
-/// [`DomainPolicy::Dense`](crate::DomainPolicy::Dense) exists so tests can
-/// compare both paths.
+/// [`Instrumentation::Validate`](crate::Instrumentation::Validate) evaluates
+/// the whole field and fails on any out-of-domain cell that breaks it.
 ///
 /// Row/column ranges are half-open and clamped to the field; a
 /// [`Domain::Sparse`] list must hold strictly increasing in-range linear

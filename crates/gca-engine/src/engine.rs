@@ -36,19 +36,6 @@ pub enum Instrumentation {
     Validate,
 }
 
-/// Whether the engine trusts [`GcaRule::domain`] hints.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DomainPolicy {
-    /// Evaluate every cell every generation, ignoring hints. The reference
-    /// semantics; use it to validate that a rule's hints are faithful.
-    Dense,
-    /// Evaluate only the cells of the rule's [`Domain`] hint and bulk-copy
-    /// the untouched remainder. Bit-identical to [`DomainPolicy::Dense`]
-    /// whenever the rule upholds the domain contract (see [`Domain`]).
-    #[default]
-    Hinted,
-}
-
 /// The outcome of one synchronous generation.
 #[derive(Clone, Debug)]
 pub struct StepReport {
@@ -64,9 +51,8 @@ pub struct StepReport {
     /// generation was a fixed point — the signal convergence detection keys
     /// on.
     pub changed_cells: usize,
-    /// Cells the engine actually evaluated: the hinted domain's size under
-    /// [`DomainPolicy::Hinted`], the whole field under
-    /// [`DomainPolicy::Dense`].
+    /// Cells the engine actually evaluated: the hint size, or the whole
+    /// field under [`Instrumentation::Validate`].
     pub evaluated_cells: usize,
     /// Per-target read counts; present under
     /// [`Instrumentation::Counts`] and [`Instrumentation::Trace`].
@@ -119,7 +105,7 @@ struct StepScratch {
 /// Executes GCA generations over a [`CellField`].
 ///
 /// The engine owns a global generation counter, the execution configuration
-/// ([`Instrumentation`], [`DomainPolicy`]) and reusable
+/// ([`Instrumentation`]) and reusable
 /// accounting scratch, and exposes a single operation — [`Engine::step`] —
 /// that advances a field by exactly one synchronous generation under a
 /// caller-supplied rule and phase tag. Algorithm structure (which rule runs
@@ -158,7 +144,6 @@ struct StepScratch {
 #[derive(Clone, Debug, Default)]
 pub struct Engine {
     instrumentation: Instrumentation,
-    domain_policy: DomainPolicy,
     generation: u64,
     scratch: StepScratch,
 }
@@ -181,21 +166,9 @@ impl Engine {
         self
     }
 
-    /// Sets the domain policy (hinted stepping vs. dense reference).
-    #[must_use]
-    pub fn with_domain_policy(mut self, policy: DomainPolicy) -> Self {
-        self.domain_policy = policy;
-        self
-    }
-
     /// The configured instrumentation level.
     pub fn instrumentation(&self) -> Instrumentation {
         self.instrumentation
-    }
-
-    /// The configured domain policy.
-    pub fn domain_policy(&self) -> DomainPolicy {
-        self.domain_policy
     }
 
     /// Number of generations executed so far.
@@ -211,10 +184,11 @@ impl Engine {
     /// Executes one synchronous generation of `rule` over `field`.
     ///
     /// `phase` and `subgeneration` are forwarded to the rule via [`StepCtx`];
-    /// the engine neither interprets nor constrains them. Under
-    /// [`DomainPolicy::Hinted`] the rule's [`GcaRule::domain`] hint decides
-    /// which cells are evaluated; the rest of the field is copied forward in
-    /// bulk. On error the field is left on its previous generation.
+    /// the engine neither interprets nor constrains them. The rule's
+    /// [`GcaRule::domain`] hint decides which cells are evaluated (the whole
+    /// field under [`Instrumentation::Validate`]); the rest of the field is
+    /// copied forward in bulk. On error the field is left on its previous
+    /// generation.
     pub fn step<R: GcaRule>(
         &mut self,
         field: &mut CellField<R::State>,
@@ -237,10 +211,7 @@ impl Engine {
         let domain = if validating {
             Domain::All
         } else {
-            match self.domain_policy {
-                DomainPolicy::Dense => Domain::All,
-                DomainPolicy::Hinted => rule.domain(&ctx, &shape).clamped(&shape),
-            }
+            rule.domain(&ctx, &shape).clamped(&shape)
         };
 
         let (prev, next) = field.buffers();
@@ -856,9 +827,11 @@ mod tests {
         assert_eq!(r.changed_cells, 0);
     }
 
-    /// Steps `rule` once under each policy on identical fields, asserts the
+    /// Steps `rule` once hinted (under `instrumentation`) and once under
+    /// `Validate` (dense, hint checked) on identical fields, asserts the
     /// fields and all metrics are bit-identical, and returns both reports
-    /// (dense, hinted) for evaluated-cell assertions.
+    /// (dense, hinted) for evaluated-cell assertions. A hinted trace must
+    /// hold no access outside the hint.
     fn assert_hinted_equals_dense<R: GcaRule<State = u32>>(
         rule: &R,
         shape: FieldShape,
@@ -867,20 +840,25 @@ mod tests {
     ) -> (StepReport, StepReport) {
         let mut dense_field = CellField::from_fn(shape, &init);
         let mut hinted_field = CellField::from_fn(shape, &init);
-        let mut dense = Engine::new()
-            .with_instrumentation(instrumentation)
-            .with_domain_policy(DomainPolicy::Dense);
-        let mut hinted = Engine::new()
-            .with_instrumentation(instrumentation)
-            .with_domain_policy(DomainPolicy::Hinted);
+        let mut dense = Engine::new().with_instrumentation(Instrumentation::Validate);
+        let mut hinted = Engine::new().with_instrumentation(instrumentation);
         let rd = dense.step(&mut dense_field, rule, 0, 0).unwrap();
         let rh = hinted.step(&mut hinted_field, rule, 0, 0).unwrap();
         assert_eq!(dense_field.states(), hinted_field.states());
         assert_eq!(rd.active_cells, rh.active_cells);
         assert_eq!(rd.total_reads, rh.total_reads);
         assert_eq!(rd.changed_cells, rh.changed_cells);
-        assert_eq!(rd.congestion, rh.congestion);
-        assert_eq!(rd.accesses, rh.accesses);
+        if rh.congestion.is_some() {
+            assert_eq!(rd.congestion, rh.congestion);
+        }
+        if let Some(accesses) = &rh.accesses {
+            let hint = rule.domain(&rh.ctx, &shape).clamped(&shape);
+            for (i, acc) in accesses.iter().enumerate() {
+                if !hint.contains(&shape, i) {
+                    assert_eq!(*acc, Access::None, "cell {i} outside the hint");
+                }
+            }
+        }
         (rd, rh)
     }
 
@@ -1013,16 +991,6 @@ mod tests {
             assert_eq!(rd.evaluated_cells, 64);
             assert_eq!(rh.evaluated_cells, 8);
         }
-    }
-
-    #[test]
-    fn dense_policy_ignores_hints() {
-        let shape = FieldShape::new(4, 4).unwrap();
-        let mut f = CellField::from_fn(shape, |i| i as u32);
-        let mut e = Engine::sequential().with_domain_policy(DomainPolicy::Dense);
-        let r = e.step(&mut f, &BandIncrement { rows: 1..2 }, 0, 0).unwrap();
-        assert_eq!(r.evaluated_cells, 16);
-        assert_eq!(r.changed_cells, 4);
     }
 
     #[test]
@@ -1162,7 +1130,7 @@ mod tests {
         let rule = BandIncrement { rows: 1..3 };
         let mut fc = CellField::from_fn(shape, |i| i as u32);
         let mut fv = CellField::from_fn(shape, |i| i as u32);
-        let mut ec = Engine::sequential().with_domain_policy(DomainPolicy::Dense);
+        let mut ec = Engine::sequential();
         let mut ev = Engine::sequential().with_instrumentation(Instrumentation::Validate);
         let rc = ec.step(&mut fc, &rule, 0, 0).unwrap();
         let rv = ev.step(&mut fv, &rule, 0, 0).unwrap();
@@ -1218,13 +1186,13 @@ mod tests {
     #[test]
     fn validate_forces_dense() {
         // A hinted engine under Validate must still evaluate the whole field
-        // (and agree with the dense reference).
+        // (and agree with the default hinted engine).
         let shape = FieldShape::new(30, 30).unwrap();
         let rule = BandIncrement { rows: 10..20 };
         let mut fv = CellField::from_fn(shape, |i| (i % 97) as u32);
         let mut fd = CellField::from_fn(shape, |i| (i % 97) as u32);
         let mut ev = Engine::new().with_instrumentation(Instrumentation::Validate);
-        let mut ed = Engine::new().with_domain_policy(DomainPolicy::Dense);
+        let mut ed = Engine::new();
         let rv = ev.step(&mut fv, &rule, 0, 0).unwrap();
         let rd = ed.step(&mut fd, &rule, 0, 0).unwrap();
         assert_eq!(fv.states(), fd.states());

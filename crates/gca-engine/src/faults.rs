@@ -224,6 +224,28 @@ impl fmt::Display for FaultParseError {
 
 impl std::error::Error for FaultParseError {}
 
+/// An explicit coordinate outside the run a spec is resolved against, so
+/// the fault could never fire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultRangeError {
+    /// Generation `.0` is not in `1..total` (`.1`): init, or past the run.
+    Generation(u64, u64),
+    /// Cell `.0` is not below the field's `.1` cells.
+    Cell(usize, usize),
+}
+
+impl fmt::Display for FaultRangeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (what, value, range) = match *self {
+            FaultRangeError::Generation(g, total) => ("generation", g, format!("1..{total}")),
+            FaultRangeError::Cell(c, cells) => ("cell", c as u64, format!("0..{cells}")),
+        };
+        write!(f, "fault {what} {value} is outside this run's {range}; the fault could never fire")
+    }
+}
+
+impl std::error::Error for FaultRangeError {}
+
 impl FaultSpec {
     /// Parses a spec string.
     ///
@@ -306,10 +328,24 @@ impl FaultSpec {
     /// from a splitmix64 stream: generation in `1..total_generations`
     /// (never the init generation), cell in `0..cells`, bit in the word
     /// width. Sticky specs bind to `level` — the resolving machine's own
-    /// rung, so degrading below it clears the fault.
-    pub fn resolve(&self, cells: usize, total_generations: u64, level: u8) -> FaultPlan {
+    /// rung, so degrading below it clears the fault. Explicit coordinates
+    /// outside those ranges are a [`FaultRangeError`].
+    pub fn resolve(
+        &self,
+        cells: usize,
+        total_generations: u64,
+        level: u8,
+    ) -> Result<FaultPlan, FaultRangeError> {
         let mut kind = self.kind;
         let (generation, cell) = match self.addr {
+            FaultAddr::Explicit { generation, .. }
+                if !(1..total_generations).contains(&generation) =>
+            {
+                return Err(FaultRangeError::Generation(generation, total_generations))
+            }
+            FaultAddr::Explicit { cell, .. } if cell >= cells => {
+                return Err(FaultRangeError::Cell(cell, cells))
+            }
             FaultAddr::Explicit { generation, cell, .. } => (generation, cell),
             FaultAddr::Seed(seed) => {
                 let mut stream = SplitMix64::new(seed);
@@ -325,11 +361,7 @@ impl FaultSpec {
             }
         };
         let plan = FaultPlan::new(kind, generation, cell);
-        if self.sticky {
-            plan.sticky(level)
-        } else {
-            plan
-        }
+        Ok(if self.sticky { plan.sticky(level) } else { plan })
     }
 }
 
@@ -392,11 +424,11 @@ mod tests {
     fn parse_seeded() {
         let spec = FaultSpec::parse("torn:seed=42").unwrap();
         assert_eq!(spec.addr, FaultAddr::Seed(42));
-        let plan = spec.resolve(90, 53, 1);
+        let plan = spec.resolve(90, 53, 1).unwrap();
         assert!(plan.generation() >= 1 && plan.generation() < 53);
         assert!(plan.cell() < 90);
         // Deterministic: the same seed resolves to the same site.
-        assert_eq!(plan, spec.resolve(90, 53, 1));
+        assert_eq!(plan, spec.resolve(90, 53, 1).unwrap());
     }
 
     #[test]
@@ -448,6 +480,25 @@ mod tests {
         let plan = FaultPlan::new(FaultKind::BitFlip { bit: 5 }, 24, 13);
         assert_eq!(plan.to_string(), "bitflip@24.13.5");
         let spec = FaultSpec::parse(&plan.to_string()).unwrap();
-        assert_eq!(spec.resolve(100, 100, 0), plan);
+        assert_eq!(spec.resolve(100, 100, 0), Ok(plan));
+    }
+
+    #[test]
+    fn resolve_rejects_explicit_sites_outside_the_run() {
+        // path:3 runs 29 generations over a 12-cell field.
+        let resolve = |s: &str| FaultSpec::parse(s).unwrap().resolve(12, 29, 0);
+        for (spec, err) in [
+            ("bitflip@99999999", FaultRangeError::Generation(99_999_999, 29)),
+            ("bitflip@29", FaultRangeError::Generation(29, 29)),
+            ("bitflip@0", FaultRangeError::Generation(0, 29)),
+            ("bitflip@5.99999", FaultRangeError::Cell(99_999, 12)),
+            ("torn@5.12", FaultRangeError::Cell(12, 12)),
+        ] {
+            assert_eq!(resolve(spec), Err(err), "{spec}");
+        }
+        assert_eq!(resolve("bitflip@28.11.3").unwrap().generation(), 28);
+        assert!(resolve("drop").is_ok());
+        let msg = resolve("bitflip@0").unwrap_err().to_string();
+        assert!(msg.contains("generation 0") && msg.contains("1..29"), "{msg}");
     }
 }

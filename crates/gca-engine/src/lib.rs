@@ -31,12 +31,12 @@
 //! * **[`Instrumentation`]** — `Off` for pure timing (allocation-free steady
 //!   state), `Counts` (default) for Table-1 congestion histograms built
 //!   incrementally in engine-owned scratch, `Trace` to additionally retain
-//!   every cell's [`Access`] (meant for small diagnostic fields).
-//! * **[`DomainPolicy`]** — `Hinted` (default) evaluates only the cells of
-//!   the rule's [`GcaRule::domain`] hint and bulk-copies the rest, which is
-//!   bit-identical to `Dense` whenever the rule honours the [`Domain`]
-//!   contract (out-of-domain cells are no-ops); `Dense` is the reference
-//!   semantics for validating hints.
+//!   every cell's [`Access`] (meant for small diagnostic fields),
+//!   `Validate` to evaluate the whole field and check the rule's
+//!   [`GcaRule::domain`] hint against it. Every other level evaluates only
+//!   the hinted cells and bulk-copies the rest, which is bit-identical to
+//!   the dense evaluation whenever the rule honours the [`Domain`] contract
+//!   (out-of-domain cells are no-ops).
 //!
 //! Convergence early-exit (skipping sub-generations once a step reports
 //! [`StepReport::changed_cells`] `== 0`) is an *algorithm-level* decision
@@ -71,7 +71,7 @@ mod word;
 
 pub use access::{Access, Reads};
 pub use domain::Domain;
-pub use engine::{DomainPolicy, Engine, Instrumentation, StepReport};
+pub use engine::{Engine, Instrumentation, StepReport};
 pub use error::{DomainViolationKind, GcaError};
 pub use field::CellField;
 pub use geometry::FieldShape;

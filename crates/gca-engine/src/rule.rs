@@ -85,9 +85,8 @@ pub trait GcaRule {
     /// The default claims the whole field. A rule that overrides this
     /// promises that every cell *outside* the returned domain is a no-op
     /// this generation (identity `evolve`, [`Access::None`], inactive) —
-    /// under [`crate::DomainPolicy::Hinted`] the engine then evaluates only
-    /// the hinted cells and bulk-copies the rest, with bit-identical results
-    /// and metrics. Like the paper's central state machine, the hint depends
+    /// the engine then evaluates only the hinted cells and bulk-copies the
+    /// rest, with bit-identical results and metrics. Like the paper's central state machine, the hint depends
     /// only on the control context, never on cell data.
     fn domain(&self, _ctx: &StepCtx, _shape: &FieldShape) -> Domain {
         Domain::All

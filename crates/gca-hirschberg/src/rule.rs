@@ -234,8 +234,9 @@ impl GcaRule for HirschbergRule {
     /// tree-reduction set. Out-of-domain cells are identity / access-free /
     /// inactive in every branch of [`access`](Self::access) and
     /// [`evolve`](Self::evolve) above, so hinted stepping is bit-identical
-    /// to dense — `table1::tests` verifies this per generation against
-    /// [`gca_engine::DomainPolicy::Dense`].
+    /// to dense — `table1::tests` verifies this per generation against a
+    /// [`gca_engine::Instrumentation::Validate`] machine, which evaluates
+    /// the whole field and checks the hint.
     fn domain(&self, ctx: &StepCtx, _shape: &FieldShape) -> Domain {
         let n = self.n;
         match Self::phase(ctx) {

@@ -320,17 +320,18 @@ mod tests {
     fn hinted_domains_bit_identical_to_dense_per_generation() {
         // The domain hints of HirschbergRule must not change *anything*
         // observable: run two machines in lockstep — one trusting the hints
-        // (the default), one forced dense — and compare fields and every
-        // metric after every single (generation, sub-generation).
+        // (the default), one under `Validate`, which evaluates the whole
+        // field and checks the hints — and compare fields and every metric
+        // after every single (generation, sub-generation).
         use crate::complexity::ceil_log2;
         use crate::iteration_schedule;
-        use gca_engine::DomainPolicy;
+        use gca_engine::Instrumentation;
 
         for (n, p, seed) in [(5usize, 0.5, 1u64), (8, 0.3, 2), (9, 0.2, 7)] {
             let g = generators::gnp(n, p, seed);
             let mut dense = Machine::with_engine(
                 &g,
-                Engine::sequential().with_domain_policy(DomainPolicy::Dense),
+                Engine::sequential().with_instrumentation(Instrumentation::Validate),
             )
             .unwrap()
             .with_exec(ExecPath::Generic);
