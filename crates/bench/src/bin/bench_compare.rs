@@ -1,23 +1,20 @@
-//! Bench regression comparator: diffs a fresh exporter run against the
-//! checked-in `BENCH_*.json` artifacts and flags per-kernel `ns/step`
-//! regressions.
+//! Bench regression comparator: diffs a fresh exporter run against a
+//! checked-in `BENCH_*.json` artifact and flags per-row timing regressions.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_compare --baseline BENCH_parallel_fused.json --fresh /tmp/BENCH_parallel_fused.json
+//! bench_compare --baseline BENCH_exec_paths.json --fresh /tmp/BENCH_exec_paths.json
 //!               [--threshold 25] [--strict]
 //! ```
 //!
 //! Both documents are walked structurally. Array elements are matched by
-//! their *identity fields* (`n`, `workload`, `generation`,
-//! `subgeneration`, `workers`, …) rather than by position, so a quick CI
-//! run covering a subset of sizes still lines up against the full
-//! checked-in artifact. Wherever both sides carry a `*_ns_per_step` or
-//! `*_ns_per_iteration` statistics object, the medians are compared: a
-//! fresh median more than
-//! `--threshold` percent (default 25) above the baseline median is a
-//! **regression**.
+//! their *identity fields* (`layer`, `n`, `exec`, `workers`,
+//! `instrumentation`, …) rather than by position, so a quick CI run
+//! covering a subset of sizes still lines up against the full checked-in
+//! artifact. Wherever both sides carry an `ns` statistics object, the
+//! medians are compared: a fresh median more than `--threshold` percent
+//! (default 25) above the baseline median is a **regression**.
 //!
 //! By default the tool only *warns* (exit 0) — CI hardware differs from
 //! the machine that produced the checked-in numbers, so this is a
@@ -52,8 +49,18 @@ impl Comparison {
 
 /// Keys that identify an array element across runs (as opposed to the
 /// measured quantities, which vary).
-const IDENTITY_KEYS: [&str; 8] = [
-    "n", "workload", "generation", "subgeneration", "workers", "size", "name", "variant",
+const IDENTITY_KEYS: [&str; 11] = [
+    "layer",
+    "n",
+    "exec",
+    "workers",
+    "instrumentation",
+    "workload",
+    "generation",
+    "subgeneration",
+    "size",
+    "name",
+    "variant",
 ];
 
 /// Builds the identity key of an array element: the sorted
@@ -80,7 +87,7 @@ fn identity(v: &Value) -> Option<String> {
 
 /// Whether `key` names a timing statistics object.
 fn is_stat_key(key: &str) -> bool {
-    key.ends_with("_ns_per_step") || key.ends_with("_ns_per_iteration")
+    key == "ns"
 }
 
 /// Recursively collects matched timing-statistic median pairs from two
@@ -219,7 +226,7 @@ fn main() -> ExitCode {
         if c.regressed(threshold) {
             regressions += 1;
             eprintln!(
-                "bench_compare: REGRESSION {}: {:.1} -> {:.1} ns/step ({:+.1}%)",
+                "bench_compare: REGRESSION {}: {:.1} -> {:.1} ns ({:+.1}%)",
                 c.path,
                 c.baseline,
                 c.fresh,
@@ -259,12 +266,12 @@ mod tests {
     #[test]
     fn matches_array_elements_by_identity_not_position() {
         let baseline = json!({"rows": [
-            {"n": 64, "workload": "gnp_300", "fused_ns_per_step": {"median": 100.0}},
-            {"n": 128, "workload": "gnp_300", "fused_ns_per_step": {"median": 200.0}},
+            {"n": 64, "workload": "gnp_300", "ns": {"median": 100.0}},
+            {"n": 128, "workload": "gnp_300", "ns": {"median": 200.0}},
         ]});
         // Fresh run covers only n = 128, listed first.
         let fresh = json!({"rows": [
-            {"n": 128, "workload": "gnp_300", "fused_ns_per_step": {"median": 210.0}},
+            {"n": 128, "workload": "gnp_300", "ns": {"median": 210.0}},
         ]});
         let (cmp, uncovered) = compare(&baseline, &fresh);
         assert_eq!(cmp.len(), 1);
@@ -286,22 +293,44 @@ mod tests {
 
     #[test]
     fn nested_documents_are_walked() {
-        let baseline = json!({"a": {"b": {"swar_ns_per_step": {"median": 10.0, "min": 9.0}}}});
-        let fresh = json!({"a": {"b": {"swar_ns_per_step": {"median": 20.0, "min": 18.0}}}});
+        let baseline = json!({"a": {"b": {"ns": {"median": 10.0, "min": 9.0}}}});
+        let fresh = json!({"a": {"b": {"ns": {"median": 20.0, "min": 18.0}}}});
         let (cmp, uncovered) = compare(&baseline, &fresh);
         assert_eq!(cmp.len(), 1);
-        assert_eq!(cmp[0].path, "a.b.swar_ns_per_step");
+        assert_eq!(cmp[0].path, "a.b.ns");
         assert!(cmp[0].regressed(25.0));
         assert_eq!(uncovered, 0);
     }
 
     #[test]
-    fn per_iteration_statistics_are_compared() {
-        let baseline = json!({"iterations": [{"n": 64, "fused_ns_per_iteration": {"median": 10.0}}]});
-        let fresh = json!({"iterations": [{"n": 64, "fused_ns_per_iteration": {"median": 30.0}}]});
+    fn exec_path_rows_match_on_their_full_identity() {
+        let row = |layer: &str, exec: &str, instr: &str, median: f64| {
+            json!({"layer": layer, "n": 64, "exec": exec, "workers": 1,
+                   "instrumentation": instr, "ns": {"median": median}, "agrees": true})
+        };
+        let baseline = json!({"rows": [
+            row("run", "fused", "counts", 10.0),
+            row("run", "fused", "off", 20.0),
+            row("iteration", "fused", "counts", 30.0),
+            row("run", "generic", "counts", 40.0),
+        ]});
+        let fresh = json!({"rows": [
+            row("run", "generic", "counts", 40.0),
+            row("iteration", "fused", "counts", 30.0),
+            row("run", "fused", "off", 20.0),
+            row("run", "fused", "counts", 10.0),
+        ]});
         let (cmp, uncovered) = compare(&baseline, &fresh);
-        assert_eq!(cmp.len(), 1);
-        assert!(cmp[0].regressed(25.0));
+        assert_eq!(cmp.len(), 4);
+        assert!(cmp.iter().all(|c| c.baseline == c.fresh), "{cmp:?}");
+        assert_eq!(uncovered, 0);
+    }
+
+    #[test]
+    fn suffixed_statistics_are_not_timing_keys() {
+        let doc = json!({"iterations": [{"n": 64, "fused_ns_per_iteration": {"median": 10.0}}]});
+        let (cmp, uncovered) = compare(&doc, &doc);
+        assert!(cmp.is_empty());
         assert_eq!(uncovered, 0);
     }
 
@@ -317,8 +346,8 @@ mod tests {
     #[test]
     fn missing_subtrees_count_their_statistics() {
         let baseline = json!({"rows": [
-            {"n": 64, "fused_ns_per_step": {"median": 1.0},
-                      "swar_ns_per_step": {"median": 2.0}},
+            {"n": 64, "ns": {"median": 1.0}},
+            {"n": 128, "ns": {"median": 2.0}},
         ]});
         let fresh = json!({"other": 1});
         let (cmp, uncovered) = compare(&baseline, &fresh);

@@ -2,13 +2,9 @@
 //! document — the companion artifact to EXPERIMENTS.md, so reported values
 //! can be diffed against a fresh run in CI or during review.
 //!
-//! Usage: `export_results [n] [--fused-out <path>] [> results.json]`
-//! (default n = 16, the paper's synthesized size). With `--fused-out` the
-//! fused-kernel measurements are additionally written to `<path>`
-//! (conventionally `BENCH_fused_kernels.json` at the repo root, so the perf
-//! trajectory is tracked across changes).
+//! Usage: `export_results [n] [> results.json]` (default n = 16, the
+//! paper's synthesized size).
 
-use gca_bench::fused;
 use gca_emu::hirschberg_program;
 use gca_engine::{Engine, Instrumentation};
 use gca_graphs::{generators, properties};
@@ -18,75 +14,9 @@ use gca_hw_model::{analysis, estimate_variant, paper_reference, CostParams, Vari
 use gca_pram::hirschberg_ref;
 use serde_json::json;
 
-/// Measures generic-vs-fused outer iterations, full runs under both
-/// `Counts` and `Off` instrumentation, and the batched runner's throughput
-/// scaling (the `fused_kernels` bench's quantities, one sample each).
-fn fused_kernels_doc() -> serde_json::Value {
-    let mut iteration_rows = Vec::new();
-    for &n in &fused::SIZES {
-        // Enough repetitions for stable medians at small n, few at large n.
-        let reps = (1 << 16 >> (n.ilog2())).clamp(2, 64) as u32;
-        let t = fused::time_iteration(n, reps).expect("fused iteration timing");
-        iteration_rows.push(json!({
-            "n": t.n,
-            "generic_ns_per_iteration": t.generic_ns_per_iter.json(),
-            "fused_ns_per_iteration": t.fused_ns_per_iter.json(),
-            "speedup": t.speedup(),
-            "metrics_identical": t.metrics_identical,
-        }));
-    }
-    let mut speedup_n256_off = 0.0;
-    let mut full_rows = Vec::new();
-    for &n in &[16usize, 64, 256] {
-        for instr in [Instrumentation::Counts, Instrumentation::Off] {
-            let t = fused::time_full_runs(n, instr).expect("fused full-run timing");
-            if n == 256 && matches!(instr, Instrumentation::Off) {
-                speedup_n256_off = t.speedup();
-            }
-            full_rows.push(json!({
-                "n": t.n,
-                "instrumentation": t.instrumentation,
-                "generic_hinted_ms": t.generic_ms,
-                "fused_ms": t.fused_ms,
-                "speedup": t.speedup(),
-                "labels_match_union_find": t.labels_match_union_find,
-                "metrics_identical": t.metrics_identical,
-            }));
-        }
-    }
-    let max_workers = gca_bench::workers();
-    let batch_rows: Vec<serde_json::Value> = [1usize, max_workers]
-        .iter()
-        .map(|&workers| {
-            let t = fused::batch_throughput(64, 32, workers).expect("batch throughput");
-            json!({
-                "n": t.n,
-                "batch": t.batch,
-                "workers": t.workers,
-                "graphs_per_sec": t.graphs_per_sec,
-                "labels_match_union_find": t.labels_match_union_find,
-            })
-        })
-        .collect();
-    json!({
-        "workload": format!("gnp(n, 0.3, seed {})", fused::SEED),
-        "baseline": "generic exec path, sequential backend, hinted domains",
-        "speedup_full_run_n256_instrumentation_off": speedup_n256_off,
-        "iterations": iteration_rows,
-        "full_runs": full_rows,
-        "batch_throughput": batch_rows,
-    })
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fused_out = args
-        .iter()
-        .position(|a| a == "--fused-out")
-        .map(|i| args.get(i + 1).expect("--fused-out needs a path").clone());
-    let n: usize = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
+    let n: usize = std::env::args()
+        .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(16);
     let graph = generators::gnp(n, 0.5, 2007);
@@ -136,24 +66,9 @@ fn main() {
         .map(|&v| serde_json::to_value(analysis::area_time(v, n, &params)).expect("serialize"))
         .collect();
 
-    // --- Fused kernels and batched throughput --------------------------------
     // Every exported document carries the provenance stamp (worker budget,
-    // CPU count, commit SHA): checked-in speedup numbers are only
-    // interpretable together with the machine that produced them.
+    // CPU count, commit SHA).
     let stamp = gca_bench::stamp();
-    let mut fused_doc = fused_kernels_doc();
-    fused_doc["stamp"] = stamp.clone();
-    if let Some(path) = &fused_out {
-        std::fs::write(
-            path,
-            format!(
-                "{}\n",
-                serde_json::to_string_pretty(&fused_doc).expect("serializable")
-            ),
-        )
-        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("fused-kernel results written to {path}");
-    }
 
     let doc = json!({
         "stamp": stamp,
@@ -207,7 +122,6 @@ fn main() {
             },
         },
         "area_time": at,
-        "fused_kernels": fused_doc,
     });
 
     println!("{}", serde_json::to_string_pretty(&doc).expect("serializable"));

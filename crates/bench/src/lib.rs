@@ -7,14 +7,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fused;
-pub mod parallel;
+pub mod exec_paths;
 pub mod tables;
 pub mod workloads;
 
 /// Number of worker threads the harness may use: the machine's available
 /// parallelism, falling back to 1 where it cannot be determined (the
-/// fallback also keeps the throughput sweeps meaningful in constrained CI
+/// fallback also keeps the batch rows meaningful in constrained CI
 /// sandboxes).
 pub fn workers() -> usize {
     std::thread::available_parallelism()

@@ -1,13 +1,13 @@
 //! Static verification of the CROW / read-snapshot / domain contracts the
 //! fast paths of this workspace depend on.
 //!
-//! The engine's hinted stepping, the fused sweep and parallel backend are all
-//! justified by the same three promises: cells write only themselves
-//! (owner-write), reads observe the previous generation only, and cells
-//! outside a rule's declared [`gca_engine::Domain`] are no-ops. The runtime
-//! sanitizer ([`gca_engine::Instrumentation::Validate`]) checks those
-//! promises on the states a run actually visits; this crate checks them
-//! *statically*, before anything runs:
+//! The engine's hinted stepping, the fused sweep and its row-partitioned
+//! neighbour-min are all justified by the same three promises: cells write
+//! only themselves (owner-write), reads observe the previous generation
+//! only, and cells outside a rule's declared [`gca_engine::Domain`] are
+//! no-ops. The runtime sanitizer ([`gca_engine::Instrumentation::Validate`])
+//! checks those promises on the states a run actually visits; this crate
+//! checks them *statically*, before anything runs:
 //!
 //! * [`isa`] — an abstract interpretation of emulated-PRAM programs
 //!   ([`gca_emu`]) that proves owner-write for every predicated store,

@@ -55,7 +55,7 @@ pub fn execute(
             supervised_gca(graph, opts, recovery)?
         }
         MachineKind::Gca => {
-            let mut engine = Engine::new();
+            let mut engine = Engine::sequential();
             if opts.validate {
                 engine = engine.with_instrumentation(Instrumentation::Validate);
             }
@@ -198,7 +198,7 @@ fn supervised_gca(
     opts: &EngineOpts,
     recovery: &RecoveryOpts,
 ) -> Result<Outcome, Box<dyn std::error::Error>> {
-    let mut engine = Engine::new();
+    let mut engine = Engine::sequential();
     if opts.validate {
         engine = engine.with_instrumentation(Instrumentation::Validate);
     }

@@ -287,12 +287,14 @@ fn bad_fault_spec_fails_with_usage() {
 #[test]
 fn unreachable_fault_site_fails_before_the_run() {
     // path:3 runs 29 generations over a 12-cell field: generation
-    // 99999999 and cell 99999 are past the run, and generation 0 is the
-    // init generation, which a fault never hits.
+    // 99999999 and cell 99999 are past the run, generation 0 is the
+    // init generation, which a fault never hits, and bit 99 is outside
+    // the 32-bit data word.
     for args in [
         &["path:3", "--inject", "bitflip@99999999"][..],
         &["path:3", "--inject", "bitflip@5.99999"][..],
         &["path:3", "--inject", "bitflip@0", "--validate", "--recover", "retry:2"][..],
+        &["path:3", "--inject", "bitflip@5.3.99", "--validate"][..],
     ] {
         let out = gca_cc().args(args).output().expect("spawn");
         assert_eq!(out.status.code(), Some(1), "{args:?}");

@@ -150,11 +150,6 @@ pub struct Engine {
 
 impl Engine {
     /// An engine with congestion counting (the default).
-    pub fn new() -> Self {
-        Engine::default()
-    }
-
-    /// The same engine as [`Engine::new`].
     pub fn sequential() -> Self {
         Engine::default()
     }
@@ -840,8 +835,8 @@ mod tests {
     ) -> (StepReport, StepReport) {
         let mut dense_field = CellField::from_fn(shape, &init);
         let mut hinted_field = CellField::from_fn(shape, &init);
-        let mut dense = Engine::new().with_instrumentation(Instrumentation::Validate);
-        let mut hinted = Engine::new().with_instrumentation(instrumentation);
+        let mut dense = Engine::sequential().with_instrumentation(Instrumentation::Validate);
+        let mut hinted = Engine::sequential().with_instrumentation(instrumentation);
         let rd = dense.step(&mut dense_field, rule, 0, 0).unwrap();
         let rh = hinted.step(&mut hinted_field, rule, 0, 0).unwrap();
         assert_eq!(dense_field.states(), hinted_field.states());
@@ -1191,8 +1186,8 @@ mod tests {
         let rule = BandIncrement { rows: 10..20 };
         let mut fv = CellField::from_fn(shape, |i| (i % 97) as u32);
         let mut fd = CellField::from_fn(shape, |i| (i % 97) as u32);
-        let mut ev = Engine::new().with_instrumentation(Instrumentation::Validate);
-        let mut ed = Engine::new();
+        let mut ev = Engine::sequential().with_instrumentation(Instrumentation::Validate);
+        let mut ed = Engine::sequential();
         let rv = ev.step(&mut fv, &rule, 0, 0).unwrap();
         let rd = ed.step(&mut fd, &rule, 0, 0).unwrap();
         assert_eq!(fv.states(), fd.states());

@@ -232,6 +232,8 @@ pub enum FaultRangeError {
     Generation(u64, u64),
     /// Cell `.0` is not below the field's `.1` cells.
     Cell(usize, usize),
+    /// Bit `.0` is not below the data word's `.1` bits.
+    Bit(u32, u32),
 }
 
 impl fmt::Display for FaultRangeError {
@@ -239,6 +241,7 @@ impl fmt::Display for FaultRangeError {
         let (what, value, range) = match *self {
             FaultRangeError::Generation(g, total) => ("generation", g, format!("1..{total}")),
             FaultRangeError::Cell(c, cells) => ("cell", c as u64, format!("0..{cells}")),
+            FaultRangeError::Bit(b, bits) => ("bit", u64::from(b), format!("0..{bits}")),
         };
         write!(f, "fault {what} {value} is outside this run's {range}; the fault could never fire")
     }
@@ -345,6 +348,9 @@ impl FaultSpec {
             }
             FaultAddr::Explicit { cell, .. } if cell >= cells => {
                 return Err(FaultRangeError::Cell(cell, cells))
+            }
+            FaultAddr::Explicit { bit, .. } if bit >= crate::Word::BITS => {
+                return Err(FaultRangeError::Bit(bit, crate::Word::BITS))
             }
             FaultAddr::Explicit { generation, cell, .. } => (generation, cell),
             FaultAddr::Seed(seed) => {
@@ -493,10 +499,13 @@ mod tests {
             ("bitflip@0", FaultRangeError::Generation(0, 29)),
             ("bitflip@5.99999", FaultRangeError::Cell(99_999, 12)),
             ("torn@5.12", FaultRangeError::Cell(12, 12)),
+            ("bitflip@5.3.99", FaultRangeError::Bit(99, 32)),
+            ("bitflip@5.3.32", FaultRangeError::Bit(32, 32)),
         ] {
             assert_eq!(resolve(spec), Err(err), "{spec}");
         }
         assert_eq!(resolve("bitflip@28.11.3").unwrap().generation(), 28);
+        assert!(resolve("bitflip@5.3.31").is_ok());
         assert!(resolve("drop").is_ok());
         let msg = resolve("bitflip@0").unwrap_err().to_string();
         assert!(msg.contains("generation 0") && msg.contains("1..29"), "{msg}");

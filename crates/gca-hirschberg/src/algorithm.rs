@@ -816,7 +816,7 @@ impl HirschbergGca {
         }
     }
 
-    /// Uses an explicit engine (backend / instrumentation).
+    /// Uses an explicit engine (its instrumentation level).
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;

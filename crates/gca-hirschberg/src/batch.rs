@@ -12,7 +12,6 @@
 //! [`Machine::reset_with`] and extract labels via [`Machine::labels_into`].
 
 use crate::complexity::ceil_log2;
-use crate::kernels::FusedParallel;
 use crate::{Convergence, ExecPath, Machine};
 use gca_engine::faults::FaultPlan;
 use gca_engine::{Engine, GcaError, Instrumentation, Word};
@@ -41,7 +40,6 @@ pub struct BatchRunner {
     convergence: Convergence,
     instrumentation: Instrumentation,
     workers: usize,
-    split_idle_workers: bool,
     /// Test-only failure injection for the contained API: a fault plan
     /// armed on the machine processing the graph at this batch index.
     inject: Option<(usize, FaultPlan)>,
@@ -65,7 +63,6 @@ impl BatchRunner {
             convergence: Convergence::Fixed,
             instrumentation: Instrumentation::Off,
             workers: 0,
-            split_idle_workers: false,
             inject: None,
             panic_at: None,
         }
@@ -102,54 +99,14 @@ impl BatchRunner {
         self
     }
 
-    /// Lets small batches spend otherwise-idle workers *inside* each
-    /// graph's fused run.
-    ///
-    /// **Policy.** Outer (across-graph) parallelism always wins: the batch
-    /// is first split over `min(workers, batch)` machines as usual, because
-    /// independent graphs parallelize perfectly while intra-graph
-    /// parallelism pays per-generation synchronization. Only when the batch
-    /// is *smaller* than the configured worker count — so `workers / batch`
-    /// hardware threads per graph would sit idle — and the configured exec
-    /// path is the plain [`ExecPath::Fused`], each machine is upgraded to
-    /// [`ExecPath::FusedParallel`] over the idle share (default threshold
-    /// [`crate::kernels::MIN_PAR_CELLS`], so tiny graphs still fall back to
-    /// sequential kernels). Explicitly configured [`ExecPath::Generic`] or
-    /// [`ExecPath::FusedParallel`] paths are never overridden. Labels are
-    /// bit-identical either way; only throughput changes.
-    #[must_use]
-    pub fn split_idle_workers(mut self, enabled: bool) -> Self {
-        self.split_idle_workers = enabled;
-        self
-    }
-
     /// The worker count a batch of `batch` graphs would actually use.
     pub fn effective_workers(&self, batch: usize) -> usize {
-        self.configured_workers().clamp(1, batch.max(1))
-    }
-
-    fn configured_workers(&self) -> usize {
-        if self.workers == 0 {
+        let configured = if self.workers == 0 {
             rayon::current_num_threads()
         } else {
             self.workers
-        }
-    }
-
-    /// The execution path each worker machine actually runs for a batch of
-    /// `batch` graphs (see [`BatchRunner::split_idle_workers`] for the
-    /// upgrade policy).
-    pub fn effective_exec(&self, batch: usize) -> ExecPath {
-        let outer = self.effective_workers(batch);
-        let idle_share = self.configured_workers() / outer.max(1);
-        if self.split_idle_workers && idle_share >= 2 && self.exec == ExecPath::Fused {
-            ExecPath::FusedParallel(FusedParallel {
-                workers: idle_share,
-                threshold: None,
-            })
-        } else {
-            self.exec
-        }
+        };
+        configured.clamp(1, batch.max(1))
     }
 
     /// Labels every graph, allocating fresh output vectors.
@@ -181,7 +138,6 @@ impl BatchRunner {
             });
         }
         let workers = self.effective_workers(graphs.len());
-        let exec = self.effective_exec(graphs.len());
         let chunk = graphs.len().div_ceil(workers);
         out.resize_with(graphs.len(), Vec::new);
         let mut failures: Vec<Option<GcaError>> = vec![None; workers];
@@ -192,7 +148,7 @@ impl BatchRunner {
             .for_each(|((graphs, outs), failure)| {
                 let mut machine: Option<Machine> = None;
                 for (graph, out) in graphs.iter().zip(outs.iter_mut()) {
-                    if let Err(e) = self.run_one_armed(&mut machine, graph, out, exec, None) {
+                    if let Err(e) = self.run_one_armed(&mut machine, graph, out, None) {
                         *failure = Some(e);
                         return;
                     }
@@ -246,7 +202,6 @@ impl BatchRunner {
             };
         }
         let workers = self.effective_workers(graphs.len());
-        let exec = self.effective_exec(graphs.len());
         let chunk = graphs.len().div_ceil(workers);
         let mut results: Vec<Result<Vec<Word>, GraphFault>> =
             (0..graphs.len()).map(|_| Ok(Vec::new())).collect();
@@ -268,7 +223,7 @@ impl BatchRunner {
                             .filter(|(at, _)| *at == index)
                             .map(|(_, p)| p.clone());
                         let mut out = Vec::new();
-                        self.run_one_armed(&mut machine, graph, &mut out, exec, armed)
+                        self.run_one_armed(&mut machine, graph, &mut out, armed)
                             .map(|()| out)
                     }));
                     match outcome {
@@ -309,7 +264,6 @@ impl BatchRunner {
         machine: &mut Option<Machine>,
         graph: &AdjacencyMatrix,
         out: &mut Vec<Word>,
-        exec: ExecPath,
         plan: Option<FaultPlan>,
     ) -> Result<(), GcaError> {
         let m = match machine {
@@ -317,7 +271,7 @@ impl BatchRunner {
                 m.reset_with(graph)?;
                 m
             }
-            _ => machine.insert(self.build_machine(graph, exec)?),
+            _ => machine.insert(self.build_machine(graph)?),
         };
         if let Some(plan) = plan {
             m.set_fault_plan(Some(plan));
@@ -328,11 +282,11 @@ impl BatchRunner {
         Ok(())
     }
 
-    fn build_machine(&self, graph: &AdjacencyMatrix, exec: ExecPath) -> Result<Machine, GcaError> {
+    fn build_machine(&self, graph: &AdjacencyMatrix) -> Result<Machine, GcaError> {
         let engine = Engine::sequential().with_instrumentation(self.instrumentation);
         Ok(Machine::with_engine(graph, engine)?
             .with_convergence(self.convergence)
-            .with_exec(exec))
+            .with_exec(self.exec))
     }
 }
 
@@ -468,14 +422,19 @@ mod tests {
     }
 
     #[test]
-    fn generic_path_matches_too() {
-        let graphs = mixed_batch();
+    fn exec_paths_agree() {
+        // n = 128 is the smallest square the default threshold splits, so
+        // `fused_parallel(2)` runs its partitioned neighbour-min on it.
+        let mut graphs = mixed_batch();
+        graphs.push(generators::gnp(128, 0.02, 7));
         let fused = BatchRunner::new().run(&graphs).unwrap();
-        let generic = BatchRunner::new()
-            .exec(ExecPath::Generic)
-            .run(&graphs)
-            .unwrap();
-        assert_eq!(fused.labels, generic.labels);
+        for (graph, labels) in graphs.iter().zip(&fused.labels) {
+            assert_eq!(labels, &expected_raw(graph));
+        }
+        for exec in [ExecPath::Generic, ExecPath::fused_parallel(2)] {
+            let report = BatchRunner::new().exec(exec).run(&graphs).unwrap();
+            assert_eq!(report.labels, fused.labels, "{exec:?}");
+        }
     }
 
     #[test]
@@ -531,46 +490,6 @@ mod tests {
         assert_eq!(runner.effective_workers(3), 3);
         assert_eq!(runner.effective_workers(0), 1);
         assert!(BatchRunner::new().effective_workers(1000) >= 1);
-    }
-
-    #[test]
-    fn split_idle_workers_upgrades_small_batches_only() {
-        let runner = BatchRunner::new().workers(4).split_idle_workers(true);
-        // Two graphs over four configured workers: two idle each → each
-        // machine gets a two-worker fused-parallel path.
-        assert_eq!(
-            runner.effective_exec(2),
-            ExecPath::FusedParallel(FusedParallel {
-                workers: 2,
-                threshold: None,
-            })
-        );
-        // Batch ≥ workers: every worker is busy, nothing to split.
-        assert_eq!(runner.effective_exec(8), ExecPath::Fused);
-        // The upgrade never touches a non-default exec path.
-        let generic = BatchRunner::new()
-            .workers(4)
-            .exec(ExecPath::Generic)
-            .split_idle_workers(true);
-        assert_eq!(generic.effective_exec(2), ExecPath::Generic);
-        // Disabled by default.
-        assert_eq!(BatchRunner::new().workers(4).effective_exec(2), ExecPath::Fused);
-    }
-
-    #[test]
-    fn split_idle_workers_labels_bit_identical() {
-        let graphs: Vec<AdjacencyMatrix> =
-            (0..2).map(|s| generators::gnp(33, 0.1, s as u64)).collect();
-        let plain = BatchRunner::new().workers(4).run(&graphs).unwrap();
-        let split = BatchRunner::new()
-            .workers(4)
-            .split_idle_workers(true)
-            .run(&graphs)
-            .unwrap();
-        assert_eq!(plain.labels, split.labels);
-        for (graph, labels) in graphs.iter().zip(&split.labels) {
-            assert_eq!(labels, &expected_raw(graph));
-        }
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! * [`connected_components`] — one-call API over an adjacency matrix;
 //! * [`Machine`] — the generation-level stepper (drive the state machine
 //!   yourself; used by the figure/table binaries);
-//! * [`HirschbergGca`] — configurable runner (backend, instrumentation,
-//!   early exit, execution path);
+//! * [`HirschbergGca`] — configurable runner (instrumentation, early
+//!   exit, convergence, execution path);
 //! * [`kernels`] — the execution paths ([`ExecPath::Fused`], the default,
 //!   runs [`sweep`]'s vector sweeps; [`ExecPath::Generic`] ticks the
 //!   engine cell by cell), metrics-identical to each other;

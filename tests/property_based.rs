@@ -164,8 +164,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-knob equivalences: backend × domain policy × instrumentation must
-// never change observable behaviour — fields, activity, reads, congestion.
+// Engine-knob equivalences: the instrumentation level must never change
+// observable behaviour — fields, activity, reads, congestion — and hinted
+// domains must agree with the dense `Validate` reference.
 // ---------------------------------------------------------------------------
 
 /// A randomly parameterized rule whose work is confined to a declared
@@ -255,7 +256,7 @@ fn engine_configs() -> Vec<Engine> {
         Instrumentation::Validate,
     ]
     .into_iter()
-    .map(|instr| Engine::new().with_instrumentation(instr))
+    .map(|instr| Engine::sequential().with_instrumentation(instr))
     .collect()
 }
 
