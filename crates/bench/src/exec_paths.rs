@@ -5,14 +5,19 @@
 //! median, max}` plus an `agrees` flag, on the standard workload
 //! `gnp(n, 0.3, seed 2007)`:
 //!
-//! * `iteration` — one outer iteration under `Counts`; agrees when the
-//!   first iteration leaves the generic machine's field and `Counts` log;
+//! * `iteration` — the first outer iteration under `Counts`; agrees when
+//!   it leaves the generic machine's field and `Counts` log. Each timed
+//!   call is `reset_with` + `init` + `run_iteration`, because a later
+//!   iteration may be a replay of a settled one rather than a computed
+//!   one; the O(n²/64) matrix copy and the O(n) generation 0 are in the
+//!   time;
 //! * `run` — a full [`HirschbergGca::run`] under `Counts` and `Off`; agrees
 //!   when the labels equal union-find and the metrics log equals the
 //!   generic run's;
 //! * `batch` — [`BatchRunner::run`] over [`BATCH`] graphs, ns per graph,
-//!   under `Off` on the fused path at 1 worker and at every CPU; agrees
-//!   when every labeling equals union-find.
+//!   under `Off` on the fused path at 1 worker and at every CPU, as far
+//!   as the batch's work lets the runner use them (one row when it uses
+//!   one); agrees when every labeling equals union-find.
 //!
 //! The check runs before the row is timed, so a fast wrong path is
 //! reported, never hidden behind its number.
@@ -120,6 +125,7 @@ pub fn rows(n: usize, execs: &[ExecPath], max_reps: u32) -> Result<Vec<Row>, Gca
     for &exec in execs {
         rows.push(iteration_row(
             &reference,
+            &graph,
             machine(&graph, exec)?,
             exec,
             max_reps,
@@ -137,10 +143,16 @@ pub fn rows(n: usize, execs: &[ExecPath], max_reps: u32) -> Result<Vec<Row>, Gca
             )?);
         }
     }
-    let mut batch_workers = vec![1, crate::workers()];
+    let batch: Vec<_> = (0..BATCH as u64)
+        .map(|i| generators::gnp(n, 0.3, SEED + i))
+        .collect();
+    let mut batch_workers: Vec<usize> = [1, crate::workers()]
+        .iter()
+        .map(|&w| BatchRunner::new().workers(w).effective_workers(&batch))
+        .collect();
     batch_workers.dedup();
     for workers in batch_workers {
-        rows.push(batch_row(n, workers, max_reps)?);
+        rows.push(batch_row(&batch, workers, max_reps)?);
     }
     Ok(rows)
 }
@@ -196,10 +208,12 @@ fn time(
     failed.map_or(Ok(ns), Err)
 }
 
-/// Times outer iterations of `candidate`, after checking its first one
-/// against `reference`, a generic machine one iteration in.
+/// Times first outer iterations of `candidate` on `graph`, each after a
+/// reset and generation 0, after checking one against `reference`, a
+/// generic machine one iteration in.
 fn iteration_row(
     reference: &Machine,
+    graph: &AdjacencyMatrix,
     mut candidate: Machine,
     exec: ExecPath,
     max_reps: u32,
@@ -209,7 +223,12 @@ fn iteration_row(
     let probe = start.elapsed();
     let agrees = candidate.metrics().entries() == reference.metrics().entries()
         && candidate.to_field().states() == reference.to_field().states();
-    let ns = time(probe, || candidate.run_iteration().map(drop), max_reps)?;
+    let first = || {
+        candidate.reset_with(graph)?;
+        candidate.init()?;
+        candidate.run_iteration().map(drop)
+    };
+    let ns = time(probe, first, max_reps)?;
     Ok(Row {
         layer: Layer::Iteration,
         n: candidate.n(),
@@ -246,14 +265,11 @@ fn run_row(
     })
 }
 
-fn batch_row(n: usize, workers: usize, max_reps: u32) -> Result<Row, GcaError> {
-    let graphs: Vec<_> = (0..BATCH as u64)
-        .map(|i| generators::gnp(n, 0.3, SEED + i))
-        .collect();
+fn batch_row(graphs: &[AdjacencyMatrix], workers: usize, max_reps: u32) -> Result<Row, GcaError> {
     let runner = BatchRunner::new().workers(workers);
     let mut out = Vec::new();
     let start = Instant::now();
-    let stats = runner.run_into(&graphs, &mut out)?;
+    let stats = runner.run_into(graphs, &mut out)?;
     let probe = start.elapsed();
     let agrees = graphs.iter().zip(&out).all(|(g, labels)| {
         let expected = union_find_components_dense(g);
@@ -264,13 +280,13 @@ fn batch_row(n: usize, workers: usize, max_reps: u32) -> Result<Row, GcaError> {
     });
     let ns = time(
         probe,
-        || runner.run_into(&graphs, &mut out).map(drop),
+        || runner.run_into(graphs, &mut out).map(drop),
         max_reps,
     )?;
     let per_graph = |t: f64| t / BATCH as f64;
     Ok(Row {
         layer: Layer::Batch,
-        n,
+        n: graphs[0].n(),
         exec: ExecPath::Fused,
         workers: stats.workers,
         instrumentation: Instrumentation::Off,
@@ -321,13 +337,13 @@ mod tests {
         reference.run_iteration().unwrap();
         let clean = machine(&graph, ExecPath::Fused).unwrap();
         assert!(
-            iteration_row(&reference, clean, ExecPath::Fused, 1)
+            iteration_row(&reference, &graph, clean, ExecPath::Fused, 1)
                 .unwrap()
                 .agrees
         );
         let mut faulty = machine(&graph, ExecPath::Fused).unwrap();
         faulty.seed_sweep_fault(SweepFault::FlipT(0));
-        let row = iteration_row(&reference, faulty, ExecPath::Fused, 1).unwrap();
+        let row = iteration_row(&reference, &graph, faulty, ExecPath::Fused, 1).unwrap();
         assert!(!row.agrees);
         assert_eq!(row.json()["agrees"], false);
     }

@@ -62,6 +62,10 @@ pub enum Convergence {
 /// the state in its own `CellField<HCell>`, built from the vectors and the
 /// matrix when first needed and stepped in place from then on. The next
 /// unobserved sweep reads its column 0 and drops it again.
+///
+/// A sweep that ends with the `C` it started from is recorded, and every
+/// later sweep that starts from that `C` replays it instead of computing
+/// it (fixed-point replay, see [`Machine::run_iterations`]).
 pub struct Machine {
     layout: Layout,
     rule: HirschbergRule,
@@ -75,6 +79,11 @@ pub struct Machine {
     /// [`Instrumentation::Validate`] on the fused paths, the cross-check's
     /// expected iteration.
     sweep: Sweep,
+    /// The last sweep iteration that left `C` unchanged, if any.
+    settled: Settled,
+    /// Sweep iterations computed rather than replayed.
+    #[cfg(test)]
+    computed: u64,
     /// The engine's field: `Some` exactly while the engine holds the state.
     cells: Option<CellField<HCell>>,
     initialized: bool,
@@ -103,6 +112,26 @@ pub struct Machine {
     drop_words: Vec<Word>,
     /// Pre-generation value of a torn-write target word.
     torn_pre: Option<Word>,
+}
+
+/// A sweep iteration that ended with the `C` it started from. An
+/// iteration's output and its `Counts` entries depend only on `C` at its
+/// start and on the graph, so this is the output of every later sweep
+/// iteration that starts from the same `C`.
+#[derive(Debug, Default)]
+struct Settled {
+    /// Whether the fields below hold such an iteration.
+    valid: bool,
+    /// `C` at the iteration's start and end (while an iteration computes,
+    /// its start).
+    c: Vec<Word>,
+    /// `T′` as the iteration left it.
+    t: Vec<Word>,
+    /// The generations the iteration committed.
+    generations: u64,
+    /// Its `Counts` entries, numbered from generation 0. Owned copies:
+    /// [`Machine::rollback_to`] truncates the log they were taken from.
+    entries: Vec<GenerationMetrics>,
 }
 
 /// The field the sweep's vectors stand for, with `graph`'s adjacency in
@@ -134,6 +163,9 @@ impl Machine {
             exec: ExecPath::default(),
             graph: graph.clone(),
             sweep: Sweep::new(graph.n()),
+            settled: Settled::default(),
+            #[cfg(test)]
+            computed: 0,
             cells: None,
             initialized: false,
             expected: Vec::new(),
@@ -149,6 +181,8 @@ impl Machine {
     #[must_use]
     pub fn with_convergence(mut self, convergence: Convergence) -> Self {
         self.convergence = convergence;
+        // A settled iteration's generation count depends on the policy.
+        self.settled.valid = false;
         self
     }
 
@@ -345,6 +379,8 @@ impl Machine {
     #[doc(hidden)]
     pub fn seed_sweep_fault(&mut self, fault: SweepFault) {
         self.sweep.seed_fault(fault);
+        // The next sweep must compute, so that the fault fires.
+        self.settled.valid = false;
     }
 
     /// Arms (or clears) a deterministic fault plan. An armed plan injects
@@ -498,6 +534,17 @@ impl Machine {
     /// state the machine is in; every other configuration ticks the
     /// engine through the schedule, and a validated fused one also
     /// cross-checks the engine against the sweep.
+    ///
+    /// **Fixed-point replay.** A sweep that ends with the `C` it started
+    /// from is recorded with its `T′`, its generation count and its
+    /// `Counts` entries. A later sweep whose `C` equals the recorded one
+    /// is that iteration again, so it is replayed: the generation counter
+    /// advances, the entries are appended renumbered, and `T′` is written
+    /// back. Comparing `C` is the only guard, so the replay holds after
+    /// [`Machine::step`], [`Machine::restore`] and [`Machine::rollback_to`]
+    /// too. [`Machine::reset_with`] and [`Machine::seed_sweep_fault`]
+    /// clear the record, and engine iterations, the cross-check's sweep
+    /// included, never use it.
     pub fn run_iterations(&mut self, count: u64) -> Result<u64, GcaError> {
         if !self.initialized {
             return Err(GcaError::OutOfOrder {
@@ -516,12 +563,27 @@ impl Machine {
         Ok(self.engine.generation() - start)
     }
 
-    /// One iteration as a vector sweep, committing every generation.
+    /// One iteration as a vector sweep, committing every generation, or
+    /// the replay of a settled one.
     fn sweep_iteration(&mut self) -> Result<(), GcaError> {
         if let Some(cells) = self.cells.take() {
             self.sweep.load_column(cells.states());
         }
         let start = self.engine.generation();
+        if self.settled.valid && self.settled.c == self.sweep.labels() {
+            self.replay(start);
+            return Ok(());
+        }
+        #[cfg(test)]
+        {
+            self.computed += 1;
+        }
+        // An iteration with a planted fault is not the iteration of its `C`.
+        let record = !self.sweep.faulted();
+        self.settled.valid = false;
+        self.settled.c.clear();
+        self.settled.c.extend_from_slice(self.sweep.labels());
+        let logged = self.metrics.generations();
         let detect = self.convergence == Convergence::Detect;
         let counting = self.counting();
         let par = self.par_policy();
@@ -544,7 +606,37 @@ impl Machine {
                     metrics.push(GenerationMetrics::from_footprint(ctx, active, fp));
                 }
             },
-        )
+        )?;
+        if record && self.settled.c == self.sweep.labels() {
+            let settled = &mut self.settled;
+            settled.t.clear();
+            settled.t.extend_from_slice(self.sweep.t());
+            settled.generations = self.engine.generation() - start;
+            settled.entries.clear();
+            settled
+                .entries
+                .extend(self.metrics.entries()[logged..].iter().map(|e| {
+                    let mut e = e.clone();
+                    e.ctx.generation -= start;
+                    e
+                }));
+            settled.valid = true;
+        }
+        Ok(())
+    }
+
+    /// Replays the settled iteration from generation `start`: what
+    /// computing it would commit and leave, `C` being unchanged.
+    fn replay(&mut self, start: u64) {
+        for _ in 0..self.settled.generations {
+            self.engine.advance_generation();
+        }
+        for e in &self.settled.entries {
+            let mut e = e.clone();
+            e.ctx.generation += start;
+            self.metrics.push(e);
+        }
+        self.sweep.settle(&self.settled.t);
     }
 
     /// One iteration ticked on the engine. On a fused path under
@@ -746,6 +838,8 @@ impl Machine {
     pub(crate) fn reset(&mut self) {
         self.cells = None;
         self.sweep.reset();
+        // Another graph's settled `C` may be this one's first.
+        self.settled.valid = false;
         self.engine.reset();
         self.metrics.clear();
         self.initialized = false;
@@ -1287,9 +1381,23 @@ mod tests {
     /// counts, `Counts` logs and fields after init and at every iteration
     /// boundary.
     fn assert_boundaries_match_generic(g: &AdjacencyMatrix, execs: &[ExecPath], convergence: Convergence) {
+        let iterations = ceil_log2(g.n());
+        assert_lockstep(g, execs, convergence, Instrumentation::Counts, iterations);
+    }
+
+    /// [`assert_boundaries_match_generic`] under `instr`, over `iterations`
+    /// iterations. Returns the sweep iterations the `execs` computed
+    /// rather than replayed.
+    fn assert_lockstep(
+        g: &AdjacencyMatrix,
+        execs: &[ExecPath],
+        convergence: Convergence,
+        instr: Instrumentation,
+        iterations: u32,
+    ) -> u64 {
         let n = g.n();
         let machine = |exec| {
-            Machine::new(g)
+            Machine::with_engine(g, Engine::sequential().with_instrumentation(instr))
                 .unwrap()
                 .with_exec(exec)
                 .with_convergence(convergence)
@@ -1300,10 +1408,11 @@ mod tests {
         for m in &mut got {
             m.init().unwrap();
         }
-        for it in 0..=ceil_log2(n) {
+        for it in 0..=iterations {
             let ran = (it > 0).then(|| want.run_iteration().unwrap());
             for (got, exec) in got.iter_mut().zip(execs) {
-                let at = format!("n = {n} {exec:?} {convergence:?} iteration {it} on {g:?}");
+                let at =
+                    format!("n = {n} {exec:?} {convergence:?} {instr:?} iteration {it} on {g:?}");
                 if let Some(ran) = ran {
                     assert_eq!(got.run_iteration().unwrap(), ran, "{at}");
                 }
@@ -1313,6 +1422,7 @@ mod tests {
                 assert_eq!(got.to_field().states(), want.to_field().states(), "{at}");
             }
         }
+        got.iter().map(|m| m.computed).sum()
     }
 
     #[test]
@@ -1870,6 +1980,207 @@ mod tests {
             let expected = union_find_components_dense(&g);
             assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
         }
+    }
+
+    /// A machine settled on `g`: `⌈log₂ n⌉` iterations in.
+    fn settled_machine(g: &AdjacencyMatrix, exec: ExecPath) -> Machine {
+        let mut m = Machine::new(g).unwrap().with_exec(exec);
+        m.init().unwrap();
+        m.run_iterations(u64::from(ceil_log2(g.n()))).unwrap();
+        assert!(m.settled.valid, "{exec:?} did not settle on {g:?}");
+        m
+    }
+
+    #[test]
+    fn replay_skips_the_iterations_after_the_fixed_point() {
+        // A forest of 16 trees on 256 nodes settles well before the
+        // eighth iteration; the rest are replays.
+        let n = 256;
+        let g = generators::random_forest(n, 16, 1);
+        let reference = generic().run(&g).unwrap();
+        for exec in [ExecPath::Fused, par3()] {
+            let mut m = Machine::new(&g).unwrap().with_exec(exec);
+            m.init().unwrap();
+            m.run_iterations(u64::from(ceil_log2(n))).unwrap();
+            assert!(
+                m.computed < u64::from(ceil_log2(n)),
+                "{exec:?} computed all {} iterations",
+                m.computed
+            );
+            assert_eq!(m.labels().unwrap(), reference.labels, "{exec:?}");
+            assert_eq!(m.generations(), reference.generations, "{exec:?}");
+            assert_eq!(
+                m.metrics().entries(),
+                reference.metrics.entries(),
+                "{exec:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_matches_generic_at_every_boundary() {
+        // Two iterations past the schedule, so that every graph replays
+        // more than once, on both fused paths, under both convergence
+        // policies and with and without accounting.
+        let n = 40;
+        let graphs = [
+            generators::empty(n),
+            generators::path(n),
+            generators::star(n),
+            generators::random_forest(n, 5, 2),
+            generators::gnp(n, 0.04, 9),
+            generators::planted_components(n, 4, 0.5, 3).graph,
+        ];
+        let iterations = ceil_log2(n) + 2;
+        let mut computed = 0;
+        for g in &graphs {
+            for convergence in [Convergence::Fixed, Convergence::Detect] {
+                for instr in [Instrumentation::Off, Instrumentation::Counts] {
+                    computed += assert_lockstep(
+                        g,
+                        &[ExecPath::Fused, par3()],
+                        convergence,
+                        instr,
+                        iterations,
+                    );
+                }
+            }
+        }
+        let swept = graphs.len() as u64 * 2 * 2 * 2 * u64::from(iterations);
+        assert!(
+            computed < swept / 2,
+            "{computed} of {swept} sweeps computed"
+        );
+    }
+
+    #[test]
+    fn replay_after_single_steps_matches_generic() {
+        // A settled machine single-stepped k generations into an
+        // iteration, then driven by whole iterations: column 0 may or may
+        // not equal the settled `C`, and both cases must match generic.
+        let n = 24;
+        let graphs = [
+            generators::random_forest(n, 4, 6),
+            generators::empty(n),
+            generators::complete(n),
+        ];
+        let schedule = iteration_schedule(n);
+        let mut replayed = 0;
+        for g in &graphs {
+            for k in 0..=schedule.len() {
+                let mut fused = settled_machine(g, ExecPath::Fused);
+                let mut want = Machine::new(g).unwrap().with_exec(ExecPath::Generic);
+                want.init().unwrap();
+                want.run_iterations(u64::from(ceil_log2(n))).unwrap();
+                for m in [&mut fused, &mut want] {
+                    for &(gen, sub) in &schedule[..k] {
+                        m.step(gen, sub).unwrap();
+                    }
+                }
+                let before = fused.computed;
+                assert_eq!(
+                    fused.run_iterations(2),
+                    want.run_iterations(2),
+                    "k = {k} on {g:?}"
+                );
+                replayed += 2 - (fused.computed - before);
+                assert_eq!(fused.generations(), want.generations(), "k = {k} on {g:?}");
+                assert_eq!(
+                    fused.metrics().entries(),
+                    want.metrics().entries(),
+                    "k = {k} on {g:?}"
+                );
+                assert_eq!(
+                    fused.to_field().states(),
+                    want.to_field().states(),
+                    "k = {k} on {g:?}"
+                );
+            }
+        }
+        assert!(replayed > 0, "no stepped machine replayed");
+    }
+
+    #[test]
+    fn replay_after_restoring_the_settled_labels_with_another_t_prime() {
+        // A boundary snapshot whose column 0 is the settled `C` but whose
+        // other words are not its `T′`: the next iteration reads column 0
+        // only, so it is a replay, and it must write the settled `T′`
+        // back over the restored words.
+        let n = 20;
+        let g = generators::random_forest(n, 3, 4);
+        for exec in [ExecPath::Fused, par3()] {
+            let mut fused = settled_machine(&g, exec);
+            let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
+            want.init().unwrap();
+            want.run_iterations(u64::from(ceil_log2(n))).unwrap();
+            let generation = fused.generations();
+            let mut cells = fused.to_field();
+            for (i, c) in cells.states_mut().iter_mut().enumerate() {
+                if i % n != 0 || i >= n * n {
+                    c.d = ((i * 7 + 3) % n) as Word;
+                }
+            }
+            assert_ne!(cells.states(), fused.to_field().states());
+            let snap = FieldSnapshot::capture(&cells);
+            for rollback in [false, true] {
+                for m in [&mut fused, &mut want] {
+                    if rollback {
+                        m.rollback_to(generation, &snap).unwrap();
+                    } else {
+                        m.restore(&snap).unwrap();
+                    }
+                    assert_eq!(m.to_field().states(), cells.states());
+                }
+                // Nor may the replay lean on the `T′` the dormant vectors
+                // still hold.
+                fused.sweep.settle(&vec![0; n]);
+                let before = fused.computed;
+                fused.run_iteration().unwrap();
+                want.run_iteration().unwrap();
+                let at = format!("{exec:?} rollback = {rollback}");
+                assert_eq!(fused.computed, before, "{at}: not replayed");
+                assert_eq!(fused.generations(), want.generations(), "{at}");
+                assert_eq!(fused.metrics().entries(), want.metrics().entries(), "{at}");
+                assert_eq!(fused.to_field().states(), want.to_field().states(), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_follows_a_convergence_change() {
+        // A star settled under `Fixed` runs every pointer jump; under
+        // `Detect` the same `C` stops after the first one, so the record
+        // taken under `Fixed` must not be replayed.
+        let n = 16;
+        let g = generators::star(n);
+        let mut fused = settled_machine(&g, ExecPath::Fused).with_convergence(Convergence::Detect);
+        let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
+        want.init().unwrap();
+        want.run_iterations(u64::from(ceil_log2(n))).unwrap();
+        let mut want = want.with_convergence(Convergence::Detect);
+        assert_eq!(fused.run_iterations(2), want.run_iterations(2));
+        assert_eq!(fused.generations(), want.generations());
+        assert_eq!(fused.metrics().entries(), want.metrics().entries());
+        assert_eq!(fused.to_field().states(), want.to_field().states());
+    }
+
+    #[test]
+    fn replay_does_not_swallow_a_sweep_fault_seeded_after_settling() {
+        let n = 20;
+        let g = generators::random_forest(n, 3, 5);
+        let mut clean = settled_machine(&g, ExecPath::Fused);
+        let mut faulty = settled_machine(&g, ExecPath::Fused);
+        faulty.seed_sweep_fault(SweepFault::FlipT(0));
+        let before = faulty.computed;
+        clean.run_iteration().unwrap();
+        faulty.run_iteration().unwrap();
+        assert_eq!(
+            faulty.computed,
+            before + 1,
+            "the faulted iteration was replayed"
+        );
+        assert_ne!(faulty.to_field().states(), clean.to_field().states());
+        assert!(!faulty.settled.valid, "a faulted iteration was recorded");
     }
 
     #[test]

@@ -20,6 +20,18 @@ use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+/// The work, in square cells of one graph's field, that each worker beyond
+/// the first needs before it pays for its start. A graph's fixed cost
+/// counts as [`GRAPH_CELLS`] more. On a 2-vCPU container a batch of 16
+/// `gnp(n, 0.3)` graphs ran faster on one worker up to n = 128 (about
+/// 0.3 ms a batch) and on two from n = 256 (about 1 ms), and 1024 graphs
+/// at n = 16 ran faster on two.
+const WORKER_CELLS: usize = 1 << 18;
+
+/// A graph's fixed cost (reset, generation 0, the O(n log n) chases) in
+/// square cells: about 2 µs, the time of a 16-node graph.
+const GRAPH_CELLS: usize = 1 << 11;
+
 /// Configuration for running a batch of independent graphs.
 ///
 /// Defaults favor throughput: [`ExecPath::Fused`] kernels,
@@ -92,21 +104,29 @@ impl BatchRunner {
 
     /// Sets the number of worker threads; `0` (the default) means one per
     /// hardware thread. The batch is split into at most this many
-    /// contiguous chunks, one machine per chunk.
+    /// contiguous chunks, one machine per chunk, and into fewer when the
+    /// batch's work does not pay for them (see
+    /// [`BatchRunner::effective_workers`]).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// The worker count a batch of `batch` graphs would actually use.
-    pub fn effective_workers(&self, batch: usize) -> usize {
+    /// The worker count `graphs` would actually use: the configured count,
+    /// at most one per graph and at most one per 256 Ki cells of the
+    /// batch's work (a graph counts n² cells and 2 Ki more for its fixed
+    /// cost), and at least one.
+    pub fn effective_workers(&self, graphs: &[AdjacencyMatrix]) -> usize {
         let configured = if self.workers == 0 {
             rayon::current_num_threads()
         } else {
             self.workers
         };
-        configured.clamp(1, batch.max(1))
+        let work = graphs.iter().fold(0usize, |sum, g| {
+            sum.saturating_add(g.n().saturating_mul(g.n()).saturating_add(GRAPH_CELLS))
+        });
+        configured.min(graphs.len()).min(work / WORKER_CELLS).max(1)
     }
 
     /// Labels every graph, allocating fresh output vectors.
@@ -137,8 +157,8 @@ impl BatchRunner {
                 elapsed: started.elapsed(),
             });
         }
-        let workers = self.effective_workers(graphs.len());
-        let chunk = graphs.len().div_ceil(workers);
+        let chunk = graphs.len().div_ceil(self.effective_workers(graphs));
+        let workers = graphs.len().div_ceil(chunk);
         out.resize_with(graphs.len(), Vec::new);
         let mut failures: Vec<Option<GcaError>> = vec![None; workers];
         graphs
@@ -201,8 +221,8 @@ impl BatchRunner {
                 },
             };
         }
-        let workers = self.effective_workers(graphs.len());
-        let chunk = graphs.len().div_ceil(workers);
+        let chunk = graphs.len().div_ceil(self.effective_workers(graphs));
+        let workers = graphs.len().div_ceil(chunk);
         let mut results: Vec<Result<Vec<Word>, GraphFault>> =
             (0..graphs.len()).map(|_| Ok(Vec::new())).collect();
         graphs
@@ -410,6 +430,14 @@ mod tests {
             .collect()
     }
 
+    /// [`mixed_batch`] and twelve 512-node forests: work enough for eight
+    /// workers, and 24 graphs split evenly into 2, 4 or 8.
+    fn parallel_batch() -> Vec<AdjacencyMatrix> {
+        let mut graphs = mixed_batch();
+        graphs.extend((0..12).map(|s| generators::random_forest(512, 4, s)));
+        graphs
+    }
+
     #[test]
     fn batch_matches_union_find() {
         let graphs = mixed_batch();
@@ -439,10 +467,11 @@ mod tests {
 
     #[test]
     fn worker_counts_agree() {
-        let graphs = mixed_batch();
+        let graphs = parallel_batch();
         let reference = BatchRunner::new().workers(1).run(&graphs).unwrap();
-        for workers in [2, 3, 8] {
+        for workers in [2, 4, 8] {
             let report = BatchRunner::new().workers(workers).run(&graphs).unwrap();
+            assert_eq!(report.stats.workers, workers);
             assert_eq!(report.labels, reference.labels, "workers = {workers}");
         }
     }
@@ -487,9 +516,60 @@ mod tests {
     #[test]
     fn effective_workers_clamps() {
         let runner = BatchRunner::new().workers(64);
-        assert_eq!(runner.effective_workers(3), 3);
-        assert_eq!(runner.effective_workers(0), 1);
-        assert!(BatchRunner::new().effective_workers(1000) >= 1);
+        let large: Vec<_> = (0..3).map(|_| generators::empty(1024)).collect();
+        assert_eq!(runner.effective_workers(&large), 3);
+        assert_eq!(runner.effective_workers(&[]), 1);
+        assert_eq!(BatchRunner::new().workers(2).effective_workers(&large), 2);
+        assert!(BatchRunner::new().effective_workers(&large) >= 1);
+    }
+
+    #[test]
+    fn tiny_batches_run_on_one_worker() {
+        // 16 graphs of 16 nodes are a few microseconds of work each: a
+        // second worker costs more to start than it saves.
+        let graphs: Vec<_> = (0..16).map(|s| generators::gnp(16, 0.3, s)).collect();
+        let runner = BatchRunner::new().workers(8);
+        assert_eq!(runner.effective_workers(&graphs), 1);
+        let report = runner.run(&graphs).unwrap();
+        assert_eq!(report.stats.workers, 1);
+        assert_eq!(runner.run_contained(&graphs).stats.workers, 1);
+        for (graph, labels) in graphs.iter().zip(&report.labels) {
+            assert_eq!(labels, &expected_raw(graph));
+        }
+        // 1024 of them are enough work for two.
+        let many: Vec<_> = (0..1024).map(|_| generators::empty(16)).collect();
+        assert_eq!(BatchRunner::new().workers(2).effective_workers(&many), 2);
+    }
+
+    #[test]
+    fn replay_record_does_not_cross_graphs_on_a_reused_machine() {
+        // The settled `C` of an empty graph is the identity, which is also
+        // the first `C` of the path after it: one machine reused across
+        // the three must compute the path, not replay the empty graph.
+        let n = 16;
+        let graphs = [
+            generators::empty(n),
+            generators::path(n),
+            generators::empty(n),
+        ];
+        for instrumentation in [Instrumentation::Off, Instrumentation::Counts] {
+            for convergence in [Convergence::Fixed, Convergence::Detect] {
+                let report = BatchRunner::new()
+                    .workers(1)
+                    .instrumentation(instrumentation)
+                    .convergence(convergence)
+                    .run(&graphs)
+                    .unwrap();
+                assert_eq!(report.stats.workers, 1);
+                for (graph, labels) in graphs.iter().zip(&report.labels) {
+                    assert_eq!(
+                        labels,
+                        &expected_raw(graph),
+                        "{instrumentation:?} {convergence:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -536,11 +616,12 @@ mod tests {
 
     #[test]
     fn panicking_worker_fails_only_its_graph() {
-        let graphs = mixed_batch();
+        let graphs = parallel_batch();
         let dead = 2;
         let mut runner = BatchRunner::new().workers(2);
         runner.seed_graph_panic(dead);
         let report = runner.run_contained(&graphs);
+        assert_eq!(report.stats.workers, 2);
         assert_eq!(report.failed(), 1);
         for (i, (graph, result)) in graphs.iter().zip(&report.results).enumerate() {
             if i == dead {

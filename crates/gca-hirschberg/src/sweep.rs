@@ -33,6 +33,12 @@
 //! vectors stand for). It also enters from the engine's field through
 //! `Sweep::load_column`, since an iteration reads nothing but column 0.
 //!
+//! **Replay.** For the same reason an iteration that ends with the `C` it
+//! started from is followed only by copies of itself. The machine records
+//! such an iteration and replays it instead of calling `Sweep::iterate`
+//! again: `Sweep::settle` writes its `T′` back (see
+//! `Machine::run_iterations`).
+//!
 //! **Parallel.** Under [`crate::ExecPath::FusedParallel`] the
 //! neighbour-min is split into row chunks by [`plan_rows`], with one join
 //! per iteration. Each chunk writes its own rows of `T` and reads only the
@@ -183,6 +189,18 @@ impl Sweep {
         &self.c
     }
 
+    /// `T′`, columns `1..n` of every square row.
+    pub fn t(&self) -> &[Word] {
+        &self.t
+    }
+
+    /// The state an iteration that leaves `C` unchanged ends in: `T′`
+    /// becomes `t`, and `D_N` holds it too.
+    pub fn settle(&mut self, t: &[Word]) {
+        self.t.copy_from_slice(t);
+        self.fresh = false;
+    }
+
     /// Takes `C` from column 0 of the engine's cells: the only input of
     /// the next iteration.
     pub fn load_column(&mut self, cells: &[HCell]) {
@@ -201,6 +219,11 @@ impl Sweep {
     /// Plants a sweep bug for the next iteration (tests only).
     pub fn seed_fault(&mut self, fault: SweepFault) {
         self.fault = Some(fault);
+    }
+
+    /// Whether a planted bug has yet to fire.
+    pub fn faulted(&self) -> bool {
+        self.fault.is_some()
     }
 
     /// Counter capacity of the buffers held for read accounting.
