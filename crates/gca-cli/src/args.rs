@@ -60,7 +60,8 @@ impl MachineKind {
 }
 
 /// Engine knobs forwarded to the main GCA machine (`--machine gca`); the
-/// other machines run their fixed reference configurations and ignore them.
+/// other machines run their fixed reference configurations, and the parser
+/// rejects these options for them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct EngineOpts {
     /// Pointer-jump convergence handling (`--convergence`).
@@ -342,6 +343,8 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
     let mut recovery = RecoveryOpts::default();
     let mut cadence: Option<u64> = None;
     let mut workers: Option<usize> = None;
+    // The options given that only the gca machine honours.
+    let mut gca_only: Vec<&'static str> = Vec::new();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -357,12 +360,14 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
                     .next()
                     .ok_or_else(|| ArgError("--convergence needs a value".into()))?;
                 engine.convergence = EngineOpts::parse_convergence(v)?;
+                gca_only.push("--convergence");
             }
             "--exec" => {
                 let v = it
                     .next()
                     .ok_or_else(|| ArgError("--exec needs a value".into()))?;
                 engine.exec = EngineOpts::parse_exec(v)?;
+                gca_only.push("--exec");
             }
             "--workers" => {
                 let v = it
@@ -378,12 +383,14 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
                     .ok_or_else(|| ArgError("--inject needs a fault spec".into()))?;
                 recovery.inject =
                     Some(FaultSpec::parse(v).map_err(|e| ArgError(e.to_string()))?);
+                gca_only.push("--inject");
             }
             "--recover" => {
                 let v = it
                     .next()
                     .ok_or_else(|| ArgError("--recover needs a policy".into()))?;
                 recovery.recover = Some(RecoveryOpts::parse_policy(v)?);
+                gca_only.push("--recover");
             }
             "--checkpoint-every" => {
                 let v = it
@@ -397,10 +404,14 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
                 }
                 cadence = Some(n);
             }
-            "--validate" => engine.validate = true,
+            "--validate" => {
+                engine.validate = true;
+                gca_only.push("--validate");
+            }
             "--invariants" => {
                 engine.invariants = true;
                 engine.validate = true;
+                gca_only.push("--invariants");
             }
             "--labels" => labels = true,
             "--json" => json = true,
@@ -434,10 +445,10 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
         }
         recovery.checkpoint_every = n;
     }
-    if recovery.supervised() && machine != MachineKind::Gca {
-        return Err(ArgError(
-            "--inject/--recover require --machine gca".into(),
-        ));
+    if machine != MachineKind::Gca {
+        if let Some(opt) = gca_only.first() {
+            return Err(ArgError(format!("{opt} requires --machine gca")));
+        }
     }
 
     Ok(Args {
@@ -679,6 +690,38 @@ mod tests {
         // Supervision is a gca-machine feature.
         assert!(parse(&argv(&["--machine", "pram", "--inject", "torn", "path:8"])).is_err());
         assert!(parse(&argv(&["--machine", "seq", "--recover", "degrade", "path:8"])).is_err());
+    }
+
+    #[test]
+    fn gca_only_options_reject_other_machines() {
+        for (opts, named) in [
+            (&["--validate"][..], "--validate"),
+            (&["--invariants"][..], "--invariants"),
+            (&["--convergence", "detect"][..], "--convergence"),
+            (&["--exec", "fused"][..], "--exec"),
+            (&["--exec", "generic", "--validate"][..], "--exec"),
+        ] {
+            for machine in ["seq", "pram", "ncells", "closure"] {
+                let mut items = vec!["--machine", machine];
+                items.extend_from_slice(opts);
+                items.push("path:8");
+                let err = parse(&argv(&items)).unwrap_err();
+                assert_eq!(
+                    err.0,
+                    format!("{named} requires --machine gca"),
+                    "{items:?}"
+                );
+            }
+            // The same options stand on the gca machine, named or default.
+            for machine in [&["--machine", "gca"][..], &[]] {
+                let mut items = machine.to_vec();
+                items.extend_from_slice(opts);
+                items.push("path:8");
+                assert!(parse(&argv(&items)).is_ok(), "{items:?}");
+            }
+        }
+        // Without them every machine parses.
+        assert!(parse(&argv(&["--machine", "seq", "--verify", "path:8"])).is_ok());
     }
 
     #[test]

@@ -305,6 +305,24 @@ fn unreachable_fault_site_fails_before_the_run() {
 }
 
 #[test]
+fn gca_only_options_fail_on_other_machines() {
+    // A check the machine would not run is refused, not skipped.
+    for (machine, opt) in [("seq", "--invariants"), ("pram", "--validate")] {
+        let out = gca_cc()
+            .args(["path:8", "--machine", machine, opt])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{machine} {opt}");
+        assert!(out.stdout.is_empty(), "{machine} {opt}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.starts_with(&format!("error: {opt} requires --machine gca")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn help_prints_usage_and_succeeds() {
     let out = gca_cc().args(["--help"]).output().expect("spawn");
     assert!(out.status.success());

@@ -21,6 +21,21 @@ pub struct AdjacencyMatrix {
     bits: Vec<u64>,
 }
 
+/// An empty set of `n` nodes, packed like a matrix row: node `v` is bit
+/// `v % 64` of word `v / 64`.
+pub(crate) fn node_set(n: usize) -> Vec<u64> {
+    vec![0; n.div_ceil(64)]
+}
+
+/// Inserts node `v` into a [`node_set`]; whether it was absent.
+#[inline]
+pub(crate) fn insert_node(set: &mut [u64], v: usize) -> bool {
+    let bit = 1u64 << (v % 64);
+    let absent = set[v / 64] & bit == 0;
+    set[v / 64] |= bit;
+    absent
+}
+
 impl AdjacencyMatrix {
     /// Creates an empty (edge-less) matrix over `n` nodes.
     pub fn new(n: usize) -> Self {
@@ -159,6 +174,18 @@ impl AdjacencyMatrix {
         words.iter().enumerate().flat_map(|(wi, &w)| {
             BitIter { word: w }.map(move |b| wi * 64 + b)
         })
+    }
+
+    /// Adds to `seen`, a node set packed like a row (see [`node_set`]),
+    /// the neighbors of `u` it does not hold yet, and pushes each onto
+    /// `stack`: `row & !seen`, a word at a time. The row's tail bits are
+    /// zero, so no node past `n` is pushed.
+    pub(crate) fn push_unseen_neighbors(&self, u: usize, seen: &mut [u64], stack: &mut Vec<usize>) {
+        for (wi, (&row, seen)) in self.row_words(u).iter().zip(seen).enumerate() {
+            let fresh = row & !*seen;
+            *seen |= fresh;
+            stack.extend(BitIter { word: fresh }.map(|b| wi * 64 + b));
+        }
     }
 
     /// Degree of node `u`.

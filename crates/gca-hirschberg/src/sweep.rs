@@ -12,7 +12,11 @@
 //!
 //! * generations 1–4: `T(i) = min{C(j) : A(i,j), C(j) ≠ C(i)}`, or `C(i)`
 //!   if that set is empty — a set-bit walk over the graph's own packed
-//!   [`AdjacencyMatrix`] row (its diagonal and row-tail bits are zero);
+//!   [`AdjacencyMatrix`] row (its diagonal and row-tail bits are zero).
+//!   When `C` does not decrease with the node index (the identity that
+//!   generation 0 writes, say), the first set bit with another label
+//!   holds the minimum and the walk stops there; one O(n) check on `C`
+//!   per computed iteration decides it;
 //! * generations 5–8: `T′(r) = min{T(c) : C(c) = r, T(c) ≠ r}`, or `C(r)`
 //!   if that set is empty — an O(n) scatter-min;
 //! * generation 9: column 0 and `D_N` take `T′`;
@@ -333,8 +337,9 @@ impl Sweep {
             out.copy_from_slice(c);
             return;
         }
+        let sorted = c.windows(2).all(|w| w[0] <= w[1]);
         match plan_rows(par, n * n, n, n) {
-            None => neighbour_min_rows(out, 0, c, graph),
+            None => neighbour_min_rows(out, 0, c, graph, sorted),
             Some(rows_per) => {
                 let overlap = self.fault == Some(SweepFault::OverlapChunks);
                 if overlap {
@@ -344,7 +349,7 @@ impl Sweep {
                     .enumerate()
                     .for_each(|(ci, seg)| {
                         let base_row = ci * rows_per - usize::from(overlap && ci > 0);
-                        neighbour_min_rows(seg, base_row, c, graph);
+                        neighbour_min_rows(seg, base_row, c, graph, sorted);
                     });
             }
         }
@@ -389,13 +394,21 @@ fn field_word(c: &[Word], t: &[Word], fresh: bool, row: usize, col: usize) -> Wo
 }
 
 /// The neighbour-min of the rows `base_row..base_row + seg.len()`: a
-/// set-bit walk over each of the matrix's rows.
-fn neighbour_min_rows(seg: &mut [Word], base_row: usize, c: &[Word], graph: &AdjacencyMatrix) {
+/// set-bit walk over each of the matrix's rows. When `sorted` (`C` does
+/// not decrease with the node index) the walk stops at the first label
+/// other than the row's own: no later bit carries a smaller one.
+fn neighbour_min_rows(
+    seg: &mut [Word],
+    base_row: usize,
+    c: &[Word],
+    graph: &AdjacencyMatrix,
+    sorted: bool,
+) {
     for (k, slot) in seg.iter_mut().enumerate() {
         let i = base_row + k;
         let own = c[i];
         let mut best = INFINITY;
-        for (w, &word) in graph.row_words(i).iter().enumerate() {
+        'row: for (w, &word) in graph.row_words(i).iter().enumerate() {
             // The matrix packs rows in the engine's adjacency words.
             let mut bits: AdjWord = word;
             while bits != 0 {
@@ -403,6 +416,9 @@ fn neighbour_min_rows(seg: &mut [Word], base_row: usize, c: &[Word], graph: &Adj
                 bits &= bits - 1;
                 if l != own && l < best {
                     best = l;
+                    if sorted {
+                        break 'row;
+                    }
                 }
             }
         }
@@ -471,6 +487,40 @@ mod tests {
         split.neighbour_min(&g, par);
         assert_eq!(seq.next, split.next);
         assert!(seq.next.iter().zip(&seq.c).any(|(t, c)| t != c));
+    }
+
+    #[test]
+    fn early_exit_matches_the_full_walk_on_sorted_labels() {
+        // n = 70: rows span two adjacency words, and three workers leave a
+        // short last chunk. The labels are the identity and non-decreasing
+        // vectors with runs of equal labels.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 70;
+        let par = Some(ParPolicy {
+            workers: 3,
+            threshold: 0,
+            explicit: true,
+        });
+        let mut rng = StdRng::seed_from_u64(7);
+        for seed in 0..8 {
+            let g = generators::gnp(n, 0.02 + 0.04 * seed as f64, seed);
+            let identity: Vec<Word> = (0..n as Word).collect();
+            let mut runs = vec![0; n];
+            for i in 1..n {
+                runs[i] = runs[i - 1] + rng.gen_range(0..3);
+            }
+            for c in [identity, runs] {
+                let mut full = vec![0; n];
+                neighbour_min_rows(&mut full, 0, &c, &g, false);
+                let mut sweep = Sweep::new(n);
+                sweep.c.copy_from_slice(&c);
+                for policy in [None, par] {
+                    sweep.next.fill(0);
+                    sweep.neighbour_min(&g, policy);
+                    assert_eq!(sweep.next, full, "seed {seed}, {policy:?}");
+                }
+            }
+        }
     }
 
     #[test]
