@@ -1,9 +1,9 @@
 //! Differential soak test: run every machine on a stream of random graphs,
 //! validate each result with the oracle-free verifier, and cross-compare
-//! label-for-label. The n² GCA runs on every exec path: generic, and each
-//! fused path under `Off`, `Counts` and `Validate` accounting; under
-//! `Counts` the fused machines step in lockstep with the generic one, and
-//! their whole fields and metrics logs must match it after init and at
+//! label-for-label. The n² GCA runs on both exec paths: generic, and
+//! fused under `Off`, `Counts` and `Validate` accounting; under `Counts`
+//! the fused machine steps in lockstep with the generic one, and its
+//! whole field and metrics log must match it after init and at
 //! every iteration boundary. Exits non-zero on the first divergence or
 //! machine error with a reproducer (the offending graph as an edge list).
 //! After the last round it prints each machine's cumulative wall seconds.
@@ -18,7 +18,7 @@ use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::verify::verify_components;
 use gca_graphs::{generators, io, AdjacencyMatrix, Labeling};
 use gca_hirschberg::variants::{low_congestion, n_cells, two_handed};
-use gca_hirschberg::{ExecPath, FusedParallel, HirschbergGca, Machine};
+use gca_hirschberg::{ExecPath, HirschbergGca, Machine};
 use gca_pram::hirschberg_ref;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -57,54 +57,36 @@ impl Clock {
     }
 }
 
-/// The fused exec paths. `fused-par` forces its partition (threshold 0)
-/// so that even the small soak graphs split into two row chunks.
-fn fused_paths() -> [(&'static str, ExecPath); 2] {
-    [
-        ("fused", ExecPath::Fused),
-        (
-            "fused-par",
-            ExecPath::FusedParallel(FusedParallel {
-                workers: 2,
-                threshold: Some(0),
-            }),
-        ),
-    ]
-}
-
-/// Each fused path under the accounting levels the lockstep run leaves
+/// The fused path under the accounting levels the lockstep run leaves
 /// out: `Off` and `Validate`.
 fn fused_gca_runs(g: &AdjacencyMatrix, clock: &mut Clock) -> Vec<Run> {
     let levels = [
-        ("off", Instrumentation::Off),
-        ("validate", Instrumentation::Validate),
+        ("gca/fused/off", Instrumentation::Off),
+        ("gca/fused/validate", Instrumentation::Validate),
     ];
     let mut runs = Vec::new();
-    for (path, exec) in fused_paths() {
-        for (level, instr) in levels {
-            let name = format!("gca/{path}/{level}");
-            let run = clock.time(&name, || {
-                HirschbergGca::new()
-                    .with_engine(Engine::sequential().with_instrumentation(instr))
-                    .exec(exec)
-                    .run(g)
-            });
-            runs.push((name, run.map(|r| r.labels)));
-        }
+    for (name, instr) in levels {
+        let run = clock.time(name, || {
+            HirschbergGca::new()
+                .with_engine(Engine::sequential().with_instrumentation(instr))
+                .exec(ExecPath::Fused)
+                .run(g)
+        });
+        runs.push((name.to_string(), run.map(|r| r.labels)));
     }
     runs
 }
 
-/// The generic machine and every fused path under `Counts`, one outer
-/// iteration at a time: after init and at each iteration boundary every
-/// fused machine's field and metrics log must equal the generic one's.
-/// Returns each machine's labels, or the first boundary where a fused
-/// machine diverged.
+/// The generic and the fused machine under `Counts`, one outer iteration
+/// at a time: after init and at each iteration boundary the fused
+/// machine's field and metrics log must equal the generic one's. Returns
+/// each machine's labels, or the first boundary where the fused machine
+/// diverged.
 fn lockstep_runs(g: &AdjacencyMatrix, clock: &mut Clock) -> Result<Vec<Run>, String> {
-    let mut machines = vec![("gca".to_string(), ExecPath::Generic)];
-    for (path, exec) in fused_paths() {
-        machines.push((format!("gca/{path}/counts"), exec));
-    }
+    let machines = [
+        ("gca".to_string(), ExecPath::Generic),
+        ("gca/fused/counts".to_string(), ExecPath::Fused),
+    ];
     let mut live: Vec<(String, Machine)> = Vec::new();
     let mut runs = Vec::new();
     for (name, exec) in machines {

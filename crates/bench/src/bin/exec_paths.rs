@@ -1,10 +1,10 @@
-//! Times the three execution paths (`generic`, `fused`, `fused-par{w}`)
-//! per iteration, per full run and per batched graph, checking every row
+//! Times the two execution paths (`generic`, `fused`) per iteration and
+//! per full run, and the batched runner per graph, checking every row
 //! against the generic path or union-find before its time is published.
 //!
-//! Usage: `exec_paths [--out <path>] [--sizes a,b,c] [--workers a,b]
-//! [--reps k]` (defaults: sizes 16,64,128,256; workers 2,4; at most 64 timed
-//! calls per row, fewer where one call is slow). With `--out` the rows are
+//! Usage: `exec_paths [--out <path>] [--sizes a,b,c] [--reps k]`
+//! (defaults: sizes 16,64,128,256; at most 64 timed calls per row, fewer
+//! where one call is slow). With `--out` the rows are
 //! written as JSON to `<path>` (conventionally `BENCH_exec_paths.json` at
 //! the repo root); otherwise the document goes to stdout. The document
 //! carries a provenance stamp (worker budget, CPU count, commit), because a
@@ -39,17 +39,13 @@ fn main() {
     let sizes = flag("--sizes")
         .map(|s| parse_list(&s, "size"))
         .unwrap_or_else(|| exec_paths::SIZES.to_vec());
-    let workers = flag("--workers")
-        .map(|s| parse_list(&s, "worker count"))
-        .unwrap_or_else(|| exec_paths::WORKERS.to_vec());
     let max_reps: u32 = flag("--reps")
         .map(|s| s.parse().unwrap_or_else(|_| panic!("bad rep count '{s}'")))
         .unwrap_or(exec_paths::MAX_REPS);
 
-    let execs = exec_paths::paths(&workers);
     let rows: Vec<Row> = sizes
         .iter()
-        .flat_map(|&n| exec_paths::rows(n, &execs, max_reps).expect("exec-path timing"))
+        .flat_map(|&n| exec_paths::rows(n, max_reps).expect("exec-path timing"))
         .collect();
 
     let mut table = Table::new([

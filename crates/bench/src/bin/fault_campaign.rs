@@ -18,7 +18,7 @@
 //!   labels/metrics differ from clean.
 //!
 //! The campaign also exercises the degradation ladder (a sticky fault
-//! bound to each upper rung must be walked off by `Degrade`) and one
+//! bound to the upper rung, fused, must be walked off by `Degrade`) and one
 //! expected-exhaustion row (a sticky fault on `generic` has no rung
 //! below it, so `Degrade` must report exhaustion rather than lie).
 //!
@@ -34,13 +34,13 @@ use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::{generators, AdjacencyMatrix, Labeling};
 use gca_hirschberg::complexity::total_generations;
 use gca_hirschberg::supervise::rung_name;
-use gca_hirschberg::{ExecPath, FusedParallel, Machine, SupervisedMachine};
+use gca_hirschberg::{ExecPath, Machine, SupervisedMachine};
 use serde_json::json;
 
 /// One execution-path rung of the campaign grid.
 struct PathRow {
     exec: ExecPath,
-    /// Ladder level (0 = generic … 2 = fused-par), mirrored from
+    /// Ladder level (0 = generic, 1 = fused), mirrored from
     /// `Machine::exec_level` for sticky-fault binding.
     level: u8,
 }
@@ -49,17 +49,12 @@ fn grid_paths() -> Vec<PathRow> {
     vec![
         PathRow { exec: ExecPath::Generic, level: 0 },
         PathRow { exec: ExecPath::Fused, level: 1 },
-        PathRow {
-            // threshold 0 forces row partitioning even at campaign sizes.
-            exec: ExecPath::FusedParallel(FusedParallel { workers: 3, threshold: Some(0) }),
-            level: 2,
-        },
     ]
 }
 
 /// The fault classes of the campaign: data-plane corruptions, meaningful
-/// on every path (a fault plan hands the fused paths' generations to the
-/// engine, so they all land on the same materialized plane).
+/// on every path (a fault plan hands the fused path's generations to the
+/// engine, so both land on the same materialized plane).
 fn classes() -> [FaultKind; 3] {
     [
         FaultKind::BitFlip { bit: 0 },

@@ -1,5 +1,5 @@
-//! One timing harness for the three execution paths — `generic`, `fused`
-//! and `fused-par{w}` — and the one row schema of `BENCH_exec_paths.json`.
+//! One timing harness for the two execution paths — `generic` and
+//! `fused` — and the one row schema of `BENCH_exec_paths.json`.
 //!
 //! Every row is `(layer, n, exec, workers, instrumentation) → ns {min,
 //! median, max}` plus an `agrees` flag, on the standard workload
@@ -33,13 +33,12 @@ use std::time::{Duration, Instant};
 /// Seed of the standard workload.
 pub const SEED: u64 = 2007;
 
-/// Default problem sizes. n = 128 is the smallest square the default
-/// threshold splits; n = 256 is the largest at which eight full generic
-/// runs, the reference and the timed calls, take about a second.
+/// Default problem sizes. n = 256 is the largest at which eight full
+/// generic runs, the reference and the timed calls, take about a second.
 pub const SIZES: [usize; 4] = [16, 64, 128, 256];
 
-/// Default worker counts of the `fused-par{w}` paths.
-pub const WORKERS: [usize; 2] = [2, 4];
+/// The timed execution paths.
+pub const PATHS: [ExecPath; 2] = [ExecPath::Generic, ExecPath::Fused];
 
 /// Graphs per batch of the `batch` layer.
 pub const BATCH: usize = 16;
@@ -72,7 +71,7 @@ pub struct Row {
     pub n: usize,
     /// Execution path.
     pub exec: ExecPath,
-    /// Worker threads: the batch's workers, or the path's own.
+    /// Worker threads: the batch's workers, or 1.
     pub workers: usize,
     /// Instrumentation level of the timed calls.
     pub instrumentation: Instrumentation,
@@ -88,7 +87,10 @@ impl Row {
         json!({
             "layer": format!("{:?}", self.layer).to_lowercase(),
             "n": self.n,
-            "exec": exec_name(self.exec),
+            "exec": match self.exec {
+                ExecPath::Generic => "generic",
+                ExecPath::Fused | ExecPath::FusedParallel(_) => "fused",
+            },
             "workers": self.workers,
             "instrumentation": format!("{:?}", self.instrumentation).to_lowercase(),
             "ns": self.ns.json(),
@@ -97,32 +99,15 @@ impl Row {
     }
 }
 
-/// `generic`, `fused` or `fused-par{w}`.
-fn exec_name(exec: ExecPath) -> String {
-    match exec {
-        ExecPath::Generic => "generic".to_string(),
-        ExecPath::Fused => "fused".to_string(),
-        ExecPath::FusedParallel(cfg) => format!("fused-par{}", cfg.workers),
-    }
-}
-
-/// The generic and fused paths, then `fused-par{w}` for each of `workers`
-/// at the default threshold.
-pub fn paths(workers: &[usize]) -> Vec<ExecPath> {
-    let mut paths = vec![ExecPath::Generic, ExecPath::Fused];
-    paths.extend(workers.iter().map(|&w| ExecPath::fused_parallel(w)));
-    paths
-}
-
-/// Every row at size `n`: iterations and runs on each of `execs`, then
+/// Every row at size `n`: iterations and runs on each of [`PATHS`], then
 /// the batch at 1 worker and at every CPU. A row takes at most `max_reps`
 /// timed calls.
-pub fn rows(n: usize, execs: &[ExecPath], max_reps: u32) -> Result<Vec<Row>, GcaError> {
+pub fn rows(n: usize, max_reps: u32) -> Result<Vec<Row>, GcaError> {
     let graph = generators::gnp(n, 0.3, SEED);
     let mut rows = Vec::new();
     let mut reference = machine(&graph, ExecPath::Generic)?;
     reference.run_iteration()?;
-    for &exec in execs {
+    for exec in PATHS {
         rows.push(iteration_row(
             &reference,
             &graph,
@@ -133,7 +118,7 @@ pub fn rows(n: usize, execs: &[ExecPath], max_reps: u32) -> Result<Vec<Row>, Gca
     }
     for instrumentation in [Instrumentation::Counts, Instrumentation::Off] {
         let reference = runner(ExecPath::Generic, instrumentation).run(&graph)?;
-        for &exec in execs {
+        for exec in PATHS {
             rows.push(run_row(
                 &graph,
                 &reference,
@@ -181,13 +166,6 @@ fn runner(exec: ExecPath, instrumentation: Instrumentation) -> HirschbergGca {
         .exec(exec)
 }
 
-fn path_workers(exec: ExecPath) -> usize {
-    match exec {
-        ExecPath::FusedParallel(cfg) => cfg.workers,
-        ExecPath::Generic | ExecPath::Fused => 1,
-    }
-}
-
 /// Times `step` with as many calls as fit [`BUDGET_NS`] when one call
 /// took `probe`, at most `max_reps`, surfacing the first error.
 fn time(
@@ -233,7 +211,7 @@ fn iteration_row(
         layer: Layer::Iteration,
         n: candidate.n(),
         exec,
-        workers: path_workers(exec),
+        workers: 1,
         instrumentation: Instrumentation::Counts,
         ns,
         agrees,
@@ -258,7 +236,7 @@ fn run_row(
         layer: Layer::Run,
         n: graph.n(),
         exec,
-        workers: path_workers(exec),
+        workers: 1,
         instrumentation,
         ns,
         agrees,
@@ -306,21 +284,19 @@ mod tests {
 
     #[test]
     fn every_path_agrees() {
-        let all = rows(16, &paths(&[2]), 1).unwrap();
-        // 3 paths × (iteration + 2 runs), then 1 or 2 batch rows.
-        assert!(all.len() == 10 || all.len() == 11, "{}", all.len());
-        // n = 128 is the smallest square the default threshold splits.
-        let split = rows(128, &[ExecPath::fused_parallel(2)], 1).unwrap();
-        for row in all.iter().chain(&split) {
+        let all = rows(16, 1).unwrap();
+        // 2 paths × (iteration + 2 runs), then 1 or 2 batch rows.
+        assert!(all.len() == 7 || all.len() == 8, "{}", all.len());
+        for row in &all {
             let j = row.json();
             assert!(row.agrees, "{j}");
             assert!(row.ns.min > 0.0 && row.ns.min <= row.ns.median, "{j}");
             assert!(row.ns.median <= row.ns.max, "{j}");
         }
         // The row schema, timing aside.
-        let mut j = split[0].json();
+        let mut j = all[1].json();
         j["ns"] = Value::Null;
-        let expected = json!({"layer": "iteration", "n": 128, "exec": "fused-par2", "workers": 2,
+        let expected = json!({"layer": "iteration", "n": 16, "exec": "fused", "workers": 1,
                               "instrumentation": "counts", "ns": null, "agrees": true});
         assert_eq!(j, expected);
         assert_eq!(all.last().unwrap().json()["layer"], "batch");

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! gca-analyze [n ...] [--isa] [--schedule] [--symbolic] [--modelcheck]
-//!             [--partition] [--invariants] [--lint]
+//!             [--invariants] [--lint]
 //!             [--modelcheck-max-n N] [--lint-root DIR]
 //! ```
 //!
@@ -18,11 +18,6 @@
 //!   check *is* parametric, and never executes the machine);
 //! * `--modelcheck` — bounded-exhaustive run over **all** graphs on up to
 //!   `--modelcheck-max-n` (default 6) vertices;
-//! * `--partition`  — the partition-disjointness prover: the exact
-//!   `plan_rows` planner enumerated over the sweep's partitioned geometry,
-//!   `n = 2^k (k ≤ 16)` × workers `1..=64` × threshold settings,
-//!   proving chunk intervals disjoint, exactly covering, and histogram
-//!   merges alias-free;
 //! * `--invariants` — the inductive invariant prover: per-generation
 //!   Hoare contracts over the abstract-state domain discharged for
 //!   **every** `n = 2^k, k ≤ 16` — per-cell transfer exactness against
@@ -213,24 +208,6 @@ fn run_modelcheck(max_n: usize, seeded: bool) {
     }
 }
 
-fn run_partition(seeded: bool) {
-    println!("partition-disjointness proof:");
-    if seeded {
-        match gca_analysis::partition::verify_seeded() {
-            Some(f) => fail(&format!("partition: seeded fault detected: {f}")),
-            None => fail("partition: seeded overlap escaped the prover"),
-        }
-    }
-    match gca_analysis::partition::verify() {
-        Ok(report) => println!(
-            "  {} planner configurations × {} geometries proven disjoint \
-             ({} parallel plans, {} histogram targets)",
-            report.configs, report.geometries, report.parallel_plans, report.hist_targets,
-        ),
-        Err(f) => fail(&format!("partition: {f}")),
-    }
-}
-
 fn run_invariants(seeded: bool) {
     println!("inductive invariant proof:");
     if seeded {
@@ -255,7 +232,7 @@ fn run_lint(root: &Path, seeded: bool) {
     println!("workspace lint ({}):", root.display());
     if seeded {
         // Seeded fault: a snippet violating the no-unwrap rule.
-        let class = FileClass { library: true, hot_path: false, word_home: false, kernel: false };
+        let class = FileClass { library: true, hot_path: false, word_home: false };
         let (violations, _) =
             gca_lint::lint_source("seeded.rs", "fn f() { x.unwrap(); }", class);
         if let Some(v) = violations.first() {
@@ -294,8 +271,8 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--isa" | "--schedule" | "--symbolic" | "--modelcheck" | "--partition"
-            | "--invariants" | "--lint" => {
+            "--isa" | "--schedule" | "--symbolic" | "--modelcheck" | "--invariants"
+            | "--lint" => {
                 layers.push(args[i].trim_start_matches("--").to_string());
             }
             "--modelcheck-max-n" => {
@@ -334,10 +311,8 @@ fn main() {
     let on = |layer: &str| all || layers.iter().any(|l| l == layer);
     let fault_for = |layer: &str| seed_fault.as_deref() == Some(layer);
     if let Some(f) = &seed_fault {
-        if ![
-            "isa", "schedule", "symbolic", "modelcheck", "partition", "invariants", "lint",
-        ]
-        .contains(&f.as_str())
+        if !["isa", "schedule", "symbolic", "modelcheck", "invariants", "lint"]
+            .contains(&f.as_str())
         {
             fail(&format!("unknown --seed-fault layer {f:?}"));
         }
@@ -359,9 +334,6 @@ fn main() {
     }
     if on("modelcheck") {
         run_modelcheck(modelcheck_max_n, fault_for("modelcheck"));
-    }
-    if on("partition") {
-        run_partition(fault_for("partition"));
     }
     if on("invariants") {
         run_invariants(fault_for("invariants"));

@@ -1,7 +1,7 @@
 //! Layer four: inductive invariant prover for the Hirschberg schedule.
 //!
-//! The partition layer proves the sweep's parallel split; this layer
-//! proves the *algorithm*. It discharges, for every n = 2^k up to a
+//! The other layers prove the schedule's accounting and access contracts;
+//! this layer proves the *algorithm*. It discharges, for every n = 2^k up to a
 //! caller-chosen k, the induction that Hirschberg/Chandra/Sarwate's
 //! correctness argument rests on — with **zero machine executions**. Four
 //! cooperating proof obligations:

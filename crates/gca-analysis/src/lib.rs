@@ -1,8 +1,8 @@
 //! Static verification of the CROW / read-snapshot / domain contracts the
 //! fast paths of this workspace depend on.
 //!
-//! The engine's hinted stepping, the fused sweep and its row-partitioned
-//! neighbour-min are all justified by the same three promises: cells write
+//! The engine's hinted stepping and the fused sweep are both justified by
+//! the same three promises: cells write
 //! only themselves (owner-write), reads observe the previous generation
 //! only, and cells outside a rule's declared [`gca_engine::Domain`] are
 //! no-ops. The runtime sanitizer ([`gca_engine::Instrumentation::Validate`])
@@ -41,13 +41,7 @@
 //!   hook/convergence lemma over supervertex quotients, and closed-form
 //!   induction arithmetic — mirrored at runtime by the
 //!   [`gca_engine::InvariantCheck`] harness in
-//!   [`gca_hirschberg::invariants`];
-//! * [`mod@partition`] — an enumeration of the exact
-//!   [`gca_hirschberg::kernels::plan_rows`] planner over the sweep's
-//!   partitioned neighbour-min proving the `par_chunks_mut` write
-//!   intervals are pairwise disjoint and exactly cover the vector, and
-//!   that the pointer chases' per-label read counters never alias
-//!   ([`partition::PartitionFault`] otherwise).
+//!   [`gca_hirschberg::invariants`].
 //!
 //! The `gca-analyze` binary runs every layer (plus the `gca-lint`
 //! workspace linter) over every shipped program and is wired into CI.
@@ -59,14 +53,12 @@ pub mod activity;
 pub mod invariants;
 pub mod isa;
 pub mod modelcheck;
-pub mod partition;
 pub mod schedule;
 pub mod symbolic;
 
 pub use activity::{activity, live_subgenerations, min_reduce_folds_per_row};
 
 pub use invariants::{contracts, prove, prove_seeded, Contract, Fact, ProofFault, ProofReport};
-pub use partition::{PartitionFault, PartitionReport};
 
 pub use isa::{analyze, AnalysisError, CrossCheckMismatch, GenPrediction, IsaAnalysis, ReadPrediction, StoreProof};
 pub use modelcheck::{check_all, ModelCheckError, ModelCheckReport, ModelCheckViolation};

@@ -77,13 +77,14 @@ fn modelcheck_layer_exit_codes() {
 fn removed_lanes_layer_is_rejected() {
     // The lane and occupancy provers went with the SWAR plane bodies.
     assert_fails(&["--lanes"], "invalid size");
-    assert_fails(&["--partition", "--seed-fault", "lanes"], "unknown --seed-fault layer");
+    assert_fails(&["--symbolic", "--seed-fault", "lanes"], "unknown --seed-fault layer");
 }
 
 #[test]
-fn partition_layer_exit_codes() {
-    assert_clean(&["--partition"]);
-    assert_fails(&["--partition", "--seed-fault", "partition"], "overlap");
+fn removed_partition_layer_is_rejected() {
+    // The partition prover went with the row-split sweep it proved.
+    assert_fails(&["--partition"], "invalid size");
+    assert_fails(&["--symbolic", "--seed-fault", "partition"], "unknown --seed-fault layer");
 }
 
 #[test]

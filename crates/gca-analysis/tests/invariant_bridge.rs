@@ -7,8 +7,8 @@
 //! `Instrumentation::Validate`) replays the *same* transfer functions
 //! against live runs. These tests close the loop from both sides:
 //!
-//! * random graphs (`n ≤ 64`) run under the armed harness across all three
-//!   execution paths (generic, fused, row-parallel fused) — no
+//! * random graphs (`n ≤ 64`) run under the armed harness on both
+//!   execution paths (generic and fused) — no
 //!   `InvariantViolation` may fire, and the final labels must equal the
 //!   independent union-find canonical form;
 //! * the prover itself must discharge every contract over the same size
@@ -23,16 +23,12 @@ use gca_engine::{Engine, GcaError, Instrumentation};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::AdjacencyMatrix;
 use gca_hirschberg::complexity::outer_iterations;
-use gca_hirschberg::{ExecPath, FusedParallel, InvariantClass, Machine};
+use gca_hirschberg::{ExecPath, InvariantClass, Machine};
 use proptest::prelude::*;
 
-/// The three execution paths the live harness must agree on.
-fn exec_paths() -> [ExecPath; 3] {
-    [
-        ExecPath::Generic,
-        ExecPath::Fused,
-        ExecPath::FusedParallel(FusedParallel::with_workers(2)),
-    ]
+/// The execution paths the live harness must agree on.
+fn exec_paths() -> [ExecPath; 2] {
+    [ExecPath::Generic, ExecPath::Fused]
 }
 
 /// Runs a full schedule under `Instrumentation::Validate` (which arms the

@@ -71,7 +71,7 @@ pub struct EngineOpts {
     pub exec: ExecPath,
     /// Run under the CROW/domain sanitizer (`--validate`): every generation
     /// is replayed against the read-snapshot and domain contracts on the
-    /// engine, and the fused paths cross-check their sweep against it.
+    /// engine, and the fused path cross-checks its sweep against it.
     pub validate: bool,
     /// Live invariant checking (`--invariants`): run the algorithm-level
     /// invariant mirror — every generation replayed against the prover's
@@ -94,14 +94,12 @@ impl EngineOpts {
         }
     }
 
-    /// Parses an `--exec` value.
+    /// Parses an `--exec` value. `fused-par` is an alias of `fused`.
     pub fn parse_exec(s: &str) -> Result<ExecPath, ArgError> {
         match s {
             "generic" => Ok(ExecPath::Generic),
             "fused" => Ok(ExecPath::Fused),
-            "fused-par" | "fused-parallel" => {
-                Ok(ExecPath::FusedParallel(FusedParallel::default()))
-            }
+            "fused-par" | "fused-parallel" => Ok(ExecPath::FusedParallel(FusedParallel)),
             other => Err(ArgError(format!(
                 "unknown exec path '{other}' (expected generic|fused|fused-par)"
             ))),
@@ -119,15 +117,9 @@ impl EngineOpts {
             },
             match self.exec {
                 ExecPath::Generic => "generic",
-                ExecPath::Fused => "fused",
-                ExecPath::FusedParallel(_) => "fused-par",
+                ExecPath::Fused | ExecPath::FusedParallel(_) => "fused",
             }
         );
-        if let ExecPath::FusedParallel(cfg) = self.exec {
-            if cfg.workers != 0 {
-                s.push_str(&format!(" workers={}", cfg.workers));
-            }
-        }
         if self.validate {
             s.push_str(" validate=on");
         }
@@ -258,13 +250,12 @@ INPUT:
 OPTIONS:
   --machine <m>      gca (default) | ncells | lowcong | twohand | closure | emu | pram | seq
   --convergence <c>  fixed (default) | detect — pointer-jump convergence early exit (gca machine only)
-  --exec <e>         fused (default) | fused-par | generic — one O(n)-state vector sweep
-                     per outer iteration over the bit-packed adjacency plane, the same sweep
-                     with row-partitioned workers, or the engine's per-cell dispatch over
-                     the whole n(n+1) field; --validate, --inject and Trace steps run the
-                     engine on every path (gca machine only)
-  --workers <k>      worker count for --exec fused-par (0 or omitted = auto from the
-                     machine's thread count)
+  --exec <e>         fused (default) | generic — one O(n)-state vector sweep per outer
+                     iteration over the bit-packed adjacency plane, or the engine's per-cell
+                     dispatch over the whole n(n+1) field; --validate, --inject and Trace
+                     steps run the engine on every path (gca machine only). fused-par is
+                     an alias of fused
+  --workers <k>      accepted with --exec fused-par for compatibility, and unused
   --validate         run under the CROW/domain sanitizer: replay every generation against the
                      owner-write / read-snapshot / domain contracts (gca machine only; slower)
   --invariants       run the live invariant mirror: every generation replayed against the
@@ -279,7 +270,7 @@ OPTIONS:
                      Detection needs --validate; an undetected label divergence exits 4.
   --recover <p>      recovery policy when a detector fires (implies supervision):
                      fail (default with --inject) | retry[:N] | rollback[:D] | degrade —
-                     degrade walks fused-par -> fused -> generic. Exhausted
+                     degrade walks fused -> generic. Exhausted
                      recovery exits 3; a recovered run exits 0 and prints its report.
   --checkpoint-every <N>
                      checkpoint cadence in outer iterations under supervision (default 1)
@@ -342,7 +333,8 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
     let mut engine = EngineOpts::default();
     let mut recovery = RecoveryOpts::default();
     let mut cadence: Option<u64> = None;
-    let mut workers: Option<usize> = None;
+    // `--workers` was given: validated, then unused.
+    let mut workers = false;
     // The options given that only the gca machine honours.
     let mut gca_only: Vec<&'static str> = Vec::new();
 
@@ -373,9 +365,10 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
                 let v = it
                     .next()
                     .ok_or_else(|| ArgError("--workers needs a value".into()))?;
-                workers = Some(v.parse().map_err(|_| {
+                v.parse::<usize>().map_err(|_| {
                     ArgError(format!("bad worker count '{v}' (expected an integer)"))
-                })?);
+                })?;
+                workers = true;
             }
             "--inject" => {
                 let v = it
@@ -430,11 +423,8 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
         }
     }
 
-    if let Some(w) = workers {
-        match &mut engine.exec {
-            ExecPath::FusedParallel(cfg) => cfg.workers = w,
-            _ => return Err(ArgError("--workers requires --exec fused-par".into())),
-        }
+    if workers && !matches!(engine.exec, ExecPath::FusedParallel(_)) {
+        return Err(ArgError("--workers requires --exec fused-par".into()));
     }
 
     if let Some(n) = cadence {
@@ -557,30 +547,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_fused_par_and_workers() {
-        let a = parse(&argv(&["--exec", "fused-par", "ring:5"])).unwrap();
-        assert_eq!(a.engine.exec, ExecPath::FusedParallel(FusedParallel::default()));
-        assert_eq!(
-            a.engine.describe(),
-            "convergence=fixed exec=fused-par"
-        );
-
-        let a = parse(&argv(&["--exec", "fused-par", "--workers", "4", "ring:5"])).unwrap();
-        assert_eq!(
-            a.engine.exec,
-            ExecPath::FusedParallel(FusedParallel::with_workers(4))
-        );
-        assert_eq!(
-            a.engine.describe(),
-            "convergence=fixed exec=fused-par workers=4"
-        );
-
-        // --workers before --exec works too: patching happens after the loop.
-        let a = parse(&argv(&["--workers", "2", "--exec", "fused-par", "ring:5"])).unwrap();
-        assert_eq!(
-            a.engine.exec,
-            ExecPath::FusedParallel(FusedParallel::with_workers(2))
-        );
+    fn parses_fused_par_as_an_alias_of_fused() {
+        for items in [
+            &["--exec", "fused-par", "ring:5"][..],
+            &["--exec", "fused-par", "--workers", "4", "ring:5"][..],
+            // --workers before --exec works too: it is checked after the loop.
+            &["--workers", "2", "--exec", "fused-par", "ring:5"][..],
+        ] {
+            let a = parse(&argv(items)).unwrap();
+            assert_eq!(a.engine.exec, ExecPath::FusedParallel(FusedParallel), "{items:?}");
+            assert_eq!(a.engine.describe(), "convergence=fixed exec=fused", "{items:?}");
+        }
     }
 
     #[test]

@@ -481,15 +481,10 @@ mod tests {
 
     #[test]
     fn validate_knob_is_bit_identical_on_both_exec_paths() {
-        use gca_hirschberg::{ExecPath, FusedParallel};
+        use gca_hirschberg::ExecPath;
         let g = generators::gnp(16, 0.3, 11);
         let reference = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
-        for exec in [
-            ExecPath::Generic,
-            ExecPath::Fused,
-            // threshold 0 forces the row-partitioned path even at n = 16.
-            ExecPath::FusedParallel(FusedParallel { workers: 2, threshold: Some(0) }),
-        ] {
+        for exec in [ExecPath::Generic, ExecPath::Fused] {
             let opts = EngineOpts {
                 exec,
                 validate: true,
@@ -503,28 +498,6 @@ mod tests {
             );
             assert!(validated.engine.as_deref().unwrap().ends_with("validate=on"));
         }
-    }
-
-    #[test]
-    fn fused_par_exec_matches_generic_via_cli_path() {
-        use gca_hirschberg::{ExecPath, FusedParallel};
-        let g = generators::gnp(18, 0.25, 13);
-        let generic = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
-        let opts = EngineOpts {
-            exec: ExecPath::FusedParallel(FusedParallel { workers: 3, threshold: Some(0) }),
-            ..EngineOpts::default()
-        };
-        let par = execute(MachineKind::Gca, &g, &opts, &RecoveryOpts::default()).unwrap();
-        assert_eq!(par.labels.as_slice(), generic.labels.as_slice());
-        assert_eq!(par.steps, generic.steps);
-        assert_eq!(
-            par.metrics.as_ref().unwrap().entries(),
-            generic.metrics.as_ref().unwrap().entries()
-        );
-        assert_eq!(
-            par.engine.as_deref(),
-            Some("convergence=fixed exec=fused-par workers=3")
-        );
     }
 
     fn transient_flip(generation: u64, cell: usize) -> RecoveryOpts {

@@ -70,6 +70,33 @@ fn fused_sweep_is_the_default_exec_path() {
 }
 
 #[test]
+fn fused_par_is_an_alias_of_fused() {
+    // The whole report, engine line included, is the fused path's; only
+    // the wall time may differ.
+    let run = |exec: &[&str]| {
+        let mut args = vec!["forest:96:6:3", "--json", "--metrics", "--labels"];
+        args.extend_from_slice(exec);
+        let out = gca_cc().args(&args).output().expect("spawn");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let mut v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+        v["wall_ms"] = serde_json::Value::Null;
+        v
+    };
+    let fused = run(&["--exec", "fused"]);
+    assert_eq!(run(&["--exec", "fused-par", "--workers", "2"]), fused);
+    assert_eq!(fused["engine"], "convergence=fixed exec=fused");
+    // `--workers` is still checked, and only accepted with `fused-par`.
+    for bad in [
+        &["--workers", "2"][..],
+        &["--exec", "fused", "--workers", "2"][..],
+        &["--exec", "fused-par", "--workers", "x"][..],
+    ] {
+        let out = gca_cc().arg("ring:5").args(bad).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{bad:?}");
+    }
+}
+
+#[test]
 fn oversized_inputs_exit_1_naming_the_size() {
     // Generator specs are checked before generating and edge-list headers
     // while parsing: a matrix that cannot be held is an error, not a panic

@@ -3,7 +3,7 @@
 //!
 //! The paper's machine model assumes every cell computes its rule
 //! faithfully every generation. The detectors built in earlier layers
-//! (the CROW sanitizer, the fused paths' sweep cross-check, the invariant
+//! (the CROW sanitizer, the fused path's sweep cross-check, the invariant
 //! checker) exist to catch violations of that assumption — a
 //! [`FaultPlan`] is the controlled way to *create* one, so the detectors
 //! and the recovery loop (see [`crate::recovery`]) can be proven closed
@@ -67,7 +67,7 @@ pub enum Persistence {
     /// broken unit (see `RecoveryPolicy::Degrade` in [`crate::recovery`]).
     Sticky {
         /// Lowest execution-ladder level at which the fault still fires
-        /// (0 = generic, 1 = fused, 2 = fused-par).
+        /// (0 = generic, 1 = fused).
         min_level: u8,
     },
 }

@@ -12,7 +12,7 @@
 //! machine: it takes checkpoints on a cadence into a bounded ring, and
 //! on failure applies a [`RecoveryPolicy`] — retry the latest
 //! checkpoint, walk further back, or degrade the execution path one rung
-//! down the ladder (fused-par → fused → generic) when the
+//! down the ladder (fused → generic) when the
 //! same frontier keeps diverging, which routes around a persistently
 //! broken functional unit.
 //!
@@ -456,7 +456,7 @@ mod tests {
         failures: Vec<(u64, usize, u32)>,
     }
 
-    const RUNGS: [&str; 3] = ["fused-par", "fused", "generic"];
+    const RUNGS: [&str; 2] = ["fused", "generic"];
 
     impl Stub {
         fn new(units: u64) -> Self {
@@ -593,8 +593,8 @@ mod tests {
         let report = Supervisor::new(RecoveryPolicy::Degrade).run(&mut m);
         assert!(matches!(report.outcome, RecoveryOutcome::Recovered));
         assert_eq!(report.degradations, 1);
-        assert_eq!(report.initial_rung, "fused-par");
-        assert_eq!(report.final_rung, "fused");
+        assert_eq!(report.initial_rung, "fused");
+        assert_eq!(report.final_rung, "generic");
         assert_eq!(m.field.states()[0], 5);
     }
 
@@ -604,7 +604,7 @@ mod tests {
         m.failures.push((2, 0, u32::MAX)); // fails on every rung
         let report = Supervisor::new(RecoveryPolicy::Degrade).run(&mut m);
         assert!(matches!(report.outcome, RecoveryOutcome::Exhausted(_)));
-        assert_eq!(report.degradations, 2);
+        assert_eq!(report.degradations, 1);
         assert_eq!(report.final_rung, "generic");
     }
 

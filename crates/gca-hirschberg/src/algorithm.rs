@@ -1,6 +1,5 @@
 use crate::complexity::{ceil_log2, total_generations};
 use crate::invariants::{InvariantChecker, InvariantClass};
-use crate::kernels::ParPolicy;
 use crate::sweep::{static_footprint, Sweep, SweepFault};
 use crate::{iteration_schedule, ExecPath, Gen, HCell, HirschbergRule, Layout};
 use gca_engine::faults::{FaultKind, FaultPlan};
@@ -54,10 +53,10 @@ pub enum Convergence {
 ///
 /// The machine keeps the [`AdjacencyMatrix`] it was built from: the
 /// paper's read-only `a` registers. The data words live in one of two
-/// places. On the fused paths an unobserved run keeps them as the sweep's
+/// places. On the fused path an unobserved run keeps them as the sweep's
 /// O(n) vectors (`C`, `T′`; see [`crate::sweep`]), which reads the
 /// matrix's rows directly. Whenever the engine ticks — the generic path,
-/// and on the fused paths [`Machine::step`], `Instrumentation::Trace`,
+/// and on the fused path [`Machine::step`], `Instrumentation::Trace`,
 /// `Instrumentation::Validate` or an armed fault plan — the engine holds
 /// the state in its own `CellField<HCell>`, built from the vectors and the
 /// matrix when first needed and stepped in place from then on. The next
@@ -76,7 +75,7 @@ pub struct Machine {
     /// The graph the machine runs.
     graph: AdjacencyMatrix,
     /// The state while the engine does not hold it; under
-    /// [`Instrumentation::Validate`] on the fused paths, the cross-check's
+    /// [`Instrumentation::Validate`] on the fused path, the cross-check's
     /// expected iteration.
     sweep: Sweep,
     /// The last sweep iteration that left `C` unchanged, if any.
@@ -324,12 +323,12 @@ impl Machine {
         Ok(rep)
     }
 
-    /// Whether the configured path is one of the fused paths.
+    /// Whether the configured path is the fused one.
     fn fused(&self) -> bool {
-        matches!(self.exec, ExecPath::Fused | ExecPath::FusedParallel(_))
+        self.exec == ExecPath::Fused
     }
 
-    /// Whether iterations run as vector sweeps: a fused path that nothing
+    /// Whether iterations run as vector sweeps: the fused path when nothing
     /// observes cell by cell — no access traces, no validation and no
     /// armed fault plan.
     fn sweeping(&self) -> bool {
@@ -339,15 +338,6 @@ impl Machine {
                 Instrumentation::Off | Instrumentation::Counts
             )
             && self.inject.is_none()
-    }
-
-    /// The sweep's parallel policy: [`ExecPath::FusedParallel`]'s
-    /// resolved knob, `None` on every other path.
-    fn par_policy(&self) -> Option<ParPolicy> {
-        match self.exec {
-            ExecPath::FusedParallel(cfg) => cfg.policy(),
-            _ => None,
-        }
     }
 
     /// Whether a step should account reads (mirrors the engine's `counting`).
@@ -386,7 +376,7 @@ impl Machine {
     /// Arms (or clears) a deterministic fault plan. An armed plan injects
     /// its fault into the addressed committed generation (see
     /// [`gca_engine::faults`] for the per-kind semantics). It is
-    /// observation: on the fused paths every generation then ticks the
+    /// observation: on the fused path every generation then ticks the
     /// engine on its own field, so that each one is an injection site; a
     /// `None` plan restores the sweep and costs nothing per iteration.
     /// The plan survives [`Machine::reset_with`] and
@@ -406,12 +396,11 @@ impl Machine {
     /// The degradation-ladder level of the configured execution path —
     /// the coordinate sticky faults compare against (see
     /// [`gca_engine::faults::Persistence::Sticky`]). Higher is more
-    /// optimized: generic 0, fused 1, fused-par 2.
+    /// optimized: generic 0, fused 1.
     pub fn exec_level(&self) -> u8 {
         match self.exec {
             ExecPath::Generic => 0,
-            ExecPath::Fused => 1,
-            ExecPath::FusedParallel(_) => 2,
+            ExecPath::Fused | ExecPath::FusedParallel(_) => 1,
         }
     }
 
@@ -419,9 +408,14 @@ impl Machine {
     /// rung change. Unlike [`Machine::with_exec`] this is callable
     /// mid-run; the paths are bit-identical in labels, metrics and
     /// iteration-boundary fields, so a switch at any generation boundary
-    /// is semantically invisible.
+    /// is semantically invisible. [`ExecPath::FusedParallel`] is taken as
+    /// its alias, [`ExecPath::Fused`], which [`Machine::exec`] then
+    /// reports.
     pub fn set_exec(&mut self, exec: ExecPath) {
-        self.exec = exec;
+        self.exec = match exec {
+            ExecPath::FusedParallel(_) => ExecPath::Fused,
+            exec => exec,
+        };
     }
 
     /// Rewinds the machine to a checkpoint: restores the field snapshot,
@@ -586,7 +580,6 @@ impl Machine {
         let logged = self.metrics.generations();
         let detect = self.convergence == Convergence::Detect;
         let counting = self.counting();
-        let par = self.par_policy();
         let Machine {
             sweep,
             graph,
@@ -599,7 +592,6 @@ impl Machine {
             start,
             detect,
             counting,
-            par,
             &mut |ctx, active, fp| {
                 engine.advance_generation();
                 if counting {
@@ -639,7 +631,7 @@ impl Machine {
         self.sweep.settle(&self.settled.t);
     }
 
-    /// One iteration ticked on the engine. On a fused path under
+    /// One iteration ticked on the engine. On the fused path under
     /// validation, the sweep first runs the same iteration from column 0,
     /// and every engine generation is checked against it.
     fn engine_iteration(&mut self) -> Result<(), GcaError> {
@@ -687,7 +679,6 @@ impl Machine {
         self.expected.clear();
         let start = self.engine.generation();
         let detect = self.convergence == Convergence::Detect;
-        let par = self.par_policy();
         let Machine {
             sweep,
             graph,
@@ -700,7 +691,6 @@ impl Machine {
             start,
             detect,
             true,
-            par,
             &mut |ctx, active, fp| expected.push((ctx, active, fp.clone())),
         );
     }
@@ -1005,7 +995,7 @@ pub fn connected_components(graph: &AdjacencyMatrix) -> Result<Labeling, GcaErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FusedParallel;
+    use crate::{BatchRunner, FusedParallel, SupervisedMachine};
     use gca_graphs::connectivity::union_find_components_dense;
     use gca_graphs::{generators, GraphBuilder};
 
@@ -1330,20 +1320,51 @@ mod tests {
         HirschbergGca::new().exec(ExecPath::Generic)
     }
 
-    /// Three row chunks even on tiny fields.
-    fn par3() -> ExecPath {
-        ExecPath::FusedParallel(FusedParallel {
-            workers: 3,
-            threshold: Some(0),
-        })
-    }
-
     #[test]
     fn fused_is_the_default_path() {
         let g = generators::ring(6);
         assert_eq!(ExecPath::default(), ExecPath::Fused);
         assert_eq!(Machine::new(&g).unwrap().exec(), ExecPath::Fused);
         assert_eq!(HirschbergGca::new().exec, ExecPath::Fused);
+    }
+
+    #[test]
+    fn fused_parallel_is_an_alias_of_fused() {
+        use gca_engine::recovery::{RecoveryOutcome, Supervisor};
+        let alias = ExecPath::FusedParallel(FusedParallel::with_workers(2));
+        let graphs = fused_test_corpus();
+        let fused = HirschbergGca::new().exec(ExecPath::Fused);
+        for g in &graphs {
+            let want = fused.run(g).unwrap();
+            let got = HirschbergGca::new().exec(alias).run(g).unwrap();
+            assert_eq!(got.labels, want.labels, "{g:?}");
+            assert_eq!(got.generations, want.generations, "{g:?}");
+            assert_eq!(got.metrics.entries(), want.metrics.entries(), "{g:?}");
+            if g.n() == 0 {
+                continue;
+            }
+
+            let mut m = Machine::new(g).unwrap().with_exec(alias);
+            assert_eq!(m.exec(), ExecPath::Fused);
+            m.init().unwrap();
+            m.run_iterations(u64::from(ceil_log2(g.n()))).unwrap();
+            assert_eq!(m.labels().unwrap(), want.labels, "{g:?}");
+            assert_eq!(m.generations(), want.generations, "{g:?}");
+            assert_eq!(m.metrics().entries(), want.metrics.entries(), "{g:?}");
+
+            let mut sm = SupervisedMachine::new(g, Engine::sequential(), alias).unwrap();
+            assert_eq!(sm.machine().exec(), ExecPath::Fused);
+            let report = Supervisor::default().run(&mut sm);
+            assert!(matches!(report.outcome, RecoveryOutcome::Clean), "{report}");
+            assert_eq!(report.initial_rung, "fused");
+            assert_eq!(sm.labels().unwrap(), want.labels, "{g:?}");
+            assert_eq!(sm.machine().generations(), want.generations, "{g:?}");
+            assert_eq!(sm.machine().metrics().entries(), want.metrics.entries(), "{g:?}");
+        }
+        let batch: Vec<_> = graphs.into_iter().filter(|g| g.n() > 0).collect();
+        let want = BatchRunner::new().run(&batch).unwrap();
+        let got = BatchRunner::new().exec(alias).run(&batch).unwrap();
+        assert_eq!(got.labels, want.labels);
     }
 
     #[test]
@@ -1376,21 +1397,20 @@ mod tests {
         }
     }
 
-    /// Runs `g` on each of `execs` and on the generic path in lockstep,
-    /// one iteration at a time, and asserts identical labels, generation
+    /// Runs `g` on the fused and the generic path in lockstep, one
+    /// iteration at a time, and asserts identical labels, generation
     /// counts, `Counts` logs and fields after init and at every iteration
     /// boundary.
-    fn assert_boundaries_match_generic(g: &AdjacencyMatrix, execs: &[ExecPath], convergence: Convergence) {
+    fn assert_boundaries_match_generic(g: &AdjacencyMatrix, convergence: Convergence) {
         let iterations = ceil_log2(g.n());
-        assert_lockstep(g, execs, convergence, Instrumentation::Counts, iterations);
+        assert_lockstep(g, convergence, Instrumentation::Counts, iterations);
     }
 
     /// [`assert_boundaries_match_generic`] under `instr`, over `iterations`
-    /// iterations. Returns the sweep iterations the `execs` computed
+    /// iterations. Returns the sweep iterations the fused machine computed
     /// rather than replayed.
     fn assert_lockstep(
         g: &AdjacencyMatrix,
-        execs: &[ExecPath],
         convergence: Convergence,
         instr: Instrumentation,
         iterations: u32,
@@ -1403,34 +1423,27 @@ mod tests {
                 .with_convergence(convergence)
         };
         let mut want = machine(ExecPath::Generic);
-        let mut got: Vec<Machine> = execs.iter().map(|&exec| machine(exec)).collect();
+        let mut got = machine(ExecPath::Fused);
         want.init().unwrap();
-        for m in &mut got {
-            m.init().unwrap();
-        }
+        got.init().unwrap();
         for it in 0..=iterations {
-            let ran = (it > 0).then(|| want.run_iteration().unwrap());
-            for (got, exec) in got.iter_mut().zip(execs) {
-                let at =
-                    format!("n = {n} {exec:?} {convergence:?} {instr:?} iteration {it} on {g:?}");
-                if let Some(ran) = ran {
-                    assert_eq!(got.run_iteration().unwrap(), ran, "{at}");
-                }
-                assert_eq!(got.labels_raw(), want.labels_raw(), "{at}");
-                assert_eq!(got.generations(), want.generations(), "{at}");
-                assert_eq!(got.metrics().entries(), want.metrics().entries(), "{at}");
-                assert_eq!(got.to_field().states(), want.to_field().states(), "{at}");
+            let at = format!("n = {n} {convergence:?} {instr:?} iteration {it} on {g:?}");
+            if it > 0 {
+                assert_eq!(got.run_iteration().unwrap(), want.run_iteration().unwrap(), "{at}");
             }
+            assert_eq!(got.labels_raw(), want.labels_raw(), "{at}");
+            assert_eq!(got.generations(), want.generations(), "{at}");
+            assert_eq!(got.metrics().entries(), want.metrics().entries(), "{at}");
+            assert_eq!(got.to_field().states(), want.to_field().states(), "{at}");
         }
-        got.iter().map(|m| m.computed).sum()
+        got.computed
     }
 
     #[test]
     fn sweep_matches_generic_at_every_boundary_on_corner_sizes() {
         // n = 0 and 1 run no iteration; n = 2 has one tree partner per row;
         // n = 63, 64, 65, 128 and 129 put rows just inside, on and just
-        // past one adjacency word boundary, and on and just past two, and
-        // three row chunks leave a short last one.
+        // past one adjacency word boundary, and on and just past two.
         for n in [0usize, 1, 2, 63, 64, 65, 128, 129] {
             let graphs = [
                 generators::empty(n),
@@ -1439,7 +1452,7 @@ mod tests {
             ];
             for g in &graphs {
                 for convergence in [Convergence::Fixed, Convergence::Detect] {
-                    assert_boundaries_match_generic(g, &[ExecPath::Fused, par3()], convergence);
+                    assert_boundaries_match_generic(g, convergence);
                 }
             }
         }
@@ -1451,15 +1464,11 @@ mod tests {
         // words, no tail bits: the shapes of the benchmark's small-graph
         // CLI and library batch workloads, gnp(64, 0.04) and
         // gnp(128, 0.01), on the seeds of their first 30 inputs.
-        let par2 = ExecPath::FusedParallel(FusedParallel {
-            workers: 2,
-            threshold: Some(0),
-        });
         for (n, p) in [(64, 0.04), (128, 0.01)] {
             for i in 0..30 {
                 let g = generators::gnp(n, p, 1_000_003 + i);
                 for convergence in [Convergence::Fixed, Convergence::Detect] {
-                    assert_boundaries_match_generic(&g, &[ExecPath::Fused, par2], convergence);
+                    assert_boundaries_match_generic(&g, convergence);
                 }
             }
         }
@@ -1478,20 +1487,18 @@ mod tests {
             c.d = ((i * 7 + 3) % n) as Word;
         }
         let snap = FieldSnapshot::capture(&cells);
-        for exec in [ExecPath::Fused, par3()] {
-            let mut fused = Machine::new(&g).unwrap().with_exec(exec);
-            let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
-            fused.restore(&snap).unwrap();
-            want.restore(&snap).unwrap();
+        let mut fused = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
+        let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
+        fused.restore(&snap).unwrap();
+        want.restore(&snap).unwrap();
+        assert_eq!(fused.to_field().states(), want.to_field().states());
+        for _ in 0..ceil_log2(n) {
+            fused.run_iteration().unwrap();
+            want.run_iteration().unwrap();
             assert_eq!(fused.to_field().states(), want.to_field().states());
-            for _ in 0..ceil_log2(n) {
-                fused.run_iteration().unwrap();
-                want.run_iteration().unwrap();
-                assert_eq!(fused.to_field().states(), want.to_field().states(), "{exec:?}");
-                assert_eq!(fused.metrics().entries(), want.metrics().entries(), "{exec:?}");
-            }
-            assert!(fused.cells.is_none(), "the sweep dropped the restored cells");
+            assert_eq!(fused.metrics().entries(), want.metrics().entries());
         }
+        assert!(fused.cells.is_none(), "the sweep dropped the restored cells");
     }
 
     #[test]
@@ -1533,7 +1540,7 @@ mod tests {
         let n = 70;
         let g = generators::gnp(n, 0.08, 21);
         let reference = generic().run(&g).unwrap();
-        for exec in [ExecPath::Generic, ExecPath::Fused, par3()] {
+        for exec in [ExecPath::Generic, ExecPath::Fused] {
             let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
             let mut stepped = Machine::new(&g).unwrap().with_exec(exec);
             want.init().unwrap();
@@ -1569,19 +1576,13 @@ mod tests {
         // unobserved fused run never builds the engine's n(n + 1) field.
         let n = 256;
         let g = generators::gnp(n, 0.05, 3);
-        let par = ExecPath::FusedParallel(FusedParallel {
-            workers: 2,
-            threshold: Some(0),
-        });
-        for exec in [ExecPath::Fused, par] {
-            let mut m = Machine::new(&g).unwrap().with_exec(exec);
-            m.init().unwrap();
-            m.run_iterations(u64::from(ceil_log2(n))).unwrap();
-            assert_eq!(m.metrics().generations() as u64, total_generations(n));
-            assert!(m.cells.is_none(), "{exec:?} built the engine's field");
-            let held = m.sweep.accounting_capacity();
-            assert!(held <= n + 1, "{exec:?}: the footprint holds {held} counters");
-        }
+        let mut m = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
+        m.init().unwrap();
+        m.run_iterations(u64::from(ceil_log2(n))).unwrap();
+        assert_eq!(m.metrics().generations() as u64, total_generations(n));
+        assert!(m.cells.is_none(), "the sweep built the engine's field");
+        let held = m.sweep.accounting_capacity();
+        assert!(held <= n + 1, "the footprint holds {held} counters");
     }
 
     #[test]
@@ -1634,20 +1635,18 @@ mod tests {
 
     #[test]
     fn validated_fused_runs_cross_check_cleanly() {
-        // A correct sweep passes the cross-check on both fused paths, with
-        // labels and metrics identical to a plain Counts run on generic.
-        for exec in [ExecPath::Fused, par3()] {
-            for g in &fused_test_corpus() {
-                let reference = generic().run(g).unwrap();
-                let validated = HirschbergGca::new()
-                    .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
-                    .exec(exec)
-                    .run(g)
-                    .unwrap();
-                assert_eq!(validated.labels, reference.labels, "{exec:?} on {g:?}");
-                assert_eq!(validated.generations, reference.generations);
-                assert_eq!(validated.metrics.entries(), reference.metrics.entries());
-            }
+        // A correct sweep passes the cross-check, with labels and metrics
+        // identical to a plain Counts run on generic.
+        for g in &fused_test_corpus() {
+            let reference = generic().run(g).unwrap();
+            let validated = HirschbergGca::new()
+                .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
+                .exec(ExecPath::Fused)
+                .run(g)
+                .unwrap();
+            assert_eq!(validated.labels, reference.labels, "on {g:?}");
+            assert_eq!(validated.generations, reference.generations);
+            assert_eq!(validated.metrics.entries(), reference.metrics.entries());
         }
     }
 
@@ -1738,49 +1737,6 @@ mod tests {
             assert_eq!(validated.labels, reference.labels);
             assert_eq!(validated.generations, reference.generations);
             assert_eq!(validated.metrics.entries(), reference.metrics.entries());
-        }
-    }
-
-    #[test]
-    fn parallel_fused_matches_fused_labels_and_metrics() {
-        // Threshold 0 forces the partitioned neighbour-min even on tiny
-        // corpus graphs; workers 0 resolves to the hardware thread count
-        // (which may legitimately be 1 → sequential fallback).
-        for workers in [0usize, 2, 3, 7] {
-            let exec = ExecPath::FusedParallel(FusedParallel {
-                workers,
-                threshold: Some(0),
-            });
-            for g in &fused_test_corpus() {
-                let fused = HirschbergGca::new().exec(ExecPath::Fused).run(g).unwrap();
-                let par = HirschbergGca::new().exec(exec).run(g).unwrap();
-                assert_eq!(par.labels, fused.labels, "workers={workers} on {g:?}");
-                assert_eq!(par.generations, fused.generations, "workers={workers}");
-                assert_eq!(
-                    par.metrics.entries(),
-                    fused.metrics.entries(),
-                    "metrics diverge at workers={workers} on {g:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_fused_composes_with_detect_and_early_exit() {
-        let exec = ExecPath::FusedParallel(FusedParallel {
-            workers: 2,
-            threshold: Some(0),
-        });
-        for seed in 0..4 {
-            let g = generators::gnp(15, 0.25, seed);
-            let expected = union_find_components_dense(&g);
-            let run = HirschbergGca::new()
-                .exec(exec)
-                .convergence(Convergence::Detect)
-                .early_exit(true)
-                .run(&g)
-                .unwrap();
-            assert_eq!(run.labels.as_slice(), expected.as_slice());
         }
     }
 
@@ -1960,12 +1916,10 @@ mod tests {
         let cases = [
             (ExecPath::Fused, Instrumentation::Off, false),
             (ExecPath::Fused, Instrumentation::Counts, false),
-            (ExecPath::fused_parallel(2), Instrumentation::Counts, false),
             (ExecPath::Generic, Instrumentation::Off, true),
             (ExecPath::Generic, Instrumentation::Counts, true),
             (ExecPath::Fused, Instrumentation::Trace, true),
             (ExecPath::Fused, Instrumentation::Validate, true),
-            (ExecPath::fused_parallel(2), Instrumentation::Validate, true),
         ];
         for (exec, instr, allocates) in cases {
             let mut m = Machine::with_engine(&g, engine(instr)).unwrap().with_exec(exec);
@@ -1982,12 +1936,12 @@ mod tests {
         }
     }
 
-    /// A machine settled on `g`: `⌈log₂ n⌉` iterations in.
-    fn settled_machine(g: &AdjacencyMatrix, exec: ExecPath) -> Machine {
-        let mut m = Machine::new(g).unwrap().with_exec(exec);
+    /// A fused machine settled on `g`: `⌈log₂ n⌉` iterations in.
+    fn settled_machine(g: &AdjacencyMatrix) -> Machine {
+        let mut m = Machine::new(g).unwrap();
         m.init().unwrap();
         m.run_iterations(u64::from(ceil_log2(g.n()))).unwrap();
-        assert!(m.settled.valid, "{exec:?} did not settle on {g:?}");
+        assert!(m.settled.valid, "did not settle on {g:?}");
         m
     }
 
@@ -1998,29 +1952,23 @@ mod tests {
         let n = 256;
         let g = generators::random_forest(n, 16, 1);
         let reference = generic().run(&g).unwrap();
-        for exec in [ExecPath::Fused, par3()] {
-            let mut m = Machine::new(&g).unwrap().with_exec(exec);
-            m.init().unwrap();
-            m.run_iterations(u64::from(ceil_log2(n))).unwrap();
-            assert!(
-                m.computed < u64::from(ceil_log2(n)),
-                "{exec:?} computed all {} iterations",
-                m.computed
-            );
-            assert_eq!(m.labels().unwrap(), reference.labels, "{exec:?}");
-            assert_eq!(m.generations(), reference.generations, "{exec:?}");
-            assert_eq!(
-                m.metrics().entries(),
-                reference.metrics.entries(),
-                "{exec:?}"
-            );
-        }
+        let mut m = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
+        m.init().unwrap();
+        m.run_iterations(u64::from(ceil_log2(n))).unwrap();
+        assert!(
+            m.computed < u64::from(ceil_log2(n)),
+            "computed all {} iterations",
+            m.computed
+        );
+        assert_eq!(m.labels().unwrap(), reference.labels);
+        assert_eq!(m.generations(), reference.generations);
+        assert_eq!(m.metrics().entries(), reference.metrics.entries());
     }
 
     #[test]
     fn replay_matches_generic_at_every_boundary() {
         // Two iterations past the schedule, so that every graph replays
-        // more than once, on both fused paths, under both convergence
+        // more than once, under both convergence
         // policies and with and without accounting.
         let n = 40;
         let graphs = [
@@ -2036,17 +1984,11 @@ mod tests {
         for g in &graphs {
             for convergence in [Convergence::Fixed, Convergence::Detect] {
                 for instr in [Instrumentation::Off, Instrumentation::Counts] {
-                    computed += assert_lockstep(
-                        g,
-                        &[ExecPath::Fused, par3()],
-                        convergence,
-                        instr,
-                        iterations,
-                    );
+                    computed += assert_lockstep(g, convergence, instr, iterations);
                 }
             }
         }
-        let swept = graphs.len() as u64 * 2 * 2 * 2 * u64::from(iterations);
+        let swept = graphs.len() as u64 * 2 * 2 * u64::from(iterations);
         assert!(
             computed < swept / 2,
             "{computed} of {swept} sweeps computed"
@@ -2068,7 +2010,7 @@ mod tests {
         let mut replayed = 0;
         for g in &graphs {
             for k in 0..=schedule.len() {
-                let mut fused = settled_machine(g, ExecPath::Fused);
+                let mut fused = settled_machine(g);
                 let mut want = Machine::new(g).unwrap().with_exec(ExecPath::Generic);
                 want.init().unwrap();
                 want.run_iterations(u64::from(ceil_log2(n))).unwrap();
@@ -2108,41 +2050,39 @@ mod tests {
         // back over the restored words.
         let n = 20;
         let g = generators::random_forest(n, 3, 4);
-        for exec in [ExecPath::Fused, par3()] {
-            let mut fused = settled_machine(&g, exec);
-            let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
-            want.init().unwrap();
-            want.run_iterations(u64::from(ceil_log2(n))).unwrap();
-            let generation = fused.generations();
-            let mut cells = fused.to_field();
-            for (i, c) in cells.states_mut().iter_mut().enumerate() {
-                if i % n != 0 || i >= n * n {
-                    c.d = ((i * 7 + 3) % n) as Word;
-                }
+        let mut fused = settled_machine(&g);
+        let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
+        want.init().unwrap();
+        want.run_iterations(u64::from(ceil_log2(n))).unwrap();
+        let generation = fused.generations();
+        let mut cells = fused.to_field();
+        for (i, c) in cells.states_mut().iter_mut().enumerate() {
+            if i % n != 0 || i >= n * n {
+                c.d = ((i * 7 + 3) % n) as Word;
             }
-            assert_ne!(cells.states(), fused.to_field().states());
-            let snap = FieldSnapshot::capture(&cells);
-            for rollback in [false, true] {
-                for m in [&mut fused, &mut want] {
-                    if rollback {
-                        m.rollback_to(generation, &snap).unwrap();
-                    } else {
-                        m.restore(&snap).unwrap();
-                    }
-                    assert_eq!(m.to_field().states(), cells.states());
+        }
+        assert_ne!(cells.states(), fused.to_field().states());
+        let snap = FieldSnapshot::capture(&cells);
+        for rollback in [false, true] {
+            for m in [&mut fused, &mut want] {
+                if rollback {
+                    m.rollback_to(generation, &snap).unwrap();
+                } else {
+                    m.restore(&snap).unwrap();
                 }
-                // Nor may the replay lean on the `T′` the dormant vectors
-                // still hold.
-                fused.sweep.settle(&vec![0; n]);
-                let before = fused.computed;
-                fused.run_iteration().unwrap();
-                want.run_iteration().unwrap();
-                let at = format!("{exec:?} rollback = {rollback}");
-                assert_eq!(fused.computed, before, "{at}: not replayed");
-                assert_eq!(fused.generations(), want.generations(), "{at}");
-                assert_eq!(fused.metrics().entries(), want.metrics().entries(), "{at}");
-                assert_eq!(fused.to_field().states(), want.to_field().states(), "{at}");
+                assert_eq!(m.to_field().states(), cells.states());
             }
+            // Nor may the replay lean on the `T′` the dormant vectors
+            // still hold.
+            fused.sweep.settle(&vec![0; n]);
+            let before = fused.computed;
+            fused.run_iteration().unwrap();
+            want.run_iteration().unwrap();
+            let at = format!("rollback = {rollback}");
+            assert_eq!(fused.computed, before, "{at}: not replayed");
+            assert_eq!(fused.generations(), want.generations(), "{at}");
+            assert_eq!(fused.metrics().entries(), want.metrics().entries(), "{at}");
+            assert_eq!(fused.to_field().states(), want.to_field().states(), "{at}");
         }
     }
 
@@ -2153,7 +2093,7 @@ mod tests {
         // taken under `Fixed` must not be replayed.
         let n = 16;
         let g = generators::star(n);
-        let mut fused = settled_machine(&g, ExecPath::Fused).with_convergence(Convergence::Detect);
+        let mut fused = settled_machine(&g).with_convergence(Convergence::Detect);
         let mut want = Machine::new(&g).unwrap().with_exec(ExecPath::Generic);
         want.init().unwrap();
         want.run_iterations(u64::from(ceil_log2(n))).unwrap();
@@ -2168,8 +2108,8 @@ mod tests {
     fn replay_does_not_swallow_a_sweep_fault_seeded_after_settling() {
         let n = 20;
         let g = generators::random_forest(n, 3, 5);
-        let mut clean = settled_machine(&g, ExecPath::Fused);
-        let mut faulty = settled_machine(&g, ExecPath::Fused);
+        let mut clean = settled_machine(&g);
+        let mut faulty = settled_machine(&g);
         faulty.seed_sweep_fault(SweepFault::FlipT(0));
         let before = faulty.computed;
         clean.run_iteration().unwrap();

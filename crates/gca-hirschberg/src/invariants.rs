@@ -295,7 +295,7 @@ fn component_minima(n: usize, adj: &[bool]) -> Vec<Word> {
 /// One checker instance observes one run. It is armed by
 /// [`Machine`](crate::Machine) whenever the engine runs under
 /// [`Instrumentation::Validate`](gca_engine::Instrumentation::Validate),
-/// on *all* execution paths (generic, fused, fused-parallel; a validated
+/// on *all* execution paths (generic and fused; a validated
 /// fused machine ticks the engine) — the proof model is
 /// execution-path-agnostic, so one shadow plane checks them all.
 #[derive(Clone, Debug)]

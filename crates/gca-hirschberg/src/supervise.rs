@@ -12,13 +12,12 @@
 //! instrumentation) a metrics log bit-identical to an undisturbed run.
 //!
 //! [`SupervisedMachine`] also carries the **degradation ladder**: the
-//! three execution paths are bit-identical in labels and `Counts`
-//! metrics (a property the test suite and the differential replay
-//! harness enforce), so when a rung keeps diverging the supervisor can
-//! step down
+//! two execution paths are bit-identical in labels and `Counts` metrics
+//! (a property the test suite and the differential replay harness
+//! enforce), so when a rung keeps diverging the supervisor can step down
 //!
 //! ```text
-//! fused-par → fused → generic
+//! fused → generic
 //! ```
 //!
 //! and re-execute the faulted span on a less-optimized but
@@ -37,8 +36,7 @@ use gca_graphs::{AdjacencyMatrix, Labeling};
 pub fn rung_name(exec: ExecPath) -> &'static str {
     match exec {
         ExecPath::Generic => "generic",
-        ExecPath::Fused => "fused",
-        ExecPath::FusedParallel(_) => "fused-par",
+        ExecPath::Fused | ExecPath::FusedParallel(_) => "fused",
     }
 }
 
@@ -46,8 +44,7 @@ pub fn rung_name(exec: ExecPath) -> &'static str {
 /// the bottom.
 pub fn degraded(exec: ExecPath) -> Option<ExecPath> {
     match exec {
-        ExecPath::FusedParallel(_) => Some(ExecPath::Fused),
-        ExecPath::Fused => Some(ExecPath::Generic),
+        ExecPath::Fused | ExecPath::FusedParallel(_) => Some(ExecPath::Generic),
         ExecPath::Generic => None,
     }
 }
@@ -154,26 +151,25 @@ mod tests {
     }
 
     #[test]
-    fn ladder_walks_all_three_rungs() {
-        let mut exec = ExecPath::fused_parallel(0);
+    fn ladder_walks_both_rungs() {
+        let mut exec = ExecPath::Fused;
         let mut names = vec![rung_name(exec)];
         while let Some(next) = degraded(exec) {
             names.push(rung_name(next));
             exec = next;
         }
-        assert_eq!(names, ["fused-par", "fused", "generic"]);
+        assert_eq!(names, ["fused", "generic"]);
     }
 
     #[test]
     fn clean_supervised_run_matches_union_find() {
         let g = generators::gnp(24, 0.15, 11);
         let expected = union_find_components_dense(&g);
-        let mut sm =
-            SupervisedMachine::new(&g, validate_engine(), ExecPath::fused_parallel(2)).unwrap();
+        let mut sm = SupervisedMachine::new(&g, validate_engine(), ExecPath::Fused).unwrap();
         let report = Supervisor::default().run(&mut sm);
         assert!(matches!(report.outcome, RecoveryOutcome::Clean), "{report}");
         assert_eq!(sm.labels().unwrap().as_slice(), expected.as_slice());
-        assert_eq!(report.final_rung, "fused-par");
+        assert_eq!(report.final_rung, "fused");
     }
 
     #[test]
@@ -236,10 +232,9 @@ mod tests {
     fn sticky_fault_degrades_off_the_faulty_rung() {
         let g = generators::path(20);
         let expected = union_find_components_dense(&g);
-        let mut sm =
-            SupervisedMachine::new(&g, validate_engine(), ExecPath::fused_parallel(2)).unwrap();
+        let mut sm = SupervisedMachine::new(&g, validate_engine(), ExecPath::Fused).unwrap();
         // Sticky at the top rung: fires on every re-execution until the
-        // ladder drops below fused-par.
+        // ladder drops below fused.
         let plan = FaultSpec::parse("bitflip@5.3.1:sticky")
             .unwrap()
             .resolve(sm.machine().layout().cells(), 100, sm.machine().exec_level())
@@ -247,8 +242,8 @@ mod tests {
         sm.machine_mut().set_fault_plan(Some(plan));
         let report = Supervisor::new(RecoveryPolicy::Degrade).run(&mut sm);
         assert!(matches!(report.outcome, RecoveryOutcome::Recovered), "{report}");
-        assert_eq!(report.initial_rung, "fused-par");
-        assert_eq!(report.final_rung, "fused");
+        assert_eq!(report.initial_rung, "fused");
+        assert_eq!(report.final_rung, "generic");
         assert_eq!(report.degradations, 1);
         assert_eq!(sm.labels().unwrap().as_slice(), expected.as_slice());
     }

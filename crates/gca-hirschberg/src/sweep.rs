@@ -1,5 +1,5 @@
 //! The vector sweep: one outer iteration of the schedule over O(n) state
-//! ([`crate::ExecPath::Fused`] and [`crate::ExecPath::FusedParallel`]).
+//! ([`crate::ExecPath::Fused`]).
 //!
 //! Between outer iterations the whole `n(n+1)` data plane is a function of
 //! two `n`-vectors. Generation 9 copies `T′` across every square row and
@@ -42,18 +42,11 @@
 //! such an iteration and replays it instead of calling `Sweep::iterate`
 //! again: `Sweep::settle` writes its `T′` back (see
 //! `Machine::run_iterations`).
-//!
-//! **Parallel.** Under [`crate::ExecPath::FusedParallel`] the
-//! neighbour-min is split into row chunks by [`plan_rows`], with one join
-//! per iteration. Each chunk writes its own rows of `T` and reads only the
-//! shared `C` and matrix, so the result is the sequential one.
 
-use crate::kernels::{plan_rows, ParPolicy};
 use crate::{Gen, HCell};
 use gca_engine::metrics::{ReadFootprint, TargetGrid};
 use gca_engine::{AdjWord, GcaError, StepCtx, Word, INFINITY, WORD_BITS};
 use gca_graphs::AdjacencyMatrix;
-use rayon::prelude::*;
 
 /// Column 0 (`C`/`T`) of an `n`-node field, every cell read `delta` times.
 fn column_zero(n: usize, delta: usize) -> TargetGrid {
@@ -133,13 +126,9 @@ pub fn static_footprint(gen: Gen, sub: u32, n: usize) -> Option<(usize, TargetGr
 pub enum SweepFault {
     /// Flip bit 0 of `T′(row)` once the member-min has run.
     FlipT(usize),
-    /// Every row chunk of the parallel neighbour-min but the first starts
-    /// one row early: what two chunks that both claim a boundary row would
-    /// produce. Fires only when the neighbour-min runs partitioned.
-    OverlapChunks,
 }
 
-/// The O(n) state of the fused paths and the buffers one iteration needs.
+/// The O(n) state of the fused path and the buffers one iteration needs.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Sweep {
     n: usize,
@@ -250,7 +239,6 @@ impl Sweep {
         start: u64,
         detect: bool,
         counting: bool,
-        par: Option<ParPolicy>,
         commit: &mut dyn FnMut(StepCtx, usize, &ReadFootprint),
     ) -> Result<(), GcaError> {
         let n = self.n;
@@ -267,7 +255,7 @@ impl Sweep {
         };
 
         // Generations 1–9 cannot fail: compute T and T′, then commit them.
-        self.neighbour_min(graph, par);
+        self.neighbour_min(graph);
         self.member_min();
         if let Some(SweepFault::FlipT(row)) = self.fault {
             if let Some(t) = self.t.get_mut(row) {
@@ -328,8 +316,7 @@ impl Sweep {
 
     /// Generations 1–4 into `next`: every node's smallest neighbouring
     /// label outside its own, or its own label.
-    fn neighbour_min(&mut self, graph: &AdjacencyMatrix, par: Option<ParPolicy>) {
-        let n = self.n;
+    fn neighbour_min(&mut self, graph: &AdjacencyMatrix) {
         let c = &self.c;
         let out = &mut self.next;
         // One label everywhere: no neighbour has another, so T = C.
@@ -338,21 +325,7 @@ impl Sweep {
             return;
         }
         let sorted = c.windows(2).all(|w| w[0] <= w[1]);
-        match plan_rows(par, n * n, n, n) {
-            None => neighbour_min_rows(out, 0, c, graph, sorted),
-            Some(rows_per) => {
-                let overlap = self.fault == Some(SweepFault::OverlapChunks);
-                if overlap {
-                    self.fault = None;
-                }
-                out.par_chunks_mut(rows_per)
-                    .enumerate()
-                    .for_each(|(ci, seg)| {
-                        let base_row = ci * rows_per - usize::from(overlap && ci > 0);
-                        neighbour_min_rows(seg, base_row, c, graph, sorted);
-                    });
-            }
-        }
+        neighbour_min_rows(out, c, graph, sorted);
     }
 
     /// Generations 5–8 into `t`: each component root's smallest member
@@ -393,20 +366,12 @@ fn field_word(c: &[Word], t: &[Word], fresh: bool, row: usize, col: usize) -> Wo
     }
 }
 
-/// The neighbour-min of the rows `base_row..base_row + seg.len()`: a
-/// set-bit walk over each of the matrix's rows. When `sorted` (`C` does
-/// not decrease with the node index) the walk stops at the first label
-/// other than the row's own: no later bit carries a smaller one.
-fn neighbour_min_rows(
-    seg: &mut [Word],
-    base_row: usize,
-    c: &[Word],
-    graph: &AdjacencyMatrix,
-    sorted: bool,
-) {
-    for (k, slot) in seg.iter_mut().enumerate() {
-        let i = base_row + k;
-        let own = c[i];
+/// The neighbour-min of every row into `out`: a set-bit walk over each of
+/// the matrix's rows. When `sorted` (`C` does not decrease with the node
+/// index) the walk stops at the first label other than the row's own: no
+/// later bit carries a smaller one.
+fn neighbour_min_rows(out: &mut [Word], c: &[Word], graph: &AdjacencyMatrix, sorted: bool) {
+    for (i, (slot, &own)) in out.iter_mut().zip(c).enumerate() {
         let mut best = INFINITY;
         'row: for (w, &word) in graph.row_words(i).iter().enumerate() {
             // The matrix packs rows in the engine's adjacency words.
@@ -467,40 +432,11 @@ mod tests {
     use gca_graphs::generators;
 
     #[test]
-    fn neighbour_min_partitions_match_sequential() {
-        // Three workers over n = 70 leave a short last chunk, and rows span
-        // two adjacency words.
-        let n = 70;
-        let g = generators::gnp(n, 0.1, 4);
-        let par = Some(ParPolicy {
-            workers: 3,
-            threshold: 0,
-            explicit: true,
-        });
-        let mut seq = Sweep::new(n);
-        let mut split = Sweep::new(n);
-        for s in [&mut seq, &mut split] {
-            s.init();
-            s.c.iter_mut().for_each(|c| *c %= 7);
-        }
-        seq.neighbour_min(&g, None);
-        split.neighbour_min(&g, par);
-        assert_eq!(seq.next, split.next);
-        assert!(seq.next.iter().zip(&seq.c).any(|(t, c)| t != c));
-    }
-
-    #[test]
     fn early_exit_matches_the_full_walk_on_sorted_labels() {
-        // n = 70: rows span two adjacency words, and three workers leave a
-        // short last chunk. The labels are the identity and non-decreasing
-        // vectors with runs of equal labels.
+        // n = 70: rows span two adjacency words. The labels are the
+        // identity and non-decreasing vectors with runs of equal labels.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let n = 70;
-        let par = Some(ParPolicy {
-            workers: 3,
-            threshold: 0,
-            explicit: true,
-        });
         let mut rng = StdRng::seed_from_u64(7);
         for seed in 0..8 {
             let g = generators::gnp(n, 0.02 + 0.04 * seed as f64, seed);
@@ -511,14 +447,11 @@ mod tests {
             }
             for c in [identity, runs] {
                 let mut full = vec![0; n];
-                neighbour_min_rows(&mut full, 0, &c, &g, false);
+                neighbour_min_rows(&mut full, &c, &g, false);
                 let mut sweep = Sweep::new(n);
                 sweep.c.copy_from_slice(&c);
-                for policy in [None, par] {
-                    sweep.next.fill(0);
-                    sweep.neighbour_min(&g, policy);
-                    assert_eq!(sweep.next, full, "seed {seed}, {policy:?}");
-                }
+                sweep.neighbour_min(&g);
+                assert_eq!(sweep.next, full, "seed {seed}");
             }
         }
     }

@@ -8,7 +8,7 @@
 //! bounds for the data-dependent ones (10, 11). [`measure_first_iteration`]
 //! instruments an actual run so the table binary can print *claimed vs.
 //! measured*; [`static_row`] gives the statically addressed rows in closed
-//! form, from the same footprints the fused paths commit. Small
+//! form, from the same footprints the fused path commits. Small
 //! definitional deviations in the paper's own rows (e.g.
 //! generation 5 listed as `n(n+1)` active although its text says the last
 //! row stays unchanged) are documented in EXPERIMENTS.md.

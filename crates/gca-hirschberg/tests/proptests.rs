@@ -7,8 +7,7 @@ use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::AdjacencyMatrix;
 use gca_hirschberg::variants::{low_congestion, n_cells};
 use gca_hirschberg::{
-    complexity, iteration_schedule, Convergence, ExecPath, FusedParallel, Gen, HirschbergGca,
-    Machine,
+    complexity, iteration_schedule, Convergence, ExecPath, Gen, HirschbergGca, Machine,
 };
 use proptest::prelude::*;
 
@@ -170,9 +169,9 @@ proptest! {
         }
     }
 
-    /// Three-way execution-path identity: generic, fused and parallel
-    /// fused agree on labels, generation counts AND full `Counts` metric
-    /// logs on arbitrary graphs up to one word (n ≤ 64 exercises the
+    /// Execution-path identity: generic and fused agree on labels,
+    /// generation counts AND full `Counts` metric logs on arbitrary
+    /// graphs up to one word (n ≤ 64 exercises the
     /// packed plane's tail-bit handling). Under both levels the sweep
     /// takes its uniform-label shortcut once the labels converge, which
     /// neither the labels nor the metric log may observe.
@@ -190,54 +189,40 @@ proptest! {
         let expected = union_find_components_dense(&g);
         let generic = run(ExecPath::Generic, Instrumentation::Counts);
         prop_assert_eq!(generic.labels.as_slice(), expected.as_slice());
-        for exec in [
-            ExecPath::Fused,
-            ExecPath::fused_parallel(2),
-        ] {
-            let counted = run(exec, Instrumentation::Counts);
-            prop_assert_eq!(counted.labels.as_slice(), expected.as_slice());
-            prop_assert_eq!(counted.generations, generic.generations);
-            prop_assert_eq!(
-                counted.metrics.entries(),
-                generic.metrics.entries(),
-                "metric divergence under {:?}",
-                exec
-            );
-            let off = run(exec, Instrumentation::Off);
-            prop_assert_eq!(off.labels.as_slice(), expected.as_slice());
-        }
+        let counted = run(ExecPath::Fused, Instrumentation::Counts);
+        prop_assert_eq!(counted.labels.as_slice(), expected.as_slice());
+        prop_assert_eq!(counted.generations, generic.generations);
+        prop_assert_eq!(counted.metrics.entries(), generic.metrics.entries());
+        let off = run(ExecPath::Fused, Instrumentation::Off);
+        prop_assert_eq!(off.labels.as_slice(), expected.as_slice());
     }
 
-    /// The sweep is the engine at every iteration boundary: on both fused
-    /// paths (three row chunks even on small fields) and under both
+    /// The sweep is the engine at every iteration boundary: under both
     /// convergence policies, labels, generation counts, the `Counts` log
     /// and the whole field equal the generic path's after init and after
     /// every iteration.
     #[test]
     fn sweep_fields_equal_generic_at_every_boundary(g in arb_graph(1, 64)) {
         let n = g.n();
-        let par = ExecPath::FusedParallel(FusedParallel { workers: 3, threshold: Some(0) });
         for convergence in [Convergence::Fixed, Convergence::Detect] {
-            for exec in [ExecPath::Fused, par] {
-                let build = |exec| {
-                    Machine::new(&g).unwrap().with_exec(exec).with_convergence(convergence)
-                };
-                let mut want = build(ExecPath::Generic);
-                let mut got = build(exec);
-                want.init().unwrap();
-                got.init().unwrap();
-                for it in 0..=complexity::ceil_log2(n) {
-                    if it > 0 {
-                        prop_assert_eq!(got.run_iteration().unwrap(), want.run_iteration().unwrap());
-                    }
-                    prop_assert_eq!(got.labels_raw(), want.labels_raw());
-                    prop_assert_eq!(got.generations(), want.generations());
-                    prop_assert_eq!(got.metrics().entries(), want.metrics().entries());
-                    prop_assert!(
-                        got.to_field().states() == want.to_field().states(),
-                        "{:?} {:?}: field differs after iteration {}", exec, convergence, it
-                    );
+            let build = |exec| {
+                Machine::new(&g).unwrap().with_exec(exec).with_convergence(convergence)
+            };
+            let mut want = build(ExecPath::Generic);
+            let mut got = build(ExecPath::Fused);
+            want.init().unwrap();
+            got.init().unwrap();
+            for it in 0..=complexity::ceil_log2(n) {
+                if it > 0 {
+                    prop_assert_eq!(got.run_iteration().unwrap(), want.run_iteration().unwrap());
                 }
+                prop_assert_eq!(got.labels_raw(), want.labels_raw());
+                prop_assert_eq!(got.generations(), want.generations());
+                prop_assert_eq!(got.metrics().entries(), want.metrics().entries());
+                prop_assert!(
+                    got.to_field().states() == want.to_field().states(),
+                    "{:?}: field differs after iteration {}", convergence, it
+                );
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Snapshot/restore and rollback roundtrip properties across all three
+//! Snapshot/restore and rollback roundtrip properties across both
 //! execution paths — the state-capture half of the recovery stack.
 //!
 //! The recovery supervisor's correctness rests on one claim: a machine
@@ -6,7 +6,7 @@
 //! **bit-identical** — labels, field states and `Counts` metrics — to a
 //! machine that never stopped. These properties pin that claim on every
 //! execution path, whichever form holds the state: the engine's field
-//! (stepped in place by the generic path) and the fused paths' vectors (a
+//! (stepped in place by the generic path) and the fused path's vectors (a
 //! restore puts the snapshot's cells in as the engine's field, and the
 //! next sweep reads its column 0 and drops it).
 
@@ -33,14 +33,7 @@ fn arb_graph(min_n: usize, max_n: usize) -> impl Strategy<Value = AdjacencyMatri
     })
 }
 
-const PATHS: [ExecPath; 3] = [
-    ExecPath::Generic,
-    ExecPath::Fused,
-    ExecPath::FusedParallel(gca_hirschberg::FusedParallel {
-        workers: 3,
-        threshold: Some(0),
-    }),
-];
+const PATHS: [ExecPath; 2] = [ExecPath::Generic, ExecPath::Fused];
 
 fn counting_machine(g: &AdjacencyMatrix, exec: ExecPath) -> Machine {
     Machine::with_engine(g, Engine::sequential().with_instrumentation(Instrumentation::Counts))

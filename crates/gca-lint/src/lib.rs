@@ -16,12 +16,6 @@
 //!    arithmetic over the bit-packed adjacency plane: the packed word
 //!    width is `word.rs`'s secret, and everything else phrases lane math
 //!    through `WORD_BITS` / `AdjWord`.
-//! 5. **row-range-purity** — in the kernel file (`sweep.rs`), `*_rows`
-//!    functions never index their `&mut` plane
-//!    parameters with `base_row`: the planes arrive pre-sliced to the
-//!    chunk's row range, and absolute-row addressing is the off-by-one
-//!    the partition prover (`gca-analyze --partition`) exists to rule
-//!    out.
 //!
 //! There is no `syn` in the vendored dependency set, so the linter lexes
 //! Rust by hand ([`lexer`]) — token-level matching is sufficient for the
@@ -117,7 +111,6 @@ pub fn classify(rel_path: &str, has_lib: bool) -> FileClass {
         library,
         hot_path: matches!(file_name, "sweep.rs" | "engine.rs"),
         word_home: file_name == "word.rs",
-        kernel: file_name == "sweep.rs",
     }
 }
 
@@ -213,54 +206,50 @@ mod tests {
     fn classification_separates_lib_bin_and_hot_paths() {
         assert_eq!(
             classify("crates/x/src/lib.rs", true),
-            FileClass { library: true, hot_path: false, word_home: false, kernel: false }
+            FileClass { library: true, hot_path: false, word_home: false }
         );
         assert_eq!(
             classify("crates/x/src/bin/tool.rs", true),
-            FileClass { library: false, hot_path: false, word_home: false, kernel: false }
+            FileClass { library: false, hot_path: false, word_home: false }
         );
         assert_eq!(
             classify("crates/x/src/main.rs", false),
-            FileClass { library: false, hot_path: false, word_home: false, kernel: false }
+            FileClass { library: false, hot_path: false, word_home: false }
         );
         assert_eq!(
             classify("crates/x/src/sweep.rs", true),
-            FileClass { library: true, hot_path: true, word_home: false, kernel: true }
+            FileClass { library: true, hot_path: true, word_home: false }
         );
         assert_eq!(
             classify("crates/gca-engine/src/engine.rs", true),
-            FileClass { library: true, hot_path: true, word_home: false, kernel: false }
+            FileClass { library: true, hot_path: true, word_home: false }
         );
         assert_eq!(
             classify("crates/gca-hirschberg/src/kernels.rs", true),
-            FileClass { library: true, hot_path: false, word_home: false, kernel: false }
+            FileClass { library: true, hot_path: false, word_home: false }
         );
         assert_eq!(
             classify("crates/gca-engine/src/word.rs", true),
-            FileClass { library: true, hot_path: false, word_home: true, kernel: false }
+            FileClass { library: true, hot_path: false, word_home: true }
         );
     }
 
     #[test]
     fn lint_source_reports_seeded_violations() {
-        let class = FileClass { library: true, hot_path: true, word_home: false, kernel: true };
+        let class = FileClass { library: true, hot_path: true, word_home: false };
         let src = "fn f(x: u64) { x.unwrap(); let y = x as u32; let w = x & 63; }\n\
-                   impl GcaRule for R { fn g(&self, f: &CellField<u32>) {} }\n\
-                   fn bad_rows(seg: &mut [u32], base_row: usize, n: usize) {\n\
-                       seg[base_row * n] = 0;\n\
-                   }";
+                   impl GcaRule for R { fn g(&self, f: &CellField<u32>) {} }";
         let (v, _) = lint_source("seeded.rs", src, class);
         let rules: Vec<RuleId> = v.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&RuleId::NoUnwrap), "{v:?}");
         assert!(rules.contains(&RuleId::TruncatingCast), "{v:?}");
         assert!(rules.contains(&RuleId::RuleFieldAccess), "{v:?}");
         assert!(rules.contains(&RuleId::WordWidth), "{v:?}");
-        assert!(rules.contains(&RuleId::RowRangePurity), "{v:?}");
     }
 
     #[test]
     fn violations_render_with_location() {
-        let class = FileClass { library: true, hot_path: false, word_home: false, kernel: false };
+        let class = FileClass { library: true, hot_path: false, word_home: false };
         let (v, _) = lint_source("crates/x/src/lib.rs", "fn f() { x.unwrap(); }", class);
         assert_eq!(v.len(), 1);
         let line = v[0].to_string();

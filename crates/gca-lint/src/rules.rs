@@ -26,14 +26,6 @@
 //!   future word-width change stays a one-file edit. Using `u64` as a
 //!   *type* (`Vec<u64>`, `[u64; N]`, `as u64`) is legal — the rule targets
 //!   width arithmetic, not storage declarations.
-//! * [`RuleId::RowRangePurity`] — in the kernel file (`sweep.rs`), a
-//!   row-range function (free `fn` ending in `_rows`) must
-//!   never index one of its `&mut` plane parameters with an expression
-//!   naming `base_row`: the mutable planes arrive pre-sliced to the
-//!   chunk's row range (row-relative), so absolute-row addressing on them
-//!   is exactly the off-by-one that breaks the partition-disjointness
-//!   proof (`gca-analyze --partition`). `base_row` remains legal for
-//!   computing *values* and for reading the shared read-only planes.
 //!
 //! Test code (`#[cfg(test)]` items, `#[test]` functions) is exempt from
 //! every rule; single sites are suppressed with an inline
@@ -54,19 +46,15 @@ pub enum RuleId {
     RuleFieldAccess,
     /// Hard-coded 64/63 word-width arithmetic outside `word.rs`.
     WordWidth,
-    /// Absolute-row (`base_row`) indexing of a `&mut` plane parameter
-    /// inside a `*_rows` kernel function.
-    RowRangePurity,
 }
 
 impl RuleId {
     /// Every shipped rule.
-    pub const ALL: [RuleId; 5] = [
+    pub const ALL: [RuleId; 4] = [
         RuleId::NoUnwrap,
         RuleId::TruncatingCast,
         RuleId::RuleFieldAccess,
         RuleId::WordWidth,
-        RuleId::RowRangePurity,
     ];
 
     /// The rule's kebab-case name (as used in `lint.toml` and inline
@@ -77,7 +65,6 @@ impl RuleId {
             RuleId::TruncatingCast => "truncating-cast",
             RuleId::RuleFieldAccess => "rule-field-access",
             RuleId::WordWidth => "word-width",
-            RuleId::RowRangePurity => "row-range-purity",
         }
     }
 
@@ -107,9 +94,6 @@ pub struct FileClass {
     /// spell out the packed-adjacency word width, so
     /// [`RuleId::WordWidth`] does not apply.
     pub word_home: bool,
-    /// A kernel file (`sweep.rs`) whose `*_rows` functions
-    /// carry the row-range contract [`RuleId::RowRangePurity`] checks.
-    pub kernel: bool,
 }
 
 /// One rule violation at one source location.
@@ -435,114 +419,6 @@ pub fn check_file(file: &str, lexed: &LexedFile, class: FileClass) -> (Vec<Viola
         }
     }
 
-    if class.kernel {
-        let mut i = 0usize;
-        while i < tokens.len() {
-            if in_test[i] || !tokens[i].is_ident("fn") {
-                i += 1;
-                continue;
-            }
-            let Some(name) = tokens.get(i + 1).and_then(|t| t.ident()) else {
-                i += 1;
-                continue;
-            };
-            if !name.ends_with("_rows") {
-                i += 1;
-                continue;
-            }
-            // Collect the `&mut` plane parameters (`ident: &mut …`) from
-            // the signature — the chunk-relative slices the rule guards.
-            let mut j = i + 2;
-            while j < tokens.len() && !tokens[j].is_punct('(') {
-                j += 1;
-            }
-            let mut depth = 0usize;
-            let mut mut_planes: Vec<&str> = Vec::new();
-            let mut k = j;
-            while k < tokens.len() {
-                if tokens[k].is_punct('(') {
-                    depth += 1;
-                } else if tokens[k].is_punct(')') {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                if depth == 1 {
-                    if let Some(p) = tokens[k].ident() {
-                        if tokens.get(k + 1).is_some_and(|t| t.is_punct(':'))
-                            && tokens.get(k + 2).is_some_and(|t| t.is_punct('&'))
-                            && tokens.get(k + 3).is_some_and(|t| t.is_ident("mut"))
-                        {
-                            mut_planes.push(p);
-                        }
-                    }
-                }
-                k += 1;
-            }
-            // Body span (matching braces from the first `{`).
-            let mut body_start = k;
-            while body_start < tokens.len() && !tokens[body_start].is_punct('{') {
-                body_start += 1;
-            }
-            let mut brace = 0usize;
-            let mut body_end = body_start;
-            while body_end < tokens.len() {
-                if tokens[body_end].is_punct('{') {
-                    brace += 1;
-                } else if tokens[body_end].is_punct('}') {
-                    brace -= 1;
-                    if brace == 0 {
-                        break;
-                    }
-                }
-                body_end += 1;
-            }
-            // `plane[ … base_row … ]` anywhere in the body.
-            let mut t = body_start;
-            while t < body_end {
-                let plane = tokens[t].ident().filter(|id| mut_planes.contains(id));
-                if let (Some(plane), true) = (
-                    plane,
-                    tokens.get(t + 1).is_some_and(|tk| tk.is_punct('[')),
-                ) {
-                    let mut bracket = 0usize;
-                    let mut u = t + 1;
-                    let mut names_base_row = false;
-                    while u < tokens.len() && u <= body_end {
-                        if tokens[u].is_punct('[') {
-                            bracket += 1;
-                        } else if tokens[u].is_punct(']') {
-                            bracket -= 1;
-                            if bracket == 0 {
-                                break;
-                            }
-                        } else if tokens[u].is_ident("base_row") {
-                            names_base_row = true;
-                        }
-                        u += 1;
-                    }
-                    if names_base_row {
-                        raw.push(Violation {
-                            rule: RuleId::RowRangePurity,
-                            file: file.to_string(),
-                            line: tokens[t].line,
-                            message: format!(
-                                "`{plane}[… base_row …]` in `{name}` — &mut planes arrive \
-                                 pre-sliced to the chunk's row range; absolute-row indexing \
-                                 is the off-by-one the partition prover exists to rule out"
-                            ),
-                        });
-                    }
-                    t = u + 1;
-                    continue;
-                }
-                t += 1;
-            }
-            i = body_end + 1;
-        }
-    }
-
     // Inline suppression: an allow comment on the violation's line or the
     // line directly above it.
     let mut suppressed = 0usize;
@@ -571,19 +447,11 @@ mod tests {
         library: true,
         hot_path: false,
         word_home: false,
-        kernel: false,
     };
     const HOT: FileClass = FileClass {
         library: true,
         hot_path: true,
         word_home: false,
-        kernel: false,
-    };
-    const KERNEL: FileClass = FileClass {
-        library: true,
-        hot_path: false,
-        word_home: false,
-        kernel: true,
     };
 
     fn violations(src: &str, class: FileClass) -> Vec<Violation> {
@@ -636,7 +504,6 @@ mod tests {
             library: false,
             hot_path: false,
             word_home: false,
-        kernel: false,
         };
         assert!(violations("fn main() { x.unwrap(); }", bin).is_empty());
     }
@@ -679,7 +546,6 @@ mod tests {
             library: true,
             hot_path: false,
             word_home: true,
-        kernel: false,
         };
         let src = "pub fn word_of(i: usize) -> usize { i / 64 }";
         assert!(violations(src, word_home).is_empty());
@@ -721,65 +587,6 @@ mod tests {
     fn inherent_impls_are_not_rule_impls() {
         let src = "impl R { fn f(&self, field: &CellField<u32>) { field.states(); } }";
         assert!(violations(src, LIB).is_empty());
-    }
-
-    #[test]
-    fn base_row_indexing_of_mut_planes_is_flagged() {
-        for src in [
-            // Direct absolute-row write into the chunk-relative plane.
-            "fn bad_rows(seg: &mut [u32], base_row: usize, n: usize) -> usize {\n\
-                 seg[base_row * n] = 0; 0\n\
-             }",
-            // Slicing is indexing too.
-            "fn bad_rows(seg: &mut [u32], base_row: usize, n: usize) -> usize {\n\
-                 seg[base_row * n..].fill(0); 0\n\
-             }",
-            // Second &mut plane parameter is guarded as well.
-            "fn bad_rows(seg: &mut [u32], occ: &mut [u64], base_row: usize) -> usize {\n\
-                 occ[base_row] = 0; 0\n\
-             }",
-        ] {
-            let v = violations(src, KERNEL);
-            assert_eq!(v.len(), 1, "{src}: {v:?}");
-            assert_eq!(v[0].rule, RuleId::RowRangePurity, "{src}");
-            assert_eq!(v[0].line, 2, "{src}");
-        }
-    }
-
-    #[test]
-    fn row_range_purity_legal_patterns() {
-        for src in [
-            // base_row as a value, never an index.
-            "fn init_rows(seg: &mut [u32], base_row: usize, n: usize) -> usize {\n\
-                 for (r, row) in seg.chunks_mut(n).enumerate() {\n\
-                     let v = (base_row + r) as u32;\n\
-                     row[0] = v;\n\
-                 }\n 0\n\
-             }",
-            // Read-only companion planes may use absolute rows.
-            "fn filter_rows(seg: &mut [u32], dn: &[u32], base_row: usize) -> usize {\n\
-                 let keep = dn[base_row];\n seg[0] = keep; 0\n\
-             }",
-            // Non-`_rows` functions are out of scope.
-            "fn helper(seg: &mut [u32], base_row: usize) { seg[base_row] = 0; }",
-        ] {
-            assert!(violations(src, KERNEL).is_empty(), "{src}");
-        }
-        // The rule only applies to kernel-class files.
-        let src = "fn bad_rows(seg: &mut [u32], base_row: usize) { seg[base_row] = 0; }";
-        assert!(violations(src, LIB).is_empty());
-        assert_eq!(violations(src, KERNEL).len(), 1);
-    }
-
-    #[test]
-    fn row_range_purity_inline_allow_escape() {
-        let src = "fn odd_rows(seg: &mut [u32], base_row: usize) -> usize {\n\
-                   // gca-lint: allow(row-range-purity)\n\
-                   seg[base_row] = 0; 0\n\
-               }";
-        let (v, suppressed) = check_file("t.rs", &lex(src), KERNEL);
-        assert!(v.is_empty(), "{v:?}");
-        assert_eq!(suppressed, 1);
     }
 
     #[test]

@@ -410,30 +410,24 @@ proptest! {
         prop_assert_eq!(fused.metrics.entries(), generic.metrics.entries());
     }
 
-    /// The row-partitioned parallel fused path is bit-identical to BOTH the
-    /// sequential fused path and the generic path — labels, generation
-    /// counts and `Counts` metrics entry for entry — for every worker count
-    /// in a small sweep. `threshold: Some(0)` forces the partitioned
-    /// neighbour-min even on these small fields (the auto-fallback would
-    /// otherwise make this test vacuous below `kernels::MIN_PAR_CELLS`).
+    /// `fused-par` is an alias of the fused path: whatever worker count it
+    /// names, its labels, generation counts and `Counts` logs are the
+    /// fused path's and the generic path's.
     #[test]
     fn parallel_fused_equals_fused_and_generic(g in arb_fused_graph()) {
         let generic = HirschbergGca::new().exec(ExecPath::Generic).run(&g).unwrap();
         let fused = HirschbergGca::new().exec(ExecPath::Fused).run(&g).unwrap();
-        for workers in [2usize, 3, 7] {
-            let par = HirschbergGca::new()
-                .exec(ExecPath::FusedParallel(FusedParallel { workers, threshold: Some(0) }))
-                .run(&g)
-                .unwrap();
-            prop_assert_eq!(par.labels.as_slice(), generic.labels.as_slice());
-            prop_assert_eq!(par.generations, generic.generations);
-            prop_assert_eq!(par.metrics.entries(), generic.metrics.entries());
-            prop_assert_eq!(par.metrics.entries(), fused.metrics.entries());
-        }
+        let par = HirschbergGca::new()
+            .exec(ExecPath::FusedParallel(FusedParallel::with_workers(3)))
+            .run(&g)
+            .unwrap();
+        prop_assert_eq!(par.labels.as_slice(), generic.labels.as_slice());
+        prop_assert_eq!(par.generations, generic.generations);
+        prop_assert_eq!(par.metrics.entries(), generic.metrics.entries());
+        prop_assert_eq!(par.metrics.entries(), fused.metrics.entries());
     }
 
-    /// Same equivalence under convergence detection: the sweep's pointer
-    /// jumping must stop on exactly the same sub-generation.
+    /// The same under convergence detection.
     #[test]
     fn parallel_fused_equals_generic_under_detect(g in arb_fused_graph()) {
         let generic = HirschbergGca::new()
@@ -443,7 +437,7 @@ proptest! {
             .unwrap();
         let par = HirschbergGca::new()
             .convergence(Convergence::Detect)
-            .exec(ExecPath::FusedParallel(FusedParallel { workers: 3, threshold: Some(0) }))
+            .exec(ExecPath::FusedParallel(FusedParallel::with_workers(3)))
             .run(&g)
             .unwrap();
         prop_assert_eq!(par.labels.as_slice(), generic.labels.as_slice());
@@ -452,17 +446,15 @@ proptest! {
     }
 }
 
-/// One larger-than-corpus case: at n = 256 the square (n² cells) clears
-/// the engine's default amortization threshold, so the partitioned
-/// neighbour-min engages without forcing, and the auto worker count path
-/// (`workers: 0`) is exercised alongside explicit counts.
+/// The alias at a size past one adjacency word per row, with the auto
+/// worker count (`0`) and an explicit one.
 #[test]
 fn parallel_fused_bit_identical_at_n256() {
     let g = generators::gnp(256, 0.3, 2007);
     let fused = HirschbergGca::new().exec(ExecPath::Fused).run(&g).unwrap();
-    for workers in [0usize, 2, 3, 7] {
+    for workers in [0usize, 2] {
         let par = HirschbergGca::new()
-            .exec(ExecPath::FusedParallel(FusedParallel { workers, threshold: None }))
+            .exec(ExecPath::FusedParallel(FusedParallel::with_workers(workers)))
             .run(&g)
             .unwrap();
         assert_eq!(par.labels.as_slice(), fused.labels.as_slice(), "workers={workers}");
